@@ -298,7 +298,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="sampled fraction of lines reading a word")
     p.add_argument("--word", required=True)
-    p.add_argument("-d", type=int, required=True)
+    p.add_argument("-d", type=int, help="dimension of the layered grid (needed without --grid)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid", help="WG1 grid file (default: layered grid for the word)")
@@ -322,6 +322,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         if args.command == "solve" and bool(args.word) == bool(args.words):
             parser.error("solve needs exactly one of --word or --words")
+        if args.command == "estimate" and args.grid is None and args.d is None:
+            parser.error("estimate needs -d unless --grid is given")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -90,31 +90,8 @@ def compiled_lines(n: int, d: int, line_cap: int = DEFAULT_LINE_CAP) -> tuple[np
     return idx, weights
 
 
-def _matched_mask(symbol_rows: Sequence[tuple[int, ...]], grid: Grid, line_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Boolean mask of lines whose reading hits any symbol row, plus weights."""
-    idx, weights = compiled_lines(grid.n, grid.d, line_cap)
-    cells = np.frombuffer(grid.cells, dtype=np.uint8)
-    readings = cells[idx]
-    matched = np.zeros(len(idx), dtype=bool)
-    seen: set[tuple[int, ...]] = set()
-    for sym in symbol_rows:
-        for probe in (sym, sym[::-1]):
-            if probe in seen:
-                continue
-            seen.add(probe)
-            matched |= (readings == np.array(probe, dtype=np.uint8)).all(axis=1)
-    return matched, weights
-
-
-def _report_from_mask(matched: np.ndarray, weights: np.ndarray, d: int) -> OccurrenceReport:
-    tally = np.bincount(weights[matched], minlength=d + 1)
-    per_weight = {r: int(tally[r]) for r in range(1, d + 1)}
-    return OccurrenceReport(total=int(matched.sum()), per_weight=per_weight)
-
-
-def _count_stream(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
+def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
                   lines: Iterable[CanonicalLine], collect: bool) -> OccurrenceReport:
-    probes = {sym for s in symbol_rows for sym in (s, s[::-1])}
     per_weight: dict[int, int] = {r: 0 for r in range(1, grid.d + 1)}
     hits: list[CanonicalLine] = []
     total = 0
@@ -129,6 +106,30 @@ def _count_stream(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
                             matches=tuple(hits) if collect else None)
 
 
+def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
+                lines: Iterable[CanonicalLine] | None, collect: bool,
+                line_cap: int) -> OccurrenceReport:
+    """Lines reading any symbol row either way: the stream, or the whole grid."""
+    probes = {sym for s in symbol_rows for sym in (s, s[::-1])}
+    if lines is not None:
+        return _count_stream(probes, grid, lines, collect)
+    if not grid.dense:
+        raise ValueError(
+            "procedural grid needs an explicit line stream; use estimate_fraction "
+            "when full enumeration is infeasible"
+        )
+    if collect:
+        return _count_stream(probes, grid, enumerate_lines(grid.n, grid.d), True)
+    idx, weights = compiled_lines(grid.n, grid.d, line_cap)
+    readings = np.frombuffer(grid.cells, dtype=np.uint8)[idx]
+    matched = np.zeros(len(idx), dtype=bool)
+    for probe in probes:
+        matched |= (readings == np.array(probe, dtype=np.uint8)).all(axis=1)
+    tally = np.bincount(weights[matched], minlength=grid.d + 1)
+    per_weight = {r: int(tally[r]) for r in range(1, grid.d + 1)}
+    return OccurrenceReport(total=int(matched.sum()), per_weight=per_weight)
+
+
 def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,
                collect_matches: bool = False, line_cap: int = DEFAULT_LINE_CAP) -> OccurrenceReport:
     """f(w, G): the number of lines of the grid containing w.
@@ -140,18 +141,7 @@ def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None
     """
     if w.n != grid.n:
         raise ValueError(f"word length {w.n} != grid side {grid.n}")
-    sym = _word_symbols(w, grid)
-    if lines is not None:
-        return _count_stream([sym], grid, lines, collect_matches)
-    if not grid.dense:
-        raise ValueError(
-            "procedural grid needs an explicit line stream; use estimate_fraction "
-            "when full enumeration is infeasible"
-        )
-    if collect_matches:
-        return _count_stream([sym], grid, enumerate_lines(grid.n, grid.d), True)
-    matched, weights = _matched_mask([sym], grid, line_cap)
-    return _report_from_mask(matched, weights, grid.d)
+    return _count_rows([_word_symbols(w, grid)], grid, lines, collect_matches, line_cap)
 
 
 def count_word_set(words: Iterable[Word], grid: Grid,
@@ -165,14 +155,7 @@ def count_word_set(words: Iterable[Word], grid: Grid,
     if any(w.n != grid.n for w in word_list):
         raise ValueError("all words must have length equal to the grid side")
     rows = [_word_symbols(w, grid) for w in word_list]
-    if lines is not None:
-        return _count_stream(rows, grid, lines, collect_matches)
-    if not grid.dense:
-        raise ValueError("procedural grid needs an explicit line stream")
-    if collect_matches:
-        return _count_stream(rows, grid, enumerate_lines(grid.n, grid.d), True)
-    matched, weights = _matched_mask(rows, grid, line_cap)
-    return _report_from_mask(matched, weights, grid.d)
+    return _count_rows(rows, grid, lines, collect_matches, line_cap)
 
 
 def is_diagonal_latin(grid: Grid) -> bool:
@@ -182,11 +165,9 @@ def is_diagonal_latin(grid: Grid) -> bool:
     n = grid.n
     if len(grid.alphabet) != n:
         raise ValueError(f"alphabet size {len(grid.alphabet)} != order {n}")
-    for line in enumerate_lines(n, 2):
-        reading = [grid.at(q) for q in line_points(line, n)]
-        if len(set(reading)) != n:
-            return False
-    return True
+    idx, _ = compiled_lines(n, 2)
+    readings = np.sort(np.frombuffer(grid.to_dense().cells, dtype=np.uint8)[idx], axis=1)
+    return bool((readings[:, 1:] != readings[:, :-1]).all())
 
 
 @lru_cache(maxsize=32)

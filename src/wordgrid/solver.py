@@ -19,7 +19,9 @@ do depend on scheduling and are reported as informational stats only.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,10 +30,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Alphabet, Grid, Word, serialize_grid, symmetry_cell_tables
+from .core import Alphabet, Grid, Word, point_index, serialize_grid, symmetry_cell_tables
 from .lines import enumerate_lines, line_points
-from .core import point_index
-from .occurrence import count_word, count_word_set
+from .occurrence import compiled_lines, count_word, count_word_set
 
 DEFAULT_CELL_CAP = 64
 SET_CELL_CAP = 25
@@ -116,11 +117,8 @@ class _Problem:
         self.A = A
         N = n**d
         self.N = N
-        lines = list(enumerate_lines(n, d))
-        self.L = len(lines)
-        line_cells = [
-            [point_index(q, n, d) for q in line_points(line, n)] for line in lines
-        ]
+        line_cells = compiled_lines(n, d)[0].tolist()
+        self.L = len(line_cells)
 
         probes: list[tuple[int, ...]] = []
         for row in symbol_rows:
@@ -129,32 +127,24 @@ class _Problem:
                     probes.append(pr)
         self.probes = probes
 
-        # pmask[p][c][a]: lines whose probe-p reading is contradicted by a at c
-        pmask = [[[0] * A for _ in range(N)] for _ in probes]
-        for pi, pr in enumerate(probes):
-            masks = pmask[pi]
-            for li, cells in enumerate(line_cells):
-                bit = 1 << li
-                for t, c in enumerate(cells):
-                    want = pr[t]
-                    row_masks = masks[c]
-                    for a in range(A):
-                        if a != want:
-                            row_masks[a] |= bit
-
-        incident = [0] * N
-        for cells in line_cells:
-            for c in cells:
-                incident[c] += 1
+        incident = np.bincount(np.ravel(line_cells), minlength=N).tolist()
         self.order = sorted(range(N), key=lambda c: (-incident[c], c))
         pos_of = [0] * N
         for i, c in enumerate(self.order):
             pos_of[c] = i
 
-        # reorder masks by branch position so dfs indexes by depth directly
-        self.pmask_by_depth = [
-            [tuple(masks[self.order[i]]) for i in range(N)] for masks in pmask
-        ]
+        # masks[depth][a][p]: lines whose probe-p reading is contradicted by
+        # letter a at the cell branched on at that depth
+        bits = [[[0] * len(probes) for _ in range(A)] for _ in range(N)]
+        for li, cells in enumerate(line_cells):
+            bit = 1 << li
+            for t, c in enumerate(cells):
+                at_depth = bits[pos_of[c]]
+                for p, pr in enumerate(probes):
+                    for a in range(A):
+                        if a != pr[t]:
+                            at_depth[a][p] |= bit
+        self.masks = [[tuple(m) for m in row] for row in bits]
 
         self.gmaps: tuple[tuple[int, ...], ...] = ()
         if symmetry:
@@ -218,21 +208,41 @@ def _search_letters(words: Sequence[Word]) -> tuple[tuple[str, ...], list[tuple[
     return tuple(letters), rows
 
 
+def _step(L: int, bads: tuple[int, ...], ms: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """One assignment: OR its per-probe masks into the state, count live lines.
+
+    A line is dead once every probe is contradicted; a palindrome has a
+    single probe, so no AND is needed."""
+    child = tuple(map(operator.or_, bads, ms))
+    dead = child[0] if len(child) == 1 else functools.reduce(operator.and_, child)
+    return child, L - dead.bit_count()
+
+
+def _lex_leader(gmaps: Sequence[tuple[int, ...]], s: Sequence[int], q: int) -> bool:
+    """False when some symmetry maps the assigned prefix s[:q] below itself."""
+    for gm in gmaps:
+        for i in range(q):
+            j = gm[i]
+            if j >= q:
+                break
+            if s[j] < s[i]:
+                return False
+            if s[j] > s[i]:
+                break
+    return True
+
+
 def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
     """Deterministic beam over the branch order; returns (value, assignment)."""
-    P = len(problem.probes)
-    L, A, N = problem.L, problem.A, problem.N
-    masks = problem.pmask_by_depth
-    states: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [(L, (0,) * P, ())]
-    for depth in range(N):
+    L, A = problem.L, problem.A
+    root = (L, (0,) * len(problem.probes), ())
+    states: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [root]
+    for row in problem.masks:
         nxt: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
         for _, bads, s in states:
             for a in range(A):
-                nb = tuple(bads[p] | masks[p][depth][a] for p in range(P))
-                dead = nb[0]
-                for p in range(1, P):
-                    dead &= nb[p]
-                nxt.append((L - dead.bit_count(), nb, s + (a,)))
+                nb, live = _step(L, bads, row[a])
+                nxt.append((live, nb, s + (a,)))
         nxt.sort(key=lambda e: (-e[0], e[2]))
         states = nxt[:width]
     best = max(states, key=lambda e: (e[0], tuple(-x for x in e[2])))
@@ -240,23 +250,21 @@ def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
 
 
 def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
-              strict: bool, collect: bool, sym_depth: int) -> _TaskOutcome:
-    """Depth-first search below one prefix of the branch order."""
-    P = len(problem.probes)
+              strict: bool, collect: bool, first: bool = False) -> _TaskOutcome:
+    """Depth-first search below one prefix of the branch order.
+
+    With `first`, the search stops at the first leaf it reaches."""
     L, A, N = problem.L, problem.A, problem.N
-    masks = problem.pmask_by_depth
+    masks = problem.masks
     gmaps = problem.gmaps
     out = _TaskOutcome(best_value=-1, best_leaf=None, collected=[],
                        open_bound=-1, nodes=0, bound_prunes=0, symmetry_prunes=0)
     s: list[int] = list(prefix)
     counter = [0]
 
-    bads0 = [0] * P
-    for depth, a in enumerate(prefix):
-        for p in range(P):
-            bads0[p] |= masks[p][depth][a]
-
     def leaf(value: int) -> None:
+        if first:
+            shared.stopped = True
         if value > shared.incumbent:
             shared.raise_incumbent(value)
         blob = bytes(s)
@@ -270,11 +278,7 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
             out.best_value = value
             out.best_leaf = blob
 
-    def dfs(q: int, bads: tuple[int, ...]) -> None:
-        dead = bads[0]
-        for p in range(1, P):
-            dead &= bads[p]
-        bound = L - dead.bit_count()
+    def dfs(q: int, bads: tuple[int, ...], bound: int) -> None:
         if shared.stopped:
             out.open_bound = max(out.open_bound, bound)
             return
@@ -283,108 +287,50 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
             if shared.charge(BUDGET_CHECK_MASK + 1):
                 out.open_bound = max(out.open_bound, bound)
                 return
-        if 2 <= q <= sym_depth:
-            for gm in gmaps:
-                for i in range(q):
-                    j = gm[i]
-                    if j >= q:
-                        break
-                    vj = s[j]
-                    vi = s[i]
-                    if vj < vi:
-                        out.symmetry_prunes += 1
-                        return
-                    if vj > vi:
-                        break
+        if 2 <= q <= SYMMETRY_DEPTH and not _lex_leader(gmaps, s, q):
+            out.symmetry_prunes += 1
+            return
         if q == N:
             leaf(bound)
             return
         inc = shared.incumbent
-        mq = [masks[p][q] for p in range(P)]
+        mq = masks[q]
         for a in range(A):
-            nb = tuple(bads[p] | mq[p][a] for p in range(P))
-            ndead = nb[0]
-            for p in range(1, P):
-                ndead &= nb[p]
-            nbound = L - ndead.bit_count()
+            nb, nbound = _step(L, bads, mq[a])
             if nbound < inc or (not strict and nbound == inc):
                 out.bound_prunes += 1
                 continue
             s.append(a)
-            dfs(q + 1, nb)
+            dfs(q + 1, nb, nbound)
             s.pop()
             inc = shared.incumbent
 
-    dfs(len(prefix), tuple(bads0))
+    bads, bound = (0,) * len(problem.probes), L
+    for depth, a in enumerate(prefix):
+        bads, bound = _step(L, bads, masks[depth][a])
+    dfs(len(prefix), bads, bound)
     out.nodes = counter[0]
     shared.charge(counter[0] & BUDGET_CHECK_MASK)
     return out
 
 
-def _hunt_witness(problem: _Problem, target: int, sym_depth: int) -> bytes | None:
-    """First leaf in branch order achieving the target; sequential, deterministic."""
-    P = len(problem.probes)
-    L, A, N = problem.L, problem.A, problem.N
-    masks = problem.pmask_by_depth
-    gmaps = problem.gmaps
-    s: list[int] = []
+def _hunt_witness(problem: _Problem, target: int) -> bytes | None:
+    """First leaf in branch order achieving the target; sequential, deterministic.
 
-    def dfs(q: int, bads: tuple[int, ...]) -> bytes | None:
-        if 2 <= q <= sym_depth:
-            for gm in gmaps:
-                for i in range(q):
-                    j = gm[i]
-                    if j >= q:
-                        break
-                    if s[j] < s[i]:
-                        return None
-                    if s[j] > s[i]:
-                        break
-        if q == N:
-            return bytes(s)
-        for a in range(A):
-            nb = tuple(bads[p] | masks[p][q][a] for p in range(P))
-            dead = nb[0]
-            for p in range(1, P):
-                dead &= nb[p]
-            if L - dead.bit_count() < target:
-                continue
-            s.append(a)
-            found = dfs(q + 1, nb)
-            s.pop()
-            if found is not None:
-                return found
-        return None
-
-    return dfs(0, (0,) * P)
+    Strict pruning against a fixed incumbent equal to the target cuts exactly
+    the subtrees with fewer than `target` live lines."""
+    shared = _Shared(incumbent=target, node_budget=None, deadline=None)
+    return _run_task(problem, (), shared, strict=True, collect=False, first=True).best_leaf
 
 
-def _task_prefixes(problem: _Problem, sym_depth: int) -> list[tuple[int, ...]]:
+def _task_prefixes(problem: _Problem) -> list[tuple[int, ...]]:
     """Prefixes splitting the tree into a worker-count-independent task list."""
     A, N = problem.A, problem.N
     depth = 0
     while A**depth < MIN_TASKS and depth < N and depth < 4:
         depth += 1
-    prefixes = []
-    for prefix in itertools.product(range(A), repeat=depth):
-        if problem.gmaps and 2 <= depth <= sym_depth:
-            pruned = False
-            for gm in problem.gmaps:
-                for i in range(depth):
-                    j = gm[i]
-                    if j >= depth:
-                        break
-                    if prefix[j] < prefix[i]:
-                        pruned = True
-                        break
-                    if prefix[j] > prefix[i]:
-                        break
-                if pruned:
-                    break
-            if pruned:
-                continue
-        prefixes.append(prefix)
-    return prefixes
+    return [prefix for prefix in itertools.product(range(A), repeat=depth)
+            if not 2 <= depth <= SYMMETRY_DEPTH or _lex_leader(problem.gmaps, prefix, depth)]
 
 
 def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:
@@ -425,7 +371,7 @@ def _assemble(problem: _Problem, outcomes: list[_TaskOutcome], shared: _Shared,
         classes: int | None = len(witnesses)
     else:
         if complete:
-            blob = _hunt_witness(problem, lower, SYMMETRY_DEPTH if problem.gmaps else 0)
+            blob = _hunt_witness(problem, lower)
         else:
             cands = [o.best_leaf for o in outcomes if o.best_value == lower and o.best_leaf]
             if not cands and beam_value == lower:
@@ -450,7 +396,6 @@ def _solve_rows(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
         raise ValueError(f"{n}^{d} cells exceed the search cap {cell_cap}")
     letters, rows = _search_letters(words)
     problem = _Problem(rows, letters, n, d, symmetry=cfg.symmetry)
-    sym_depth = SYMMETRY_DEPTH if cfg.symmetry else 0
 
     start = time.monotonic()
     beam_value, beam_leaf = _beam_seed(problem)
@@ -459,15 +404,14 @@ def _solve_rows(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
     strict = cfg.enumerate_witnesses
     shared = _Shared(incumbent=beam_value, node_budget=cfg.node_budget, deadline=deadline)
 
-    prefixes = _task_prefixes(problem, sym_depth)
+    prefixes = _task_prefixes(problem)
     if cfg.workers == 1:
-        outcomes = [_run_task(problem, pre, shared, strict, cfg.enumerate_witnesses, sym_depth)
+        outcomes = [_run_task(problem, pre, shared, strict, cfg.enumerate_witnesses)
                     for pre in prefixes]
     else:
         with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(
-                lambda pre: _run_task(problem, pre, shared, strict,
-                                      cfg.enumerate_witnesses, sym_depth),
+                lambda pre: _run_task(problem, pre, shared, strict, cfg.enumerate_witnesses),
                 prefixes))
     elapsed = time.monotonic() - start
     return _assemble(problem, outcomes, shared, beam_value, beam_leaf,

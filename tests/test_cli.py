@@ -169,6 +169,26 @@ def test_estimate_is_seed_deterministic(capsys):
     assert out1 == out2
 
 
+def test_estimate_grid_file_needs_no_dimension(capsys, tmp_path):
+    grid_file = tmp_path / "amm.wg1"
+    run(capsys, "construct", "--word", "AMM", "-d", "3", "--out", str(grid_file))
+    args = ("estimate", "--word", "AMM", "--grid", str(grid_file),
+            "--samples", "300", "--seed", "5")
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out.startswith("fraction ")
+    code_d, out_d, _ = run(capsys, *args, "-d", "7")
+    assert (code_d, out_d) == (code, out)
+
+
+def test_estimate_without_grid_or_dimension_exits_1(capsys):
+    code, out, err = run(capsys, "estimate", "--word", "AMM", "--samples", "100",
+                         "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert "usage:" in err and "-d" in err
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_fast_suite_passes(capsys):

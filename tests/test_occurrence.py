@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wordgrid.core import Alphabet, Grid, Word, all_symmetries, apply_symmetry
-from wordgrid.lines import CanonicalLine, count_lines, enumerate_lines
+from wordgrid.lines import CanonicalLine, count_lines, enumerate_lines, line_points
 from wordgrid.occurrence import (
     count_segments_word,
     count_word,
@@ -191,6 +191,22 @@ def test_is_diagonal_latin():
     assert not is_diagonal_latin(plain)  # Latin but main diagonal repeats
     with pytest.raises(ValueError):
         is_diagonal_latin(Grid.from_rows(["AB", "BA"], Alphabet(tuple("ABC"))))
+
+
+def test_is_diagonal_latin_matches_line_walk():
+    def by_walk(g):
+        return all(len({g.at(q) for q in line_points(line, g.n)}) == g.n
+                   for line in enumerate_lines(g.n, 2))
+
+    rows = LATIN4.rows()
+    grids = [Grid.from_rows([rows[i] for i in perm], LATIN4.alphabet)
+             for perm in itertools.permutations(range(4))]
+    rng = random.Random(41)
+    grids += [random_grid(rng, n, 2, "ABCDE"[:n]) for n in (2, 3, 4, 5) for _ in range(30)]
+    grids.append(Grid.procedural(4, 2, LATIN4.alphabet, LATIN4.at))
+    verdicts = [is_diagonal_latin(g) for g in grids]
+    assert verdicts == [by_walk(g) for g in grids]
+    assert True in verdicts and False in verdicts
 
 
 # ---------------------------------------------------------------- segments

@@ -166,3 +166,77 @@ def test_solve_set_guards():
         solve_set([], 3, 2)
     with pytest.raises(ValueError):
         solve_set([Word.from_string("AMM")], 3, 3)  # 27 cells over the set cap
+
+
+# ---------------------------------------------------------------- pinned search
+
+def _word(text):
+    return Word.from_string(text)
+
+
+# Exact output and search tallies at workers=1. Node and prune counts are
+# deterministic for one worker, so any change to the branch order, the bound,
+# the symmetry check or the task split shows up here. Each entry holds the
+# run, (complete, lower, upper, classes, nodes, bound prunes, symmetry
+# prunes) and the canonical text.
+PINNED = {
+    "amm_3d_enumerate": (
+        lambda: solve(_word("AMM"), 3, 3, SolveConfig(enumerate_witnesses=True)),
+        (True, 28, 28, 3, 31707, 31561, 73),
+        "optimum 28\nclasses 3\nwitnesses 3\n"
+        "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMA\nMAM\nMAM\nAMM\nMMA\n"
+        "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMM\nMMA\nAMM\nMMA\nMAM\n"
+        "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nMMA\nMMM\nMMA\nMMA\nAMM\nMAM\n",
+    ),
+    "aaamm_plane": (
+        lambda: solve(_word("AAAMM"), 5, 2),
+        (True, 8, 8, None, 86, 76, 8),
+        "optimum 8\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=2 n=5 sigma=AM\nAAAMM\nAAAMM\nAAAAA\nMMAAA\nMMAAA\n",
+    ),
+    "abc_plane": (
+        lambda: solve(_word("ABC"), 3, 2),
+        (True, 5, 5, None, 21, 42, 3),
+        "optimum 5\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=2 n=3 sigma=ABC\nAAA\nBBB\nCCC\n",
+    ),
+    "ama_palindrome_enumerate": (
+        lambda: solve(_word("AMA"), 3, 2, SolveConfig(enumerate_witnesses=True)),
+        (True, 6, 6, 1, 17, 19, 1),
+        "optimum 6\nclasses 1\nwitnesses 1\n"
+        "WG1 d=2 n=3 sigma=AM\nAMA\nMMM\nAMA\n",
+    ),
+    "amm_plane_no_symmetry": (
+        lambda: solve(_word("AMM"), 3, 2, SolveConfig(enumerate_witnesses=True, symmetry=False)),
+        (True, 5, 5, 6, 168, 112, 0),
+        "optimum 5\nclasses 6\nwitnesses 6\n"
+        "WG1 d=2 n=3 sigma=AM\nAAA\nAMM\nAMM\n"
+        "WG1 d=2 n=3 sigma=AM\nAAA\nAMM\nMMM\n"
+        "WG1 d=2 n=3 sigma=AM\nAAA\nMMM\nMMM\n"
+        "WG1 d=2 n=3 sigma=AM\nAAM\nMMA\nAMM\n"
+        "WG1 d=2 n=3 sigma=AM\nAMA\nMMM\nMAM\n"
+        "WG1 d=2 n=3 sigma=AM\nAMM\nMMA\nMAM\n",
+    ),
+    "set_abcd_abdc": (
+        lambda: solve_set([_word("ABCD"), _word("ABDC")], 4, 2),
+        (True, 6, 6, None, 789, 1945, 106),
+        "optimum 6\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=2 n=4 sigma=ABCD\nAAAA\nBBBB\nCCCC\nDDDD\n",
+    ),
+    "aammm_node_budget": (
+        lambda: solve(_word("AAMMM"), 5, 2, SolveConfig(node_budget=3)),
+        (False, 8, 12, None, 16, 18, 1),
+        "interval 8 12\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=2 n=5 sigma=AM\nAAMMM\nAAMMM\nMMAMM\nMMMAA\nMMMAA\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_search(key):
+    run, expected, text = PINNED[key]
+    r = run()
+    s = r.stats
+    got = (r.complete, r.lower, r.upper, r.classes, s.nodes, s.bound_prunes, s.symmetry_prunes)
+    assert got == expected
+    assert r.canonical_text() == text
