@@ -73,6 +73,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_lines(args: argparse.Namespace) -> int:
     per_weight, total = count_lines(args.n, args.d)
+    if args.weight is not None and args.weight not in per_weight:
+        raise ValueError(f"weight {args.weight} out of [1, d={args.d}]")
     if args.list:
         for line in enumerate_lines(args.n, args.d, weight=args.weight):
             print(format_line(line))

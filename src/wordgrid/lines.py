@@ -1,19 +1,23 @@
-"""Lines and segments of [n]^d: canonical pairs, enumeration, counting, sampling.
+"""Lines and segments of [n]^d: canonical pairs, enumeration, tables, counting, sampling.
 
 A line is the point sequence p, p+v, ..., p+(n-1)v staying inside [n]^d; the
 canonical pair orients v so its first nonzero coordinate is +1. Lines are
 encoded as sequences over {1..n, +, -} with at least one sign and a leading
 '+' sign: numeral a fixes a coordinate at a, '+' sweeps 1..n upward, '-'
 sweeps n..1 downward. Segments of length k <= n use the same scheme with
-sign symbols carrying their start offset.
+sign symbols carrying their start offset; a line is the segment of length n,
+so one enumerator and one index table serve both.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator
+
+import numpy as np
 
 from .core import Point
 
@@ -23,6 +27,8 @@ PLUS = "+"
 MINUS = "-"
 
 SAMPLE_CAP = 10**6
+
+DEFAULT_LINE_CAP = 5_000_000
 
 
 @dataclass(frozen=True)
@@ -88,26 +94,25 @@ def canonicalize(p: Point, v: Direction, n: int) -> CanonicalLine:
     return CanonicalLine(p, v, weight=sum(1 for x in v if x != 0))
 
 
-def line_points(line: CanonicalLine, n: int) -> list[Point]:
-    """The n points of the line in canonical order, checked against [1, n]^d."""
+def _walk(kind: str, pair: CanonicalLine | Segment, k: int, n: int) -> list[Point]:
+    """The k points p, p+v, ..., p+(k-1)v, checked against [1, n]^d."""
     pts = []
-    for i in range(n):
-        q = tuple(pj + i * vj for pj, vj in zip(line.p, line.v))
+    for i in range(k):
+        q = tuple(pj + i * vj for pj, vj in zip(pair.p, pair.v))
         if any(not 1 <= x <= n for x in q):
-            raise ValueError(f"line {line} leaves [1, {n}]^{len(line.p)}")
+            raise ValueError(f"{kind} {pair} leaves [1, {n}]^{len(pair.p)}")
         pts.append(q)
     return pts
+
+
+def line_points(line: CanonicalLine, n: int) -> list[Point]:
+    """The n points of the line in canonical order, checked against [1, n]^d."""
+    return _walk("line", line, n, n)
 
 
 def segment_points(seg: Segment, n: int) -> list[Point]:
     """The k points of the segment, checked against [1, n]^d."""
-    pts = []
-    for i in range(seg.k):
-        q = tuple(pj + i * vj for pj, vj in zip(seg.p, seg.v))
-        if any(not 1 <= x <= n for x in q):
-            raise ValueError(f"segment {seg} leaves [1, {n}]^{len(seg.p)}")
-        pts.append(q)
-    return pts
+    return _walk("segment", seg, seg.k, n)
 
 
 def decode_line_code(code: tuple, n: int) -> CanonicalLine:
@@ -135,22 +140,34 @@ def mirror_normalize(code: tuple) -> tuple:
     return tuple(swap.get(sym, sym) for sym in code)
 
 
+def _canonical_pairs(n: int, d: int, k: int) -> Iterator[tuple[Point, Direction, int]]:
+    """(p, v, weight) of every canonical length-k segment, in encoding order.
+
+    The stream is lexicographic over {1..n, +, -}^d with the symbol order of
+    `_segment_symbols`; codes with no sign or a leading '-' are skipped.
+    """
+    for code in itertools.product(_segment_symbols(n, k), repeat=d):
+        for _, step in code:
+            if step:
+                break
+        if step != 1:
+            continue
+        p, v = zip(*code)
+        yield p, v, d - v.count(0)
+
+
 def enumerate_lines(n: int, d: int, weight: int | None = None) -> Iterator[CanonicalLine]:
     """All canonical lines of [n]^d, each exactly once, in encoding order.
 
-    The per-coordinate symbol order is 1..n, '+', '-', so the stream is
-    lexicographic over encoded sequences and deterministic.
+    Lines are the segments of length n, so the stream is that of
+    `enumerate_segments(n, d, n)`: lexicographic over encoded sequences with
+    per-coordinate symbol order 1..n, '+', '-', and deterministic.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    symbols = list(range(1, n + 1)) + [PLUS, MINUS]
-    for code in itertools.product(symbols, repeat=d):
-        signs = [sym for sym in code if sym == PLUS or sym == MINUS]
-        if not signs or signs[0] == MINUS:
-            continue
-        if weight is not None and len(signs) != weight:
-            continue
-        yield decode_line_code(code, n)
+    for p, v, r in _canonical_pairs(n, d, n):
+        if weight is None or r == weight:
+            yield CanonicalLine(p, v, r)
 
 
 def count_lines(n: int, d: int) -> tuple[dict[int, int], int]:
@@ -185,32 +202,20 @@ def sample_line(n: int, d: int, rng) -> CanonicalLine:
     raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
 
 
-def _segment_symbols(n: int, k: int) -> list:
-    """Per-coordinate symbols: numerals, then tagged up-starts, then down-starts."""
-    ups = [(PLUS, a) for a in range(1, n - k + 2)]
-    downs = [(MINUS, b) for b in range(k, n + 1)]
-    return list(range(1, n + 1)) + ups + downs
+def _segment_symbols(n: int, k: int) -> list[tuple[int, int]]:
+    """Per-coordinate symbols as (start, step): numerals a fix the coordinate at a,
+    then up-starts ('+', step +1), then down-starts ('-', step -1). At k = n the
+    only starts are 1 up and n down, the line symbols '+' and '-'."""
+    return ([(a, 0) for a in range(1, n + 1)]
+            + [(a, 1) for a in range(1, n - k + 2)]
+            + [(b, -1) for b in range(k, n + 1)])
 
 
 def enumerate_segments(n: int, d: int, k: int) -> Iterator[Segment]:
     """All canonical length-k segments of [n]^d, each exactly once."""
-    if not 2 <= k <= n:
-        raise ValueError(f"segment length k={k} out of [2, n={n}]")
-    if d < 1:
-        raise ValueError("need d >= 1")
-    for code in itertools.product(_segment_symbols(n, k), repeat=d):
-        signs = [sym for sym in code if isinstance(sym, tuple)]
-        if not signs or signs[0][0] == MINUS:
-            continue
-        p, v = [], []
-        for sym in code:
-            if isinstance(sym, tuple):
-                p.append(sym[1])
-                v.append(1 if sym[0] == PLUS else -1)
-            else:
-                p.append(sym)
-                v.append(0)
-        yield Segment(tuple(p), tuple(v), k=k, weight=len(signs))
+    count_segments(n, d, k)  # rejects k outside [2, n] and d < 1
+    for p, v, r in _canonical_pairs(n, d, k):
+        yield Segment(p, v, k=k, weight=r)
 
 
 def count_segments(n: int, d: int, k: int) -> int:
@@ -220,6 +225,41 @@ def count_segments(n: int, d: int, k: int) -> int:
     if d < 1:
         raise ValueError("need d >= 1")
     return ((3 * n - 2 * k + 2) ** d - n**d) // 2
+
+
+@lru_cache(maxsize=32)
+def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat point indices of every canonical length-k segment, plus weights.
+
+    Returns (idx, weights): idx has one row of k indices per segment in
+    enumeration order, weights the nonzero count of each direction. Lines are
+    the case k = n. The table grows one coordinate at a time: each row branches
+    on every symbol with `idx * n + coord`, rows whose first sign is '-' are
+    dropped as they appear and rows with no sign at the last coordinate, so the
+    kept rows stay in enumeration order.
+    """
+    total = count_segments(n, d, k)
+    if total > DEFAULT_LINE_CAP:
+        raise ValueError(
+            f"{total} length-{k} segments at (n={n}, d={d}) exceed the table cap "
+            f"{DEFAULT_LINE_CAP}; for full lines use estimate_fraction"
+        )
+    start, step = np.array(_segment_symbols(n, k)).T
+    coord = start[:, None] - 1 + step[:, None] * np.arange(k)
+    idx = np.zeros((1, k), dtype=np.int64)
+    first = np.zeros(1, dtype=np.int64)  # step of the first signed axis, 0 if none yet
+    weights = np.zeros(1, dtype=np.int8)
+    for j in range(d):
+        lead = np.where(first[:, None] != 0, first[:, None], step)
+        keep = lead > 0 if j == d - 1 else lead >= 0
+        grown = np.empty((np.count_nonzero(keep), k), dtype=np.int64)
+        for i in range(k):  # column by column, so no (rows, symbols, k) block is held
+            grown[:, i] = (idx[:, i, None] * n + coord[:, i])[keep]
+        idx, first = grown, lead[keep]
+        weights = (weights[:, None] + (step != 0))[keep]
+    assert len(idx) == total
+    idx.flags.writeable = weights.flags.writeable = False  # cached: shared by every caller
+    return idx, weights
 
 
 def format_line(line: CanonicalLine) -> str:

@@ -10,24 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word, point_index
-from .lines import (
-    CanonicalLine,
-    count_lines,
-    count_segments,
-    enumerate_lines,
-    enumerate_segments,
-    line_points,
-    sample_line,
-    segment_points,
-)
-
-DEFAULT_LINE_CAP = 5_000_000
+from .core import Grid, Word
+from .lines import CanonicalLine, enumerate_lines, line_points, sample_line, segment_table
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -67,29 +55,6 @@ def line_contains(w: Word, grid: Grid, line: CanonicalLine) -> bool:
     return reading == sym or reading == sym[::-1]
 
 
-@lru_cache(maxsize=32)
-def compiled_lines(n: int, d: int, line_cap: int = DEFAULT_LINE_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Flat point indices of every canonical line, plus per-line weights.
-
-    Returns (idx, weights): idx has one row per line in enumeration order,
-    weights the nonzero count of each line's direction. The table is shared by
-    every count over the same (n, d).
-    """
-    _, total = count_lines(n, d)
-    if total > line_cap:
-        raise ValueError(
-            f"{total} lines at (n={n}, d={d}) exceed the table cap {line_cap}; "
-            "use estimate_fraction"
-        )
-    idx = np.empty((total, n), dtype=np.int64)
-    weights = np.empty(total, dtype=np.int8)
-    for row, line in enumerate(enumerate_lines(n, d)):
-        for i, q in enumerate(line_points(line, n)):
-            idx[row, i] = point_index(q, n, d)
-        weights[row] = line.weight
-    return idx, weights
-
-
 def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
                   lines: Iterable[CanonicalLine], collect: bool) -> OccurrenceReport:
     per_weight: dict[int, int] = {r: 0 for r in range(1, grid.d + 1)}
@@ -107,8 +72,7 @@ def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
 
 
 def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
-                lines: Iterable[CanonicalLine] | None, collect: bool,
-                line_cap: int) -> OccurrenceReport:
+                lines: Iterable[CanonicalLine] | None, collect: bool) -> OccurrenceReport:
     """Lines reading any symbol row either way: the stream, or the whole grid."""
     probes = {sym for s in symbol_rows for sym in (s, s[::-1])}
     if lines is not None:
@@ -120,7 +84,7 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
         )
     if collect:
         return _count_stream(probes, grid, enumerate_lines(grid.n, grid.d), True)
-    idx, weights = compiled_lines(grid.n, grid.d, line_cap)
+    idx, weights = segment_table(grid.n, grid.d, grid.n)
     readings = np.frombuffer(grid.cells, dtype=np.uint8)[idx]
     matched = np.zeros(len(idx), dtype=bool)
     for probe in probes:
@@ -131,23 +95,22 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
 
 
 def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,
-               collect_matches: bool = False, line_cap: int = DEFAULT_LINE_CAP) -> OccurrenceReport:
+               collect_matches: bool = False) -> OccurrenceReport:
     """f(w, G): the number of lines of the grid containing w.
 
-    Dense grids are counted over all lines via the compiled table; an explicit
+    Dense grids are counted over all lines via the line table; an explicit
     `lines` stream restricts the count to those lines (and works on procedural
     grids). Counting a partition of the stream and summing gives the full
-    count.
+    count. A dense grid with more lines than `lines.DEFAULT_LINE_CAP` is refused.
     """
     if w.n != grid.n:
         raise ValueError(f"word length {w.n} != grid side {grid.n}")
-    return _count_rows([_word_symbols(w, grid)], grid, lines, collect_matches, line_cap)
+    return _count_rows([_word_symbols(w, grid)], grid, lines, collect_matches)
 
 
 def count_word_set(words: Iterable[Word], grid: Grid,
                    lines: Iterable[CanonicalLine] | None = None,
-                   collect_matches: bool = False,
-                   line_cap: int = DEFAULT_LINE_CAP) -> OccurrenceReport:
+                   collect_matches: bool = False) -> OccurrenceReport:
     """f(W, G): lines containing any word of W; a line counts once."""
     word_list = list(words)
     if not word_list:
@@ -155,7 +118,7 @@ def count_word_set(words: Iterable[Word], grid: Grid,
     if any(w.n != grid.n for w in word_list):
         raise ValueError("all words must have length equal to the grid side")
     rows = [_word_symbols(w, grid) for w in word_list]
-    return _count_rows(rows, grid, lines, collect_matches, line_cap)
+    return _count_rows(rows, grid, lines, collect_matches)
 
 
 def is_diagonal_latin(grid: Grid) -> bool:
@@ -165,25 +128,12 @@ def is_diagonal_latin(grid: Grid) -> bool:
     n = grid.n
     if len(grid.alphabet) != n:
         raise ValueError(f"alphabet size {len(grid.alphabet)} != order {n}")
-    idx, _ = compiled_lines(n, 2)
+    idx, _ = segment_table(n, 2, n)
     readings = np.sort(np.frombuffer(grid.to_dense().cells, dtype=np.uint8)[idx], axis=1)
     return bool((readings[:, 1:] != readings[:, :-1]).all())
 
 
-@lru_cache(maxsize=32)
-def compiled_segments(n: int, d: int, k: int, cap: int = DEFAULT_LINE_CAP) -> np.ndarray:
-    """Flat point indices of every canonical length-k segment, one row each."""
-    total = count_segments(n, d, k)
-    if total > cap:
-        raise ValueError(f"{total} segments at (n={n}, d={d}, k={k}) exceed the table cap {cap}")
-    idx = np.empty((total, k), dtype=np.int64)
-    for row, seg in enumerate(enumerate_segments(n, d, k)):
-        for i, q in enumerate(segment_points(seg, n)):
-            idx[row, i] = point_index(q, n, d)
-    return idx
-
-
-def count_segments_word(w: Word, grid: Grid, cap: int = DEFAULT_LINE_CAP) -> int:
+def count_segments_word(w: Word, grid: Grid) -> int:
     """Length-k occurrences: segments of the grid reading w forward or backward."""
     k = w.n
     if k > grid.n:
@@ -191,7 +141,7 @@ def count_segments_word(w: Word, grid: Grid, cap: int = DEFAULT_LINE_CAP) -> int
     if not grid.dense:
         raise ValueError("segment counting needs a dense grid")
     sym = _word_symbols(w, grid)
-    idx = compiled_segments(grid.n, grid.d, k, cap)
+    idx, _ = segment_table(grid.n, grid.d, k)
     cells = np.frombuffer(grid.cells, dtype=np.uint8)
     readings = cells[idx]
     fwd = (readings == np.array(sym, dtype=np.uint8)).all(axis=1)

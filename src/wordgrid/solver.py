@@ -31,8 +31,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import Alphabet, Grid, Word, point_index, serialize_grid, symmetry_cell_tables
-from .lines import enumerate_lines, line_points
-from .occurrence import compiled_lines, count_word, count_word_set
+from .lines import enumerate_lines, line_points, segment_table
+from .occurrence import count_word, count_word_set
 
 DEFAULT_CELL_CAP = 64
 SET_CELL_CAP = 25
@@ -117,7 +117,7 @@ class _Problem:
         self.A = A
         N = n**d
         self.N = N
-        line_cells = compiled_lines(n, d)[0].tolist()
+        line_cells = segment_table(n, d, n)[0].tolist()
         self.L = len(line_cells)
 
         probes: list[tuple[int, ...]] = []

@@ -29,6 +29,14 @@ def test_lines_listing(capsys):
     assert "1,1 ; 1,1" in out
 
 
+@pytest.mark.parametrize("extra", [["--weight", "5"], ["--weight", "0", "--list"]])
+def test_lines_weight_outside_dimension_exits_1(capsys, extra):
+    code, out, err = run(capsys, "lines", "-n", "3", "-d", "2", *extra)
+    assert code == 1
+    assert out == ""
+    assert "weight" in err
+
+
 def test_segments_total(capsys):
     code, out, _ = run(capsys, "segments", "-n", "5", "-d", "2", "-k", "2")
     assert code == 0

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from wordgrid.core import all_points
+from wordgrid.core import all_points, point_index
 from wordgrid.lines import (
     MINUS,
     PLUS,
@@ -23,6 +23,7 @@ from wordgrid.lines import (
     mirror_normalize,
     sample_line,
     segment_points,
+    segment_table,
 )
 
 
@@ -208,6 +209,20 @@ def test_segments_at_full_length_are_lines():
         segs = [(s.p, s.v) for s in enumerate_segments(n, d, n)]
         lines = [(l.p, l.v) for l in enumerate_lines(n, d)]
         assert segs == lines
+    for n in range(2, 7):
+        for d in range(1, 6):
+            assert count_segments(n, d, n) == count_lines(n, d)[1]
+
+
+def test_segment_table_matches_python_walk():
+    cases = [(n, d, k) for n in range(2, 7) for d in range(1, 5) for k in range(2, n + 1)]
+    cases += [(n, 5, n) for n in range(2, 7)]
+    for n, d, k in cases:
+        idx, weights = segment_table(n, d, k)
+        segs = list(enumerate_segments(n, d, k))
+        want = [[point_index(q, n, d) for q in segment_points(seg, n)] for seg in segs]
+        assert idx.tolist() == want, (n, d, k)
+        assert weights.tolist() == [seg.weight for seg in segs], (n, d, k)
 
 
 def test_segment_type_checks():

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from wordgrid.core import Alphabet, Grid, Word, all_symmetries, apply_symmetry
-from wordgrid.lines import CanonicalLine, count_lines, enumerate_lines, line_points
+from wordgrid.lines import DEFAULT_LINE_CAP, CanonicalLine, count_lines, enumerate_lines, line_points
 from wordgrid.occurrence import (
     count_segments_word,
     count_word,
@@ -91,6 +91,15 @@ def test_count_word_stream_partition():
     whole = count_word(w, MANY_GRID).total
     parts = [lines[0:3], lines[3:5], lines[5:]]
     assert sum(count_word(w, MANY_GRID, lines=part).total for part in parts) == whole
+
+
+def test_count_word_refuses_tables_over_the_cap():
+    g = Grid(n=3, d=11, alphabet=Alphabet(("A", "M")), cells=bytes(3**11))
+    assert count_lines(3, 11)[1] == 24_325_489 > DEFAULT_LINE_CAP
+    with pytest.raises(ValueError, match="estimate_fraction"):
+        count_word(Word.from_string("AMM"), g)
+    with pytest.raises(ValueError, match="table cap"):
+        count_segments_word(Word.from_string("AM"), g)
 
 
 def test_count_word_procedural_needs_stream():
