@@ -202,8 +202,7 @@ class Grid:
         if self.cells is not None:
             if len(self.cells) != self.n**self.d:
                 raise ValueError(f"expected {self.n ** self.d} cells, got {len(self.cells)}")
-            a = len(self.alphabet)
-            if any(c >= a for c in self.cells):
+            if self.cells.translate(None, bytes(range(len(self.alphabet)))):
                 raise ValueError("cell letter index out of alphabet range")
 
     @property
@@ -245,10 +244,9 @@ class Grid:
         """Data lines in WG1 order: n^{d-1} strings of n letters each."""
         if self.cells is None:
             raise ValueError("procedural grids have no materialized rows")
-        letters = self.alphabet.letters
-        text = [letters[c] for c in self.cells]
+        text = self.cells.decode("latin-1").translate(dict(enumerate(self.alphabet.letters)))
         n = self.n
-        return ["".join(text[i : i + n]) for i in range(0, len(text), n)]
+        return [text[i : i + n] for i in range(0, len(text), n)]
 
     def to_dense(self, cap: int | None = None) -> "Grid":
         """Materialize a procedural grid (identity on dense grids)."""
@@ -387,13 +385,14 @@ def parse_grid(text: str) -> Grid:
             f"line {pos + 1 + len(data_lines) + 1}: expected {n ** d} cells "
             f"({expected_lines} lines of {n}), got {len(data_lines)} lines"
         )
-    cells = bytearray()
-    for off, row in enumerate(data_lines):
-        lineno = pos + 2 + off
-        if len(row) != n:
-            raise GridFormatError(f"line {lineno}: expected {n} cells, got {len(row)}")
-        for ch in row:
-            if ch not in alphabet:
-                raise GridFormatError(f"line {lineno}: letter {ch!r} not in declared alphabet {sigma!r}")
-            cells.append(alphabet.index(ch))
-    return Grid(n=n, d=d, alphabet=alphabet, cells=bytes(cells))
+    body = "".join(data_lines)
+    if any(len(row) != n for row in data_lines) or not set(body) <= set(sigma):
+        for off, row in enumerate(data_lines):  # report the first bad line
+            lineno = pos + 2 + off
+            if len(row) != n:
+                raise GridFormatError(f"line {lineno}: expected {n} cells, got {len(row)}")
+            for ch in row:
+                if ch not in alphabet:
+                    raise GridFormatError(f"line {lineno}: letter {ch!r} not in declared alphabet {sigma!r}")
+    cells = body.translate({ord(ch): i for i, ch in enumerate(sigma)}).encode("latin-1")
+    return Grid(n=n, d=d, alphabet=alphabet, cells=cells)

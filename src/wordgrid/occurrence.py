@@ -1,9 +1,11 @@
 """Counting the lines and segments of a grid that read a given word.
 
 A line contains a word when the forward or the reversed reading equals it; a
-line matching both ways still counts once. Dense grids are scanned through a
-cached table of flat point indices; procedural grids take an explicit line
-stream or the sampling estimator.
+line matching both ways still counts once. Dense grids are scanned through the
+cached column-major table `lines.segment_table`, and one kernel, `_match`,
+finds the matching rows for `count_word`, `count_word_set` (with or without
+`collect_matches`) and `count_segments_word`. Procedural grids take an
+explicit line stream or the sampling estimator.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word
-from .lines import CanonicalLine, enumerate_lines, line_points, sample_line, segment_table
+from .core import Grid, Word, index_point
+from .lines import CanonicalLine, line_points, sample_line, segment_table
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -71,6 +73,22 @@ def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
                             matches=tuple(hits) if collect else None)
 
 
+def _match(cells: bytes, idx: np.ndarray, probes: Iterable[tuple[int, ...]]) -> np.ndarray:
+    """Rows of a `segment_table` whose reading of the cells equals any probe.
+
+    The reading is column-major, like idx, so each probe is compared one
+    contiguous column at a time.
+    """
+    readings = np.frombuffer(cells, dtype=np.uint8)[idx]
+    matched = np.zeros(len(readings), dtype=bool)
+    for probe in probes:
+        hit = readings[:, 0] == probe[0]
+        for i in range(1, len(probe)):
+            hit &= readings[:, i] == probe[i]
+        matched |= hit
+    return matched
+
+
 def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
                 lines: Iterable[CanonicalLine] | None, collect: bool) -> OccurrenceReport:
     """Lines reading any symbol row either way: the stream, or the whole grid."""
@@ -82,16 +100,21 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
             "procedural grid needs an explicit line stream; use estimate_fraction "
             "when full enumeration is infeasible"
         )
+    n, d = grid.n, grid.d
+    idx, weights = segment_table(n, d, n)
+    matched = _match(grid.cells, idx, probes)
+    rows = np.flatnonzero(matched)  # in table order, which is enumerate_lines order
+    row_weights = weights[rows]
+    tally = np.bincount(row_weights, minlength=d + 1)
+    per_weight = {r: int(tally[r]) for r in range(1, d + 1)}
+    matches = None
     if collect:
-        return _count_stream(probes, grid, enumerate_lines(grid.n, grid.d), True)
-    idx, weights = segment_table(grid.n, grid.d, grid.n)
-    readings = np.frombuffer(grid.cells, dtype=np.uint8)[idx]
-    matched = np.zeros(len(idx), dtype=bool)
-    for probe in probes:
-        matched |= (readings == np.array(probe, dtype=np.uint8)).all(axis=1)
-    tally = np.bincount(weights[matched], minlength=grid.d + 1)
-    per_weight = {r: int(tally[r]) for r in range(1, grid.d + 1)}
-    return OccurrenceReport(total=int(matched.sum()), per_weight=per_weight)
+        hits = []
+        for a, b, r in zip(idx[rows, 0].tolist(), idx[rows, 1].tolist(), row_weights.tolist()):
+            p, q = index_point(a, n, d), index_point(b, n, d)  # v is the step from p to q
+            hits.append(CanonicalLine(p, tuple(y - x for x, y in zip(p, q)), r))
+        matches = tuple(hits)
+    return OccurrenceReport(total=len(rows), per_weight=per_weight, matches=matches)
 
 
 def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,
@@ -142,13 +165,7 @@ def count_segments_word(w: Word, grid: Grid) -> int:
         raise ValueError("segment counting needs a dense grid")
     sym = _word_symbols(w, grid)
     idx, _ = segment_table(grid.n, grid.d, k)
-    cells = np.frombuffer(grid.cells, dtype=np.uint8)
-    readings = cells[idx]
-    fwd = (readings == np.array(sym, dtype=np.uint8)).all(axis=1)
-    if sym == sym[::-1]:
-        return int(fwd.sum())
-    bwd = (readings == np.array(sym[::-1], dtype=np.uint8)).all(axis=1)
-    return int((fwd | bwd).sum())
+    return int(np.count_nonzero(_match(grid.cells, idx, {sym, sym[::-1]})))
 
 
 def hoeffding_radius(samples: int, confidence: float = HOEFFDING_CONFIDENCE) -> float:

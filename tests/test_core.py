@@ -226,6 +226,17 @@ def test_roundtrip_random_grids():
         assert serialize_grid(back) == text
 
 
+def test_roundtrip_non_ascii_alphabet():
+    text = "WG1 d=3 n=2 sigma=αβ\nαβ\nββ\nβα\nαα\n"
+    g = parse_grid(text)
+    assert g.alphabet.letters == ("α", "β")
+    assert g.cells == bytes([0, 1, 1, 1, 1, 0, 0, 0])
+    assert g.rows() == ["αβ", "ββ", "βα", "αα"]
+    assert serialize_grid(g) == text
+    with pytest.raises(GridFormatError, match="line 3: letter 'A' not in declared alphabet 'αβ'"):
+        parse_grid("WG1 d=2 n=2 sigma=αβ\nαβ\nAβ\n")
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(GridFormatError, match="line 1"):
         parse_grid("WG2 d=2 n=2 sigma=AM\nAM\nMA\n")

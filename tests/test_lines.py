@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from wordgrid.core import all_points, point_index
@@ -142,6 +143,9 @@ def test_weight_filter():
     diag = list(enumerate_lines(3, 3, weight=3))
     assert len(diag) == 4
     assert all(line.weight == 3 for line in diag)
+    for weight in (0, 3, -1):
+        with pytest.raises(ValueError, match=rf"weight {weight} out of \[1, d=2\]"):
+            list(enumerate_lines(3, 2, weight=weight))
 
 
 # ---------------------------------------------------------------- sampling
@@ -219,6 +223,8 @@ def test_segment_table_matches_python_walk():
     cases += [(n, 5, n) for n in range(2, 7)]
     for n, d, k in cases:
         idx, weights = segment_table(n, d, k)
+        # the count kernel reads whole columns; a row-major table is several times slower
+        assert idx.flags.f_contiguous and idx.dtype == np.int64, (n, d, k)
         segs = list(enumerate_segments(n, d, k))
         want = [[point_index(q, n, d) for q in segment_points(seg, n)] for seg in segs]
         assert idx.tolist() == want, (n, d, k)

@@ -6,7 +6,15 @@ import random
 import pytest
 
 from wordgrid.core import Alphabet, Grid, Word, all_symmetries, apply_symmetry
-from wordgrid.lines import DEFAULT_LINE_CAP, CanonicalLine, count_lines, enumerate_lines, line_points
+from wordgrid.lines import (
+    DEFAULT_LINE_CAP,
+    CanonicalLine,
+    count_lines,
+    enumerate_lines,
+    enumerate_segments,
+    line_points,
+    segment_points,
+)
 from wordgrid.occurrence import (
     count_segments_word,
     count_word,
@@ -98,6 +106,8 @@ def test_count_word_refuses_tables_over_the_cap():
     assert count_lines(3, 11)[1] == 24_325_489 > DEFAULT_LINE_CAP
     with pytest.raises(ValueError, match="estimate_fraction"):
         count_word(Word.from_string("AMM"), g)
+    with pytest.raises(ValueError, match="estimate_fraction"):
+        count_word(Word.from_string("AMM"), g, collect_matches=True)
     with pytest.raises(ValueError, match="table cap"):
         count_segments_word(Word.from_string("AM"), g)
 
@@ -108,6 +118,56 @@ def test_count_word_procedural_needs_stream():
         count_word(Word.from_string("AAA"), g)
     rep = count_word(Word.from_string("AAA"), g, lines=enumerate_lines(3, 2))
     assert rep.total == 8
+
+
+# ---------------------------------------------------------------- table kernel vs line stream
+
+def planted_words(rng, g, count):
+    """Readings of random lines of g (so each word occurs), plus one palindrome."""
+    lines = list(enumerate_lines(g.n, g.d))
+    texts = []
+    for line in rng.sample(lines, min(count, len(lines))):
+        texts.append("".join(g.letter_at(q) for q in line_points(line, g.n)))
+    half = texts[0][: (g.n + 1) // 2]
+    texts.append(half + half[: g.n // 2][::-1])
+    return [Word.from_string(t, g.alphabet) for t in texts]
+
+
+def assert_same_report(got, want):
+    """Same counts as the stream; same matched lines too when got collected them."""
+    assert (got.total, got.per_weight) == (want.total, want.per_weight)
+    assert got.matches is None or got.matches == want.matches
+
+
+def test_table_counts_match_line_stream():
+    rng = random.Random(42)
+    for n in range(2, 6):
+        for d in range(1, 5):
+            for letters in ("A", "AM", "AMX"):
+                g = random_grid(rng, n, d, letters)
+                words = planted_words(rng, g, 2)
+                for w in words:
+                    stream = count_word(w, g, lines=enumerate_lines(n, d), collect_matches=True)
+                    assert_same_report(count_word(w, g, collect_matches=True), stream)
+                    assert_same_report(count_word(w, g), stream)
+                stream = count_word_set(words, g, lines=enumerate_lines(n, d), collect_matches=True)
+                assert stream.total >= 1
+                assert_same_report(count_word_set(words, g, collect_matches=True), stream)
+                assert_same_report(count_word_set(words, g), stream)
+
+
+def test_segment_counts_match_segment_walk():
+    rng = random.Random(43)
+    for n in range(2, 6):
+        for d in range(1, 4):
+            g = random_grid(rng, n, d, "AMX"[: rng.randint(1, 3)])
+            for k in range(2, n + 1):
+                segs = list(enumerate_segments(n, d, k))
+                readings = ["".join(g.letter_at(q) for q in segment_points(seg, n)) for seg in segs]
+                for text in (readings[0], readings[-1], readings[0][0] * k):
+                    w = Word.from_string(text, g.alphabet)
+                    want = sum(1 for r in readings if r in (text, text[::-1]))
+                    assert count_segments_word(w, g) == want, (n, d, k, text)
 
 
 # ---------------------------------------------------------------- invariances
