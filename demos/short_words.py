@@ -10,8 +10,9 @@ from wordgrid import (
 )
 
 # f1(w, n) is the largest number of occurrences of w (either direction) a
-# single row of length n can hold. A DP over (position, recent suffix) gives
-# the exact value plus a witness row.
+# single row of length n can hold. A DP over (position, state) on the prefix
+# automaton of w and its reversal (at most 2k-1 states) gives the exact value
+# plus a witness row.
 
 w = Word.from_string("ABCD")
 for n in (4, 7, 10, 40):

@@ -13,8 +13,6 @@ from typing import NamedTuple
 
 from .core import Word, word_stats
 
-F1_STATE_CAP = 1_000_000
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -118,56 +116,46 @@ class F1Result(NamedTuple):
     witness: str
 
 
-def f1_exact(w: Word, n: int, state_cap: int = F1_STATE_CAP) -> F1Result:
-    """Maximum windows reading w over single rows of length n, by suffix DP.
+def f1_exact(w: Word, n: int) -> F1Result:
+    """Maximum windows reading w over single rows of length n, by automaton DP.
 
-    A state is the last k-1 letters placed; the witness is reconstructed
-    greedily and is the lexicographically smallest optimal row.
+    The states are the proper prefixes of w and of its reversal, at most 2k-1
+    of them with the empty prefix shared. Placing letter c in state s reads
+    t = s + (c,): it gains a window when t is w or its reversal, and moves to
+    the longest suffix of t that is a state, as in Aho-Corasick matching. The
+    state keeps every letter a later window can use, so best[j][s], the most
+    windows in the last j cells entered in state s, is exact. The witness
+    walks forward from the empty state taking the first optimal letter in
+    letter order, so it is the lexicographically smallest optimal row.
     """
     k = w.n
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= {k} <= {n}")
     letters = sorted(w.alphabet.letters[s] for s in w.letters_used())
     syms = [w.alphabet.index(ch) for ch in letters]
-    if len(syms) ** (k - 1) > state_cap:
-        raise ValueError(
-            f"{len(syms)}^{k - 1} row states exceed the cap {state_cap}"
-        )
     fwd = w.symbols
     bwd = fwd[::-1]
-
-    def gain(state: tuple[int, ...], c: int) -> int:
-        window = state + (c,)
-        return 1 if window == fwd or window == bwd else 0
-
-    states = list(itertools.product(syms, repeat=k - 1))
-    # best[t][s]: achievable windows in positions t+1..n given the last k-1
-    # letters are s; positions are 1-based, transitions run t = n-1 .. k-1
-    best: dict[int, dict[tuple[int, ...], int]] = {n: {s: 0 for s in states}}
-    for t in range(n - 1, k - 2, -1):
-        nxt = best[t + 1]
-        best[t] = {
-            s: max(gain(s, c) + nxt[s[1:] + (c,)] for c in syms)
-            for s in states
-        }
-    start_layer = best[k - 1]
-    value = max(start_layer.values())
-
-    def as_text(state: tuple[int, ...]) -> str:
-        return "".join(w.alphabet.letters[s] for s in state)
-
-    start = min((s for s in states if start_layer[s] == value), key=as_text)
-    row = list(start)
-    state, remaining = start, value
-    for t in range(k, n + 1):
-        for c in syms:  # syms is letter-sorted, so first hit is lex-smallest
-            g = gain(state, c)
-            if g + best[t][state[1:] + (c,)] == remaining:
-                row.append(c)
-                state = state[1:] + (c,)
-                remaining -= g
+    states = {word[:i] for word in (fwd, bwd) for i in range(k)}
+    step: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = {}
+    for s in states:
+        step[s] = []
+        for c in syms:
+            t = s + (c,)
+            nxt = next(t[i:] for i in range(len(t) + 1) if t[i:] in states)
+            step[s].append((c, int(t == fwd or t == bwd), nxt))
+    best = [dict.fromkeys(states, 0)]
+    for _ in range(n):
+        prev = best[-1]
+        best.append({s: max(g + prev[t] for _, g, t in step[s]) for s in states})
+    row: list[str] = []
+    state: tuple[int, ...] = ()
+    for j in range(n, 0, -1):
+        for c, g, t in step[state]:  # letter order, so the first hit is smallest
+            if g + best[j - 1][t] == best[j][state]:
+                row.append(w.alphabet.letters[c])
+                state = t
                 break
-    return F1Result(value, as_text(tuple(row)))
+    return F1Result(best[n][()], "".join(row))
 
 
 def f1_subadditivity_check(w: Word, n: int) -> bool:

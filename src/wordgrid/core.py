@@ -377,7 +377,10 @@ def parse_grid(text: str) -> Grid:
         raise GridFormatError(f"line {pos + 1}: header must carry d=, n=, sigma=") from None
     if d < 1 or n < 1:
         raise GridFormatError(f"line {pos + 1}: need d >= 1 and n >= 1")
-    alphabet = Alphabet(tuple(sigma))
+    try:
+        alphabet = Alphabet(tuple(sigma))
+    except ValueError as exc:
+        raise GridFormatError(f"line {pos + 1}: {exc}") from None
     data_lines = lines[pos + 1 :]
     expected_lines = n ** (d - 1)
     if len(data_lines) != expected_lines:

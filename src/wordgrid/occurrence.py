@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word, index_point
+from .core import Grid, Word
 from .lines import CanonicalLine, line_points, sample_line, segment_table
 
 HOEFFDING_CONFIDENCE = 0.99
@@ -109,11 +109,11 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
     per_weight = {r: int(tally[r]) for r in range(1, d + 1)}
     matches = None
     if collect:
-        hits = []
-        for a, b, r in zip(idx[rows, 0].tolist(), idx[rows, 1].tolist(), row_weights.tolist()):
-            p, q = index_point(a, n, d), index_point(b, n, d)  # v is the step from p to q
-            hits.append(CanonicalLine(p, tuple(y - x for x, y in zip(p, q)), r))
-        matches = tuple(hits)
+        # 1-based points of each matched line's first two cells; v is their step
+        p = np.stack(np.unravel_index(idx[rows, 0], (n,) * d), axis=1) + 1
+        v = np.stack(np.unravel_index(idx[rows, 1], (n,) * d), axis=1) + 1 - p
+        matches = tuple(CanonicalLine(tuple(a), tuple(b), r) for a, b, r
+                        in zip(p.tolist(), v.tolist(), row_weights.tolist()))
     return OccurrenceReport(total=len(rows), per_weight=per_weight, matches=matches)
 
 

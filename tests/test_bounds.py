@@ -35,6 +35,43 @@ def brute_f1(w: Word, n: int) -> int:
     return best
 
 
+def suffix_f1(w: Word, n: int) -> tuple[int, str]:
+    """Reference row optimum: a DP whose state is the last k-1 letters placed.
+
+    It has |letters|^(k-1) states, so it serves small words only. The witness
+    is the lexicographically smallest optimal row.
+    """
+    k = w.n
+    syms = [w.alphabet.index(ch)
+            for ch in sorted(w.alphabet.letters[s] for s in w.letters_used())]
+    fwd, bwd = w.symbols, w.symbols[::-1]
+
+    def gain(state: tuple[int, ...], c: int) -> int:
+        return 1 if state + (c,) in (fwd, bwd) else 0
+
+    def as_text(state: tuple[int, ...]) -> str:
+        return "".join(w.alphabet.letters[s] for s in state)
+
+    states = list(itertools.product(syms, repeat=k - 1))
+    # best[t][s]: windows in positions t+1..n given the last k-1 letters are s
+    best = {n: dict.fromkeys(states, 0)}
+    for t in range(n - 1, k - 2, -1):
+        best[t] = {s: max(gain(s, c) + best[t + 1][s[1:] + (c,)] for c in syms)
+                   for s in states}
+    value = max(best[k - 1].values())
+    state = min((s for s in states if best[k - 1][s] == value), key=as_text)
+    row, remaining = list(state), value
+    for t in range(k, n + 1):
+        for c in syms:  # letter-sorted, so the first hit is lex-smallest
+            g = gain(state, c)
+            if g + best[t][state[1:] + (c,)] == remaining:
+                row.append(c)
+                state = state[1:] + (c,)
+                remaining -= g
+                break
+    return value, as_text(tuple(row))
+
+
 def random_word(rng: random.Random, n: int, letters: str = "ABC") -> Word:
     return W("".join(rng.choice(letters) for _ in range(n)))
 
@@ -168,11 +205,36 @@ def test_f1_witness_is_lex_smallest_optimum():
                 break
 
 
-def test_f1_rejects_bad_sizes_and_big_states():
+def test_f1_matches_suffix_dp_reference():
+    rng = random.Random(1405)
+    cases = []
+    for _ in range(1000):
+        k = rng.randint(2, 5)
+        cases.append((random_word(rng, k), rng.randint(k, 12)))
+    # inferred alphabets out of letter order: the witness follows letter text
+    for text in ("MAM", "ZAZ", "BAAB"):
+        cases += [(W(text), n) for n in range(len(text), 12)]
+    for w, n in cases:
+        assert f1_exact(w, n) == suffix_f1(w, n), (w.text, n)
+
+
+def test_f1_long_distinct_letter_words():
+    letters = "ABCDEFGHIJKLMNOPQRST"
+    for k in (2, 3, 7, 12, 20):
+        w = W(letters[:k])
+        fwd, bwd = w.text, w.text[::-1]
+        for n in (k, k + 1, 2 * k - 1, 3 * k + 5, 60):
+            value, witness = f1_exact(w, n)
+            assert value == 1 + (n - k) // (k - 1), (k, n)
+            assert len(witness) == n
+            hits = sum(witness[i:i + k] in (fwd, bwd) for i in range(n - k + 1))
+            assert hits == value, (k, n, witness)
+
+
+def test_f1_rejects_bad_sizes_and_takes_long_words():
     with pytest.raises(ValueError):
         f1_exact(W("ABCD"), 3)
-    with pytest.raises(ValueError):
-        f1_exact(W("ABCDEFGH"), 10, state_cap=100)
+    assert f1_exact(W("ABCDEFGH"), 10).value == 1
 
 
 def test_f1_density_approaches_one_third():

@@ -116,6 +116,12 @@ def test_f1_with_witness(capsys):
     assert out == "value 2\nwitness ABCDCBA\n"
 
 
+def test_f1_long_distinct_letter_word(capsys):
+    code, out, _ = run(capsys, "f1", "--word", "ABCDEFGHIJ", "-n", "12", "--witness")
+    assert code == 0
+    assert out == "value 1\nwitness AAABCDEFGHIJ\n"
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_word(capsys):
@@ -276,6 +282,15 @@ def test_bad_grid_file_exits_1(capsys, tmp_path):
     code, _, err = run(capsys, "count", "--word", "AM", "--grid", str(path))
     assert code == 1
     assert "error:" in err
+
+
+def test_bad_sigma_exits_1_with_line_number(capsys, tmp_path):
+    path = tmp_path / "bad.wg1"
+    path.write_text("# repeated letter\nWG1 d=2 n=2 sigma=AA\nAA\nAA\n")
+    code, out, err = run(capsys, "count", "--word", "AA", "--grid", str(path))
+    assert code == 1
+    assert out == ""
+    assert "error: line 2:" in err
 
 
 def test_missing_file_exits_1(capsys, tmp_path):

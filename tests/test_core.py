@@ -250,3 +250,7 @@ def test_parse_errors_carry_line_numbers():
         parse_grid("# note\nWG1 d=2 nope\nAM\nMA\n")
     with pytest.raises(GridFormatError):
         parse_grid("# only a comment\n")
+    with pytest.raises(GridFormatError, match="line 2: alphabet letters must be distinct"):
+        parse_grid("# note\nWG1 d=2 n=2 sigma=AA\nAA\nAA\n")
+    with pytest.raises(GridFormatError, match="line 2: alphabet must have 1..26 letters"):
+        parse_grid("# note\nWG1 d=2 n=2 sigma=\nAA\nAA\n")
