@@ -48,10 +48,15 @@ def _load_grid(path: str) -> Grid:
     return parse_grid(Path(path).read_text())
 
 
-def _emit_grid(grid: Grid, out: str | None) -> None:
-    if grid.cells is None:
-        grid = grid.to_dense(SERIALIZE_CAP)
-    text = serialize_grid(grid)
+def _emit(header: list[str], grid: Grid, out: str | None) -> None:
+    """Print the header lines, then the grid as WG1 to stdout or to `out`.
+
+    The grid is materialized first, so a grid over SERIALIZE_CAP is refused
+    before anything is written.
+    """
+    text = serialize_grid(grid.to_dense(SERIALIZE_CAP))
+    for line in header:
+        print(line)
     if out:
         Path(out).write_text(text)
     else:
@@ -120,14 +125,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
     elif method == "parity":
         result = parity_grid(w, args.d)
     else:  # counterpoint: a bare grid, no certificate attached
-        grid = counterpoint_grid(w, args.d)
-        print("provenance counterpoint (non-certified)")
-        _emit_grid(grid, args.out)
+        _emit(["provenance counterpoint (non-certified)"], counterpoint_grid(w, args.d), args.out)
         return 0
-    print(f"provenance {result.provenance}")
-    print(f"guaranteed {result.guaranteed}")
-    print(f"achieved {result.achieved}")
-    _emit_grid(result.grid, args.out)
+    _emit([f"provenance {result.provenance}", f"guaranteed {result.guaranteed}",
+           f"achieved {result.achieved}"], result.grid, args.out)
     return 0
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from string import ascii_uppercase
+from typing import Callable
 
 from .core import Alphabet, Grid, Point, Word, word_stats
 from .lines import CanonicalLine, count_lines, line_points
@@ -151,7 +152,7 @@ def counterpoint_grid(w: Word, d: int) -> Grid:
             return sym[i - 1] if odd else sym[n - i]
         return sym[0] if odd else sym[n - 1]
 
-    return Grid.procedural(n, d, w.alphabet, rule)
+    return Grid.symmetric(n, d, w.alphabet, rule)
 
 
 def sigma_parity_check(line: CanonicalLine, n: int) -> bool:
@@ -360,6 +361,17 @@ def parity_grid(w: Word, d: int) -> ConstructionResult:
     if not (st.binary and st.antisymmetric):
         raise ValueError(f"{w.text!r} is not binary antisymmetric")
     n = w.n
+    grid = _symmetric_grid(w, d, _parity_rule(w))
+    guaranteed = ((n + 2) ** d - (n - 2) ** d) // 4
+    value_set = frozenset(i + 1 for i, s in enumerate(w.symbols) if s == w.symbols[0])
+    achieved = _parity_achieved(w, d, value_set)
+    return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
+                              provenance="parity")
+
+
+def _parity_rule(w: Word) -> Callable[[Point], int]:
+    """The first letter where an even number of coordinates lie in the first
+    letter's index set, the other letter elsewhere."""
     first = w.symbols[0]
     other = next(s for s in w.symbols if s != first)
     value_set = frozenset(i + 1 for i, s in enumerate(w.symbols) if s == first)
@@ -368,14 +380,13 @@ def parity_grid(w: Word, d: int) -> ConstructionResult:
         hits = sum(1 for x in p if x in value_set)
         return first if hits % 2 == 0 else other
 
-    if n**d <= DENSE_CAP:
-        grid = Grid.procedural(n, d, w.alphabet, rule).to_dense()
-    else:
-        grid = Grid.procedural(n, d, w.alphabet, rule)
-    guaranteed = ((n + 2) ** d - (n - 2) ** d) // 4
-    achieved = _parity_achieved(w, d, value_set)
-    return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
-                              provenance="parity")
+    return rule
+
+
+def _symmetric_grid(w: Word, d: int, rule: Callable[[Point], int]) -> Grid:
+    """The symmetric grid of a profile rule, materialized up to DENSE_CAP cells."""
+    grid = Grid.symmetric(w.n, d, w.alphabet, rule)
+    return grid.to_dense() if w.n**d <= DENSE_CAP else grid
 
 
 # ---------------------------------------------------------------- other builders
@@ -405,13 +416,9 @@ def product_grid(w: Word, n: int) -> Grid:
 
 
 def _constant_result(w: Word, d: int) -> ConstructionResult:
-    n = w.n
     sym = w.symbols[0]
-    if n**d <= DENSE_CAP:
-        grid = Grid(n=n, d=d, alphabet=w.alphabet, cells=bytes([sym]) * (n**d))
-    else:
-        grid = Grid.procedural(n, d, w.alphabet, lambda p: sym)
-    total = count_lines(n, d)[1]
+    grid = _symmetric_grid(w, d, lambda p: sym)
+    total = count_lines(w.n, d)[1]
     return ConstructionResult(grid, guaranteed=total, achieved=total, provenance="constant")
 
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
 
+import numpy as np
+
 Point = tuple[int, ...]
 
 MAX_ALPHABET = 26
@@ -186,6 +188,11 @@ class Grid:
 
     Dense storage is a bytes object of letter indices in flat-index order.
     A procedural rule maps a 1-based Point to a letter index and must be pure.
+    A symmetric grid (`Grid.symmetric`) promises more: its rule gives every
+    permutation of a point's coordinates the same letter, so the letter
+    depends only on the point's profile, how many coordinates take each
+    value. `to_dense` and `occurrence.estimate_fraction` then call the rule
+    once per profile, on the sorted point, instead of once per point.
     """
 
     n: int
@@ -193,6 +200,7 @@ class Grid:
     alphabet: Alphabet
     cells: bytes | None = None
     rule: Callable[[Point], int] | None = None
+    permutation_invariant: bool = False
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
@@ -204,6 +212,8 @@ class Grid:
                 raise ValueError(f"expected {self.n ** self.d} cells, got {len(self.cells)}")
             if self.cells.translate(None, bytes(range(len(self.alphabet)))):
                 raise ValueError("cell letter index out of alphabet range")
+            if self.permutation_invariant:
+                raise ValueError("only a procedural grid is marked symmetric")
 
     @property
     def dense(self) -> bool:
@@ -228,6 +238,11 @@ class Grid:
     def procedural(cls, n: int, d: int, alphabet: Alphabet, rule: Callable[[Point], int]) -> "Grid":
         return cls(n=n, d=d, alphabet=alphabet, rule=rule)
 
+    @classmethod
+    def symmetric(cls, n: int, d: int, alphabet: Alphabet, rule: Callable[[Point], int]) -> "Grid":
+        """Procedural grid whose rule does not change when coordinates are permuted."""
+        return cls(n=n, d=d, alphabet=alphabet, rule=rule, permutation_invariant=True)
+
     def at(self, p: Point) -> int:
         """Letter index at 1-based point p."""
         if self.cells is not None:
@@ -249,14 +264,43 @@ class Grid:
         return [text[i : i + n] for i in range(0, len(text), n)]
 
     def to_dense(self, cap: int | None = None) -> "Grid":
-        """Materialize a procedural grid (identity on dense grids)."""
+        """Materialize a procedural grid (identity on dense grids).
+
+        A symmetric grid is filled per profile class (`_cells_by_profile`);
+        any other rule is called once per point.
+        """
         if self.cells is not None:
             return self
         size = self.n**self.d
         if cap is not None and size > cap:
             raise ValueError(f"grid has {size} cells, above the dense cap {cap}")
-        cells = bytes(self.rule(p) for p in all_points(self.n, self.d))  # type: ignore[misc]
+        if self.permutation_invariant:
+            cells = _cells_by_profile(self.n, self.d, self.rule)  # type: ignore[arg-type]
+        else:
+            cells = bytes(self.rule(p) for p in all_points(self.n, self.d))  # type: ignore[misc]
         return Grid(n=self.n, d=self.d, alphabet=self.alphabet, cells=cells)
+
+
+def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int]) -> bytes:
+    """Cells of a symmetric rule in flat-index order, one rule call per profile class.
+
+    A class is keyed by its sorted point. Ids grow one coordinate at a time,
+    as `lines.segment_table` grows its index: step[c][x - 1] is the class of
+    a class-c prefix extended by coordinate x, so the ids of all n^(j+1)
+    prefixes are `step[ids].ravel()`. The last coordinate maps straight to
+    letters, so at most one int32 id per n cells is held, never a point array.
+    """
+    ids = np.zeros(1, dtype=np.int32)
+    reps: list[Point] = [()]
+    for j in range(d):
+        grown: dict[Point, int] = {}
+        step = np.array([[grown.setdefault(tuple(sorted(rep + (x,))), len(grown))
+                          for x in range(1, n + 1)] for rep in reps], dtype=np.int32)
+        reps = list(grown)
+        if j < d - 1:
+            ids = step[ids].ravel()
+    letters = np.array([rule(rep) for rep in reps], dtype=np.uint8)
+    return letters[step][ids].tobytes()
 
 
 @dataclass(frozen=True)

@@ -193,14 +193,23 @@ def sample_line(n: int, d: int, rng) -> CanonicalLine:
     the first sign is '+'. Every line has exactly two preimages, so accepted
     draws are uniform over lines.
     """
+    raw = _draw_line_code(n, d, rng)
+    code = tuple(x + 1 if x < n else (PLUS if x == n else MINUS) for x in raw)
+    return decode_line_code(mirror_normalize(code), n)
+
+
+def _draw_line_code(n: int, d: int, rng) -> list[int]:
+    """The first draw from {0..n+1}^d holding a sign, before mirroring.
+
+    Values below n are the numerals 1..n, n is '+' and n+1 is '-'. Every
+    sampler of lines draws through here, so one seed gives one line sequence.
+    """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     for _ in range(SAMPLE_CAP):
         raw = [rng.randrange(n + 2) for _ in range(d)]
-        if all(x < n for x in raw):
-            continue
-        code = tuple(x + 1 if x < n else (PLUS if x == n else MINUS) for x in raw)
-        return decode_line_code(mirror_normalize(code), n)
+        if any(x >= n for x in raw):
+            return raw
     raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Grid, Word
-from .lines import CanonicalLine, line_points, sample_line, segment_table
+from .lines import CanonicalLine, _draw_line_code, line_points, sample_line, segment_table
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -176,15 +176,39 @@ def hoeffding_radius(samples: int, confidence: float = HOEFFDING_CONFIDENCE) -> 
 def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, float]:
     """Empirical fraction of lines containing w, with a 99% Hoeffding radius.
 
-    Draws uniform lines and evaluates containment pointwise, so procedural
-    grids of any dimension work.
+    Draws uniform lines exactly as `lines.sample_line` does, so one seed gives
+    one result and leaves one rng state on every path. A symmetric grid is
+    read per profile class: a line's reading depends only on its symbol
+    counts c (at step i the profile is the numeral counts plus c+ at value i
+    and c- at value n+1-i), and letters are cached per profile for the call.
+    Other grids are read point by point, so procedural grids of any
+    dimension work.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if w.n != grid.n:
         raise ValueError(f"word length {w.n} != grid side {grid.n}")
+    if not grid.permutation_invariant:
+        hits = sum(line_contains(w, grid, sample_line(grid.n, grid.d, rng))
+                   for _ in range(samples))
+        return hits / samples, hoeffding_radius(samples)
+    n, d, rule = grid.n, grid.d, grid.rule
+    sym = _word_symbols(w, grid)
+    probes = (sym, sym[::-1])
+    letters: dict[tuple[int, ...], int] = {}  # profile -> letter
     hits = 0
     for _ in range(samples):
-        if line_contains(w, grid, sample_line(grid.n, grid.d, rng)):
-            hits += 1
+        counts = [0] * (n + 2)
+        for x in _draw_line_code(n, d, rng):
+            counts[x] += 1
+        reading = []
+        for i in range(n):  # unmirrored, so the reading may run backward; probes hold both
+            profile = counts[:n]
+            profile[i] += counts[n]
+            profile[n - 1 - i] += counts[n + 1]
+            key = tuple(profile)
+            if key not in letters:
+                letters[key] = rule(tuple(v for v, c in enumerate(key, 1) for _ in range(c)))
+            reading.append(letters[key])
+        hits += tuple(reading) in probes
     return hits / samples, hoeffding_radius(samples)

@@ -1,5 +1,8 @@
 """CLI: golden output, exit codes, and WG1 round-trips through files."""
 
+import shlex
+from pathlib import Path
+
 import pytest
 
 from wordgrid.cli import main
@@ -91,6 +94,20 @@ def test_construct_counterpoint_is_uncertified(capsys, tmp_path):
     assert code == 0
     assert "non-certified" in out
     assert parse_grid(out_file.read_text()).d == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["--word", "AMAM", "--method", "best", "-d", "9"],
+    ["--word", "AMM", "--method", "counterpoint", "-d", "40"],
+])
+def test_construct_over_serialize_cap_refuses_before_printing(capsys, tmp_path, argv):
+    out_file = tmp_path / "big.wg1"
+    for extra in ([], ["--out", str(out_file)]):
+        code, out, err = run(capsys, "construct", *argv, *extra)
+        assert code == 1
+        assert out == ""
+        assert "above the dense cap 65536" in err
+    assert not out_file.exists()
 
 
 # ---------------------------------------------------------------- bounds / f1
@@ -303,3 +320,23 @@ def test_unknown_method_letter_errors(capsys):
     code, _, err = run(capsys, "construct", "--word", "AMM", "--method", "cross",
                        "--letter", "Z")
     assert code == 1
+
+
+# ---------------------------------------------------------------- README
+
+def readme_examples() -> list:
+    """The `$ wordgrid ...` commands of README.md's example block, with the text shown."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("A few examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for chunk in block.strip().split("\n\n"):
+        command, *shown = chunk.split("\n")
+        assert command.startswith("$ wordgrid ")
+        argv = shlex.split(command)[2:]
+        examples.append(pytest.param(argv, "".join(line + "\n" for line in shown), id=argv[0]))
+    return examples
+
+
+@pytest.mark.parametrize("argv,shown", readme_examples())
+def test_readme_example_prints_what_readme_shows(capsys, argv, shown):
+    assert run(capsys, *argv)[:2] == (0, shown)

@@ -1,0 +1,106 @@
+"""Symmetric grids: the per-profile paths against the pointwise reference.
+
+The reference wraps the same rule as a plain `Grid.procedural`, which
+`to_dense` and `estimate_fraction` read point by point.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from wordgrid.constructions import (
+    DENSE_CAP,
+    _constant_result,
+    _parity_rule,
+    counterpoint_grid,
+    parity_grid,
+)
+from wordgrid.core import Alphabet, Grid, Word
+from wordgrid.occurrence import estimate_fraction
+
+W = Word.from_string
+
+
+def pointwise(g: Grid) -> Grid:
+    return Grid.procedural(g.n, g.d, g.alphabet, g.rule)
+
+
+def antisymmetric_words(n: int) -> list[Word]:
+    words = []
+    for half in itertools.product("AM", repeat=n // 2):
+        tail = "".join("M" if c == "A" else "A" for c in reversed(half))
+        words.append(W("".join(half) + tail))
+    return words
+
+
+def dimensions(n: int, max_cells: int) -> range:
+    return range(1, next(d for d in itertools.count(1) if n**d > max_cells))
+
+
+COUNTERPOINT_WORDS = {3: ("AMM", "ABC", "AMA"), 4: ("AMMA", "ABCA", "AMAM"),
+                      5: ("AMAMM", "ABCDE", "AABAA")}
+
+
+def test_symmetric_grid_is_marked_and_keeps_its_rule():
+    rule = lambda p: sum(p) % 2  # noqa: E731
+    g = Grid.symmetric(3, 4, Alphabet(("A", "M")), rule)
+    assert g.permutation_invariant and not g.dense and g.rule is rule
+    assert g.at((1, 2, 3, 3)) == rule((1, 2, 3, 3))
+    assert not Grid.procedural(3, 4, Alphabet(("A", "M")), rule).permutation_invariant
+    assert not g.to_dense().permutation_invariant
+    with pytest.raises(ValueError, match="procedural"):
+        Grid(n=2, d=1, alphabet=Alphabet(("A",)), cells=bytes(2), permutation_invariant=True)
+    with pytest.raises(ValueError, match="dense cap"):
+        g.to_dense(cap=80)
+
+
+@pytest.mark.parametrize("n", sorted(COUNTERPOINT_WORDS))
+def test_counterpoint_to_dense_matches_pointwise(n):
+    for text in COUNTERPOINT_WORDS[n]:
+        for d in dimensions(n, 4096):
+            g = counterpoint_grid(W(text), d)
+            assert g.permutation_invariant
+            assert g.to_dense().cells == pointwise(g).to_dense().cells, (text, d)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_parity_to_dense_matches_pointwise(n):
+    for w in antisymmetric_words(n):
+        for d in dimensions(n, DENSE_CAP):
+            want = Grid.procedural(n, d, w.alphabet, _parity_rule(w)).to_dense().cells
+            assert parity_grid(w, d).grid.cells == want, (w.text, d)
+
+
+def test_constant_to_dense_matches_pointwise():
+    for text, d in (("AA", 5), ("AAA", 4), ("BBBB", 3), ("AA", 17), ("AAA", 11)):
+        w = W(text)
+        g = _constant_result(w, d).grid
+        assert g.dense == (w.n**d <= DENSE_CAP)
+        rule = _constant_result(w, 20).grid.rule  # n^20 cells: left procedural
+        want = Grid.procedural(w.n, d, w.alphabet, rule).to_dense().cells
+        assert g.to_dense().cells == want == bytes(w.n**d)
+
+
+@pytest.mark.parametrize("text,d,samples", [
+    ("AMM", 3, 1000), ("AMM", 12, 1000), ("AMM", 40, 500), ("AMMAM", 12, 500),
+    ("ABCA", 6, 1000),
+])
+def test_estimate_fraction_matches_pointwise(text, d, samples):
+    w = W(text)
+    g = counterpoint_grid(w, d)
+    for seed in (1, 2, 31337):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = estimate_fraction(w, g, samples, rng)
+        want = estimate_fraction(w, pointwise(g), samples, ref_rng)
+        assert got == want, (seed, got, want)
+        assert rng.getstate() == ref_rng.getstate()
+
+
+def test_estimate_fraction_on_symmetric_parity_grid_matches_pointwise():
+    w = W("AMAM")
+    g = parity_grid(w, 9).grid  # 4^9 cells: left procedural
+    assert g.permutation_invariant
+    for seed in (4, 5):
+        got = estimate_fraction(w, g, 2000, random.Random(seed))
+        assert got == estimate_fraction(w, pointwise(g), 2000, random.Random(seed))
