@@ -12,8 +12,9 @@ so one enumerator and one index table serve both.
 from __future__ import annotations
 
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 from typing import Iterator
 
@@ -29,6 +30,13 @@ MINUS = "-"
 SAMPLE_CAP = 10**6
 
 DEFAULT_LINE_CAP = 5_000_000
+
+# Bytes of cached segment tables kept before the least recently used go. The
+# census tables, (3,8) to (8,4,k=4), take 11.3 MB together; one n=3 table
+# at DEFAULT_LINE_CAP takes about 120 MB and is kept alone.
+TABLE_CACHE_BYTES = 64 * 2**20
+_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_tables_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -238,7 +246,6 @@ def count_segments(n: int, d: int, k: int) -> int:
     return ((3 * n - 2 * k + 2) ** d - n**d) // 2
 
 
-@lru_cache(maxsize=32)
 def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat point indices of every canonical length-k segment, plus weights.
 
@@ -253,7 +260,27 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     each column, the i-th point of every segment, is contiguous. Matching
     compares one column at a time over all rows, which is several times
     faster than reducing each short row.
+
+    Tables are cached, read-only and shared by every caller. The cache drops
+    the least recently used tables once their bytes exceed TABLE_CACHE_BYTES;
+    the table just returned always stays.
     """
+    key = (n, d, k)
+    with _tables_lock:
+        if key in _tables:
+            _tables.move_to_end(key)
+            return _tables[key]
+    table = _build_segment_table(n, d, k)
+    with _tables_lock:
+        _tables[key] = table
+        held = sum(idx.nbytes + weights.nbytes for idx, weights in _tables.values())
+        while held > TABLE_CACHE_BYTES and len(_tables) > 1:
+            idx, weights = _tables.popitem(last=False)[1]
+            held -= idx.nbytes + weights.nbytes
+    return table
+
+
+def _build_segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     total = count_segments(n, d, k)
     if total > DEFAULT_LINE_CAP:
         raise ValueError(
@@ -274,7 +301,7 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
         idx, first = grown, lead[keep]
         weights = (weights[:, None] + (step != 0))[keep]
     assert len(idx) == total
-    idx.flags.writeable = weights.flags.writeable = False  # cached: shared by every caller
+    idx.flags.writeable = weights.flags.writeable = False
     return idx, weights
 
 

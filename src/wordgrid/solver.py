@@ -6,10 +6,14 @@ line can be recolored to the word's first letter without destroying matches,
 since matches are full-line exact patterns. Some optimum therefore uses only
 letters of w, and the search space is |letters(w)|^(n^d).
 
-Lines are tracked as bitmasks: for each orientation of each line, a mask of
-the cell assignments that contradict it. A line is dead once both
-orientations are contradicted; the bound (lines alive) is exact at leaves and
-monotone along any branch, so pruning against the incumbent is safe.
+Lines are tracked as bits of one Python int per search state. Each probe (a
+reading of a word, forward or reversed) owns L bits, one per line, at offset
+p*L; a set bit means the assignments so far contradict that line's probe-p
+reading. A line is dead when its bit is set in every probe's segment, so one
+step is an OR of the branch's mask, an AND of the state with itself shifted by
+L, 2L, ..., (P-1)L, and a popcount of the low L bits that remain. The bound
+(lines alive) is exact at leaves and monotone along any branch, so pruning
+against the incumbent is safe.
 
 Witness sets are reproducible across worker counts: collection prunes
 strictly (bound < incumbent), which can never cut a subtree containing an
@@ -19,9 +23,7 @@ do depend on scheduling and are reported as informational stats only.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -125,7 +127,7 @@ class _Problem:
             for pr in (row, row[::-1]):
                 if pr not in probes:
                     probes.append(pr)
-        self.probes = probes
+        self.shifts = tuple(p * self.L for p in range(1, len(probes)))
 
         incident = np.bincount(np.ravel(line_cells), minlength=N).tolist()
         self.order = sorted(range(N), key=lambda c: (-incident[c], c))
@@ -133,18 +135,18 @@ class _Problem:
         for i, c in enumerate(self.order):
             pos_of[c] = i
 
-        # masks[depth][a][p]: lines whose probe-p reading is contradicted by
-        # letter a at the cell branched on at that depth
-        bits = [[[0] * len(probes) for _ in range(A)] for _ in range(N)]
+        # masks[depth][a]: bit p*L + li is set when letter a at the cell
+        # branched on at that depth contradicts line li's probe-p reading
+        masks = [[0] * A for _ in range(N)]
         for li, cells in enumerate(line_cells):
-            bit = 1 << li
             for t, c in enumerate(cells):
-                at_depth = bits[pos_of[c]]
+                at_depth = masks[pos_of[c]]
                 for p, pr in enumerate(probes):
+                    bit = 1 << (p * self.L + li)
                     for a in range(A):
                         if a != pr[t]:
-                            at_depth[a][p] |= bit
-        self.masks = [[tuple(m) for m in row] for row in bits]
+                            at_depth[a] |= bit
+        self.masks = masks
 
         self.gmaps: tuple[tuple[int, ...], ...] = ()
         if symmetry:
@@ -208,14 +210,17 @@ def _search_letters(words: Sequence[Word]) -> tuple[tuple[str, ...], list[tuple[
     return tuple(letters), rows
 
 
-def _step(L: int, bads: tuple[int, ...], ms: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """One assignment: OR its per-probe masks into the state, count live lines.
+def _step(problem: _Problem, bads: int, m: int) -> tuple[int, int]:
+    """One assignment: OR its packed mask into the state, count live lines.
 
-    A line is dead once every probe is contradicted; a palindrome has a
-    single probe, so no AND is needed."""
-    child = tuple(map(operator.or_, bads, ms))
-    dead = child[0] if len(child) == 1 else functools.reduce(operator.and_, child)
-    return child, L - dead.bit_count()
+    ANDing the state with itself shifted by each probe offset leaves, in the
+    low L bits, the lines contradicted in every probe, and nothing above them.
+    A palindrome has a single probe and no shift."""
+    c = bads | m
+    dead = c
+    for sh in problem.shifts:
+        dead &= c >> sh
+    return c, problem.L - dead.bit_count()
 
 
 def _lex_leader(gmaps: Sequence[tuple[int, ...]], s: Sequence[int], q: int) -> bool:
@@ -234,14 +239,14 @@ def _lex_leader(gmaps: Sequence[tuple[int, ...]], s: Sequence[int], q: int) -> b
 
 def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
     """Deterministic beam over the branch order; returns (value, assignment)."""
-    L, A = problem.L, problem.A
-    root = (L, (0,) * len(problem.probes), ())
-    states: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = [root]
+    A = problem.A
+    root = (problem.L, 0, ())
+    states: list[tuple[int, int, tuple[int, ...]]] = [root]
     for row in problem.masks:
-        nxt: list[tuple[int, tuple[int, ...], tuple[int, ...]]] = []
+        nxt: list[tuple[int, int, tuple[int, ...]]] = []
         for _, bads, s in states:
             for a in range(A):
-                nb, live = _step(L, bads, row[a])
+                nb, live = _step(problem, bads, row[a])
                 nxt.append((live, nb, s + (a,)))
         nxt.sort(key=lambda e: (-e[0], e[2]))
         states = nxt[:width]
@@ -255,7 +260,7 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
 
     With `first`, the search stops at the first leaf it reaches."""
     L, A, N = problem.L, problem.A, problem.N
-    masks = problem.masks
+    masks, shifts = problem.masks, problem.shifts
     gmaps = problem.gmaps
     out = _TaskOutcome(best_value=-1, best_leaf=None, collected=[],
                        open_bound=-1, nodes=0, bound_prunes=0, symmetry_prunes=0)
@@ -278,7 +283,7 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
             out.best_value = value
             out.best_leaf = blob
 
-    def dfs(q: int, bads: tuple[int, ...], bound: int) -> None:
+    def dfs(q: int, bads: int, bound: int) -> None:
         if shared.stopped:
             out.open_bound = max(out.open_bound, bound)
             return
@@ -296,7 +301,11 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
         inc = shared.incumbent
         mq = masks[q]
         for a in range(A):
-            nb, nbound = _step(L, bads, mq[a])
+            nb = bads | mq[a]  # _step, inlined
+            dead = nb
+            for sh in shifts:
+                dead &= nb >> sh
+            nbound = L - dead.bit_count()
             if nbound < inc or (not strict and nbound == inc):
                 out.bound_prunes += 1
                 continue
@@ -305,9 +314,9 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
             s.pop()
             inc = shared.incumbent
 
-    bads, bound = (0,) * len(problem.probes), L
+    bads, bound = 0, L
     for depth, a in enumerate(prefix):
-        bads, bound = _step(L, bads, masks[depth][a])
+        bads, bound = _step(problem, bads, masks[depth][a])
     dfs(len(prefix), bads, bound)
     out.nodes = counter[0]
     shared.charge(counter[0] & BUDGET_CHECK_MASK)

@@ -6,8 +6,10 @@ import random
 import pytest
 
 from wordgrid.core import Alphabet, Grid, Word
+from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
-from wordgrid.solver import SolveConfig, solve, solve_oracle, solve_set
+from wordgrid.solver import (SolveConfig, _Problem, _search_letters, _step, solve, solve_oracle,
+                             solve_set)
 
 BINARY = Alphabet(("A", "M"))
 
@@ -75,6 +77,36 @@ def test_oracle_guards():
         solve_oracle(Word.from_string("AM"), 3, 2)
     with pytest.raises(ValueError):
         solve_oracle(Word.from_string("AMM"), 3, 4)  # 2^81 states
+
+
+# ---------------------------------------------------------------- packed live count
+
+def _recount_live(texts, n, d, assigned):
+    """Lines some reading of some word agrees with on every assigned cell."""
+    probes = {r for t in texts for r in (t, t[::-1])}
+    return sum(any(all(c not in assigned or assigned[c] == pr[t] for t, c in enumerate(line))
+                   for pr in probes)
+               for line in segment_table(n, d, n)[0].tolist())
+
+
+@pytest.mark.parametrize("texts, n, d", [
+    (("AMM",), 3, 2), (("AMM",), 3, 3), (("ABC",), 3, 2), (("ABC",), 3, 3),
+    (("AMAM",), 4, 2), (("AMAM",), 4, 3), (("AMA",), 3, 2), (("ABCD", "ABDC"), 4, 2),
+])
+def test_packed_live_count_matches_recount(texts, n, d):
+    # the packed state's bound against a recount from the line table, at every
+    # depth of seeded random assignments along the branch order
+    letters, rows = _search_letters([Word.from_string(t) for t in texts])
+    problem = _Problem(rows, letters, n, d, symmetry=False)
+    rng = random.Random(f"{texts} {n} {d}")
+    for _ in range(12):
+        bads, live, assigned = 0, problem.L, {}
+        assert live == _recount_live(texts, n, d, assigned)
+        for depth, cell in enumerate(problem.order):
+            a = rng.randrange(problem.A)
+            bads, live = _step(problem, bads, problem.masks[depth][a])
+            assigned[cell] = letters[a]
+            assert live == _recount_live(texts, n, d, assigned), (depth, assigned)
 
 
 # ---------------------------------------------------------------- witnesses
@@ -187,6 +219,12 @@ PINNED = {
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMA\nMAM\nMAM\nAMM\nMMA\n"
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMM\nMMA\nAMM\nMMA\nMAM\n"
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nMMA\nMMM\nMMA\nMMA\nAMM\nMAM\n",
+    ),
+    "abc_3d": (
+        lambda: solve(_word("ABC"), 3, 3),
+        (True, 25, 25, None, 118001, 234406, 534),
+        "optimum 25\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=3 n=3 sigma=ABC\nAAA\nAAA\nAAA\nABA\nBBB\nCBC\nCCC\nCCC\nCCC\n",
     ),
     "aaamm_plane": (
         lambda: solve(_word("AAAMM"), 5, 2),
