@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -35,13 +34,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage problems exit 1, not 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("WORDGRID_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _load_grid(path: str) -> Grid:
@@ -284,7 +276,8 @@ def build_parser() -> _Parser:
     p.add_argument("--word")
     p.add_argument("--words", help="comma-separated word set")
     p.add_argument("-d", type=int, default=2)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted but has no effect: the search is sequential")
     p.add_argument("--enumerate", action="store_true",
                    help="enumerate optimal grids up to symmetry")
     p.add_argument("--node-budget", type=int)

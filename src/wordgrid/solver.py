@@ -15,23 +15,23 @@ L, 2L, ..., (P-1)L, and a popcount of the low L bits that remain. The bound
 (lines alive) is exact at leaves and monotone along any branch, so pruning
 against the incumbent is safe.
 
-Witness sets are reproducible across worker counts: collection prunes
-strictly (bound < incumbent), which can never cut a subtree containing an
-optimal leaf, whatever the incumbent was at the time. Node and prune tallies
-do depend on scheduling and are reported as informational stats only.
+The tree is split into prefix tasks, and the tasks run one after another in
+branch order against one search state, so the outputs and the node and prune
+tallies are deterministic. `SolveConfig.workers` is validated but has no
+effect. Witness enumeration prunes strictly (bound < incumbent), which can
+never cut a subtree containing an optimal leaf.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
+from .bounds import upper_bound_2d, upper_bound_d
 from .core import Alphabet, Grid, Word, point_index, serialize_grid, symmetry_cell_tables
 from .lines import enumerate_lines, line_points, segment_table
 from .occurrence import count_word, count_word_set
@@ -48,7 +48,10 @@ COLLECT_TRIM = 200_000
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Search knobs; defaults give an exact single-threaded run."""
+    """Search knobs; defaults give an exact run.
+
+    `workers` must be at least 1 and has no effect: every solve is one
+    sequential search."""
 
     node_budget: int | None = None
     time_budget: float | None = None
@@ -80,7 +83,7 @@ class SolveResult:
     `witnesses` holds grids achieving `lower`, deduplicated to the
     lexicographically minimal representative of each symmetry class; with
     witness enumeration on, every optimal class is present and `classes`
-    counts them. Stats are informational and scheduling-dependent.
+    counts them. Stats are deterministic and do not depend on `workers`.
     """
 
     complete: bool
@@ -161,42 +164,37 @@ class _Problem:
             self.gmaps = tuple(gmaps)
 
 
-class _Shared:
-    """Cross-task mutable state: monotone incumbent, budgets, stop flag."""
+class _Search:
+    """State one search carries across its task list.
 
-    def __init__(self, incumbent: int, node_budget: int | None, deadline: float | None):
-        self.lock = threading.Lock()
+    It holds the incumbent, the budgets and the stop flag, the tallies, the
+    best leaf (the first in branch order at the highest value reached), the
+    leaves collected for enumeration and the highest bound a stop left open.
+    With `strict`, ties with the incumbent are searched; with `first`, the
+    search stops at the first leaf it reaches."""
+
+    def __init__(self, incumbent: int, strict: bool, collect: bool = False,
+                 node_budget: int | None = None, deadline: float | None = None,
+                 first: bool = False):
         self.incumbent = incumbent
-        self.nodes = 0
+        self.strict, self.collect, self.first = strict, collect, first
         self.node_budget = node_budget
         self.deadline = deadline
         self.stopped = False
-
-    def raise_incumbent(self, value: int) -> None:
-        with self.lock:
-            if value > self.incumbent:
-                self.incumbent = value
+        self.nodes = self.bound_prunes = self.symmetry_prunes = 0
+        self.best_value = -1
+        self.best_leaf: bytes | None = None
+        self.collected: list[tuple[int, bytes]] = []
+        self.open_bound = -1
 
     def charge(self, nodes: int) -> bool:
         """Account a node batch; returns True when the search must stop."""
-        with self.lock:
-            self.nodes += nodes
-            if self.node_budget is not None and self.nodes > self.node_budget:
-                self.stopped = True
+        self.nodes += nodes
+        if self.node_budget is not None and self.nodes > self.node_budget:
+            self.stopped = True
         if self.deadline is not None and time.monotonic() > self.deadline:
             self.stopped = True
         return self.stopped
-
-
-@dataclass
-class _TaskOutcome:
-    best_value: int
-    best_leaf: bytes | None
-    collected: list[tuple[int, bytes]]
-    open_bound: int
-    nodes: int
-    bound_prunes: int
-    symmetry_prunes: int
 
 
 def _search_letters(words: Sequence[Word]) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
@@ -254,51 +252,51 @@ def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
     return best[0], bytes(best[2])
 
 
-def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
-              strict: bool, collect: bool, first: bool = False) -> _TaskOutcome:
-    """Depth-first search below one prefix of the branch order.
+def _run_task(problem: _Problem, prefix: tuple[int, ...], state: _Search) -> None:
+    """Depth-first search below one prefix of the branch order, into `state`.
 
-    With `first`, the search stops at the first leaf it reaches."""
+    The task counts its own nodes and charges them to the state every
+    BUDGET_CHECK_MASK + 1 nodes and once at its end; budgets stop at those
+    points only."""
     L, A, N = problem.L, problem.A, problem.N
     masks, shifts = problem.masks, problem.shifts
     gmaps = problem.gmaps
-    out = _TaskOutcome(best_value=-1, best_leaf=None, collected=[],
-                       open_bound=-1, nodes=0, bound_prunes=0, symmetry_prunes=0)
+    strict = state.strict
     s: list[int] = list(prefix)
     counter = [0]
 
     def leaf(value: int) -> None:
-        if first:
-            shared.stopped = True
-        if value > shared.incumbent:
-            shared.raise_incumbent(value)
+        if state.first:
+            state.stopped = True
+        if value > state.incumbent:
+            state.incumbent = value
         blob = bytes(s)
-        if collect and value >= shared.incumbent:
-            out.collected.append((value, blob))
-            if len(out.collected) > COLLECT_TRIM:
-                inc = shared.incumbent
-                out.collected[:] = [e for e in out.collected if e[0] >= inc]
-        if value > out.best_value or (value == out.best_value and
-                                      (out.best_leaf is None or blob < out.best_leaf)):
-            out.best_value = value
-            out.best_leaf = blob
+        if state.collect and value >= state.incumbent:
+            state.collected.append((value, blob))
+            if len(state.collected) > COLLECT_TRIM:
+                inc = state.incumbent
+                state.collected[:] = [e for e in state.collected if e[0] >= inc]
+        # leaves arrive in branch order, so the first at a value is the least
+        if value > state.best_value:
+            state.best_value = value
+            state.best_leaf = blob
 
     def dfs(q: int, bads: int, bound: int) -> None:
-        if shared.stopped:
-            out.open_bound = max(out.open_bound, bound)
+        if state.stopped:
+            state.open_bound = max(state.open_bound, bound)
             return
         counter[0] += 1
         if counter[0] & BUDGET_CHECK_MASK == 0:
-            if shared.charge(BUDGET_CHECK_MASK + 1):
-                out.open_bound = max(out.open_bound, bound)
+            if state.charge(BUDGET_CHECK_MASK + 1):
+                state.open_bound = max(state.open_bound, bound)
                 return
         if 2 <= q <= SYMMETRY_DEPTH and not _lex_leader(gmaps, s, q):
-            out.symmetry_prunes += 1
+            state.symmetry_prunes += 1
             return
         if q == N:
             leaf(bound)
             return
-        inc = shared.incumbent
+        inc = state.incumbent
         mq = masks[q]
         for a in range(A):
             nb = bads | mq[a]  # _step, inlined
@@ -307,20 +305,18 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], shared: _Shared,
                 dead &= nb >> sh
             nbound = L - dead.bit_count()
             if nbound < inc or (not strict and nbound == inc):
-                out.bound_prunes += 1
+                state.bound_prunes += 1
                 continue
             s.append(a)
             dfs(q + 1, nb, nbound)
             s.pop()
-            inc = shared.incumbent
+            inc = state.incumbent
 
     bads, bound = 0, L
     for depth, a in enumerate(prefix):
         bads, bound = _step(problem, bads, masks[depth][a])
     dfs(len(prefix), bads, bound)
-    out.nodes = counter[0]
-    shared.charge(counter[0] & BUDGET_CHECK_MASK)
-    return out
+    state.charge(counter[0] & BUDGET_CHECK_MASK)
 
 
 def _hunt_witness(problem: _Problem, target: int) -> bytes | None:
@@ -328,12 +324,13 @@ def _hunt_witness(problem: _Problem, target: int) -> bytes | None:
 
     Strict pruning against a fixed incumbent equal to the target cuts exactly
     the subtrees with fewer than `target` live lines."""
-    shared = _Shared(incumbent=target, node_budget=None, deadline=None)
-    return _run_task(problem, (), shared, strict=True, collect=False, first=True).best_leaf
+    state = _Search(incumbent=target, strict=True, first=True)
+    _run_task(problem, (), state)
+    return state.best_leaf
 
 
 def _task_prefixes(problem: _Problem) -> list[tuple[int, ...]]:
-    """Prefixes splitting the tree into a worker-count-independent task list."""
+    """Prefixes splitting the tree into tasks, in branch order."""
     A, N = problem.A, problem.N
     depth = 0
     while A**depth < MIN_TASKS and depth < N and depth < 4:
@@ -352,18 +349,13 @@ def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:
     return min(bytes(cells[tg[c]] for c in range(N)) for tg in tables)
 
 
-def _assemble(problem: _Problem, outcomes: list[_TaskOutcome], shared: _Shared,
-              beam_value: int, beam_leaf: bytes, enumerate_witnesses: bool,
-              elapsed: float, verify) -> SolveResult:
-    nodes = sum(o.nodes for o in outcomes)
-    bprunes = sum(o.bound_prunes for o in outcomes)
-    sprunes = sum(o.symmetry_prunes for o in outcomes)
-    stats = SolveStats(nodes=nodes, bound_prunes=bprunes,
-                       symmetry_prunes=sprunes, elapsed=elapsed)
-    lower = max([shared.incumbent] + [o.best_value for o in outcomes])
-    complete = not shared.stopped
-    open_bound = max((o.open_bound for o in outcomes), default=-1)
-    upper = lower if complete else max(lower, open_bound)
+def _assemble(problem: _Problem, state: _Search, beam_leaf: bytes,
+              enumerate_witnesses: bool, elapsed: float, verify) -> SolveResult:
+    stats = SolveStats(nodes=state.nodes, bound_prunes=state.bound_prunes,
+                       symmetry_prunes=state.symmetry_prunes, elapsed=elapsed)
+    lower = state.incumbent
+    complete = not state.stopped
+    upper = lower if complete else max(lower, state.open_bound)
 
     alphabet = Alphabet(problem.letters)
 
@@ -371,21 +363,20 @@ def _assemble(problem: _Problem, outcomes: list[_TaskOutcome], shared: _Shared,
         return Grid(n=problem.n, d=problem.d, alphabet=alphabet, cells=cells)
 
     if enumerate_witnesses and complete:
-        forms = set()
-        for o in outcomes:
-            for value, blob in o.collected:
-                if value == lower:
-                    forms.add(_canonical_cells(blob, problem))
+        forms = {_canonical_cells(blob, problem)
+                 for value, blob in state.collected if value == lower}
         witnesses = tuple(grid_of(c) for c in sorted(forms))
         classes: int | None = len(witnesses)
     else:
-        if complete:
+        # Without enumeration the search prunes ties, so its best leaf is the
+        # first optimal leaf in branch order unless the beam seed already held
+        # the optimum; only then does a complete run hunt for that leaf.
+        if state.best_value == lower:
+            blob = state.best_leaf
+        elif complete:
             blob = _hunt_witness(problem, lower)
         else:
-            cands = [o.best_leaf for o in outcomes if o.best_value == lower and o.best_leaf]
-            if not cands and beam_value == lower:
-                cands = [beam_leaf]
-            blob = min(cands) if cands else None
+            blob = beam_leaf
         witnesses = (grid_of(_canonical_cells(blob, problem)),) if blob else ()
         classes = None
 
@@ -410,27 +401,26 @@ def _solve_rows(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
     beam_value, beam_leaf = _beam_seed(problem)
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     # strict pruning keeps every optimal leaf reachable for enumeration
-    strict = cfg.enumerate_witnesses
-    shared = _Shared(incumbent=beam_value, node_budget=cfg.node_budget, deadline=deadline)
-
-    prefixes = _task_prefixes(problem)
-    if cfg.workers == 1:
-        outcomes = [_run_task(problem, pre, shared, strict, cfg.enumerate_witnesses)
-                    for pre in prefixes]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(
-                lambda pre: _run_task(problem, pre, shared, strict, cfg.enumerate_witnesses),
-                prefixes))
+    state = _Search(incumbent=beam_value, strict=cfg.enumerate_witnesses,
+                    collect=cfg.enumerate_witnesses, node_budget=cfg.node_budget,
+                    deadline=deadline)
+    for prefix in _task_prefixes(problem):
+        _run_task(problem, prefix, state)
     elapsed = time.monotonic() - start
-    return _assemble(problem, outcomes, shared, beam_value, beam_leaf,
-                     cfg.enumerate_witnesses, elapsed, verify)
+    return _assemble(problem, state, beam_leaf, cfg.enumerate_witnesses, elapsed, verify)
 
 
 def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveResult:
-    """Maximize f(w, G) over all (n, d)-grids; exact unless a budget is hit."""
-    return _solve_rows([w], n, d, cfg, DEFAULT_CELL_CAP,
-                       lambda g: count_word(w, g).total)
+    """Maximize f(w, G) over all (n, d)-grids; exact unless a budget is hit.
+
+    An incomplete result reports no upper end above the proven ceiling
+    (`upper_bound_2d` at d = 2, `upper_bound_d` otherwise)."""
+    result = _solve_rows([w], n, d, cfg, DEFAULT_CELL_CAP,
+                         lambda g: count_word(w, g).total)
+    ceiling = upper_bound_2d(w).upper if d == 2 else upper_bound_d(w, d)
+    if ceiling < result.lower:
+        raise AssertionError(f"lower {result.lower} exceeds the ceiling {ceiling}")
+    return replace(result, upper=min(result.upper, ceiling))
 
 
 def solve_set(words: Sequence[Word], n: int, d: int,

@@ -5,11 +5,13 @@ import random
 
 import pytest
 
+import wordgrid.solver as solver_mod
+from wordgrid.bounds import bracket
 from wordgrid.core import Alphabet, Grid, Word
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
-from wordgrid.solver import (SolveConfig, _Problem, _search_letters, _step, solve, solve_oracle,
-                             solve_set)
+from wordgrid.solver import (SolveConfig, _canonical_cells, _hunt_witness, _Problem,
+                             _search_letters, _step, solve, solve_oracle, solve_set)
 
 BINARY = Alphabet(("A", "M"))
 
@@ -133,12 +135,51 @@ def test_symmetry_off_same_optimum_and_classes():
 
 
 def test_determinism_across_workers():
-    w = Word.from_string("AAMM")
-    texts = set()
-    for workers in (1, 2, 8):
-        r = solve(w, 4, 2, SolveConfig(enumerate_witnesses=True, workers=workers))
-        texts.add(r.canonical_text())
-    assert len(texts) == 1
+    # workers selects nothing, so outputs and stats alike are identical
+    for text, n, d, enum in (("AAMM", 4, 2, True), ("ABC", 3, 3, False)):
+        seen = set()
+        for workers in (1, 2, 8):
+            r = solve(Word.from_string(text), n, d,
+                      SolveConfig(enumerate_witnesses=enum, workers=workers))
+            s = r.stats
+            seen.add((r.complete, r.lower, r.upper, r.classes, s.nodes, s.bound_prunes,
+                      s.symmetry_prunes, r.canonical_text()))
+        assert len(seen) == 1, text
+
+
+def _small_words():
+    for n in (2, 3, 4, 5):
+        for t in itertools.product("ABC", repeat=n):
+            if "".join(dict.fromkeys(t)) == "ABC"[:len(set(t))]:  # one word per renaming
+                yield "".join(t), n, 2
+    for t in itertools.product("AB", repeat=5):  # many of these beat the beam seed
+        yield "A" + "".join(t), 6, 2
+    yield from (("ABC", 3, 3), ("AAB", 3, 3), ("AMM", 3, 3))
+
+
+def test_witness_is_first_optimal_leaf_in_branch_order():
+    # the witness a complete solve returns, from its own best leaf or from the
+    # hunt, is the canonical form of the first optimal leaf in branch order
+    for text, n, d in _small_words():
+        w = Word.from_string(text)
+        r = solve(w, n, d)
+        letters, rows = _search_letters([w])
+        problem = _Problem(rows, letters, n, d, symmetry=True)
+        want = _canonical_cells(_hunt_witness(problem, r.lower), problem)
+        assert r.complete and r.witnesses[0].cells == want, (text, n, d)
+
+
+@pytest.mark.parametrize("text, n, d, hunts", [("ABC", 3, 3, 0), ("AAAMM", 5, 2, 1)])
+def test_hunt_only_when_beam_held_the_optimum(monkeypatch, text, n, d, hunts):
+    calls = []
+
+    def counting(problem, target):
+        calls.append(target)
+        return _hunt_witness(problem, target)
+
+    monkeypatch.setattr(solver_mod, "_hunt_witness", counting)
+    solve(Word.from_string(text), n, d)
+    assert len(calls) == hunts
 
 
 # ---------------------------------------------------------------- budgets
@@ -153,6 +194,14 @@ def test_node_budget_interval():
     assert limited.lower <= 8 <= limited.upper
     if limited.witnesses:
         assert count_word(w, limited.witnesses[0]).total == limited.lower
+
+
+@pytest.mark.parametrize("text", ["ABACBD", "ABBCBD"])
+def test_budgeted_upper_within_proven_ceiling(text):
+    w = Word.from_string(text)
+    r = solve(w, 6, 2, SolveConfig(node_budget=20_000))
+    assert not r.complete
+    assert r.lower <= r.upper <= bracket(w, 2).upper
 
 
 def test_config_validation():
@@ -206,8 +255,8 @@ def _word(text):
     return Word.from_string(text)
 
 
-# Exact output and search tallies at workers=1. Node and prune counts are
-# deterministic for one worker, so any change to the branch order, the bound,
+# Exact output and search tallies. Node and prune counts are deterministic
+# and do not depend on workers, so any change to the branch order, the bound,
 # the symmetry check or the task split shows up here. Each entry holds the
 # run, (complete, lower, upper, classes, nodes, bound prunes, symmetry
 # prunes) and the canonical text.
@@ -263,8 +312,8 @@ PINNED = {
     ),
     "aammm_node_budget": (
         lambda: solve(_word("AAMMM"), 5, 2, SolveConfig(node_budget=3)),
-        (False, 8, 12, None, 16, 18, 1),
-        "interval 8 12\nclasses unknown\nwitnesses 1\n"
+        (False, 8, 10, None, 16, 18, 1),
+        "interval 8 10\nclasses unknown\nwitnesses 1\n"
         "WG1 d=2 n=5 sigma=AM\nAAMMM\nAAMMM\nMMAMM\nMMMAA\nMMMAA\n",
     ),
 }
