@@ -177,32 +177,51 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     """Empirical fraction of lines containing w, with a 99% Hoeffding radius.
 
     Draws uniform lines exactly as `lines.sample_line` does, so one seed gives
-    one result and leaves one rng state on every path. A symmetric grid is
-    read per profile class: a line's reading depends only on its symbol
-    counts c (at step i the profile is the numeral counts plus c+ at value i
-    and c- at value n+1-i), and letters are cached per profile for the call.
-    Other grids are read point by point, so procedural grids of any
-    dimension work.
+    one result and leaves one rng state on every path. A dense grid reads
+    each drawn line by flat-index arithmetic: a numeral x adds x·n^(d-1-j) to
+    the first cell, '+' adds n^(d-1-j) to the step and '-' adds
+    (n-1)·n^(d-1-j) to the first cell and subtracts n^(d-1-j) from the step.
+    A symmetric grid is read per profile class: a line's reading depends only
+    on its symbol counts c (at step i the profile is the numeral counts plus
+    c+ at value i and c- at value n+1-i), and letters are cached per profile
+    for the call. Other procedural grids are read point by point, so they
+    work in any dimension. Drawn lines are not mirrored, so a reading may run
+    backward; the word is matched both ways.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     if w.n != grid.n:
         raise ValueError(f"word length {w.n} != grid side {grid.n}")
-    if not grid.permutation_invariant:
-        hits = sum(line_contains(w, grid, sample_line(grid.n, grid.d, rng))
-                   for _ in range(samples))
+    n, d = grid.n, grid.d
+    if not (grid.dense or grid.permutation_invariant):
+        hits = sum(line_contains(w, grid, sample_line(n, d, rng)) for _ in range(samples))
         return hits / samples, hoeffding_radius(samples)
-    n, d, rule = grid.n, grid.d, grid.rule
     sym = _word_symbols(w, grid)
     probes = (sym, sym[::-1])
-    letters: dict[tuple[int, ...], int] = {}  # profile -> letter
     hits = 0
+    if grid.dense:
+        cells = grid.cells
+        place = [n ** (d - 1 - j) for j in range(d)]
+        for _ in range(samples):
+            first = step = 0
+            for x, v in zip(_draw_line_code(n, d, rng), place):
+                if x < n:
+                    first += x * v
+                elif x == n:
+                    step += v
+                else:
+                    first += (n - 1) * v
+                    step -= v
+            hits += tuple(cells[first + i * step] for i in range(n)) in probes
+        return hits / samples, hoeffding_radius(samples)
+    rule = grid.rule
+    letters: dict[tuple[int, ...], int] = {}  # profile -> letter
     for _ in range(samples):
         counts = [0] * (n + 2)
         for x in _draw_line_code(n, d, rng):
             counts[x] += 1
         reading = []
-        for i in range(n):  # unmirrored, so the reading may run backward; probes hold both
+        for i in range(n):
             profile = counts[:n]
             profile[i] += counts[n]
             profile[n - 1 - i] += counts[n + 1]

@@ -15,6 +15,15 @@ L, 2L, ..., (P-1)L, and a popcount of the low L bits that remain. The bound
 (lines alive) is exact at leaves and monotone along any branch, so pruning
 against the incumbent is safe.
 
+The search starts from the best grid the package can certify without it:
+the beam seed, or for `solve` the best construction when that grid uses only
+the search letters and reaches more lines. When that seed already meets the
+proven ceiling (`upper_bound_2d` at d = 2, `upper_bound_d` otherwise), the
+optimum is known, and without witness enumeration the branch-and-bound is
+skipped; only the witness hunt runs. A seed is a claim until a leaf backs it:
+a complete result whose optimum no leaf reaches raises instead of returning
+no witness.
+
 The tree is split into prefix tasks, and the tasks run one after another in
 branch order against one search state, so the outputs and the node and prune
 tallies are deterministic. `SolveConfig.workers` is validated but has no
@@ -26,12 +35,13 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .bounds import upper_bound_2d, upper_bound_d
+from .constructions import ConstructionResult, best_construction
 from .core import Alphabet, Grid, Word, point_index, serialize_grid, symmetry_cell_tables
 from .lines import enumerate_lines, line_points, segment_table
 from .occurrence import count_word, count_word_set
@@ -70,6 +80,12 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveStats:
+    """Tallies of one solve.
+
+    `nodes` and the two prune counts count the branch-and-bound search, not
+    the witness hunt, and read 0 when the seed met the proven ceiling and
+    the search was skipped. `elapsed` covers the beam seed and the search."""
+
     nodes: int
     bound_prunes: int
     symmetry_prunes: int
@@ -349,13 +365,29 @@ def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:
     return min(bytes(cells[tg[c]] for c in range(N)) for tg in tables)
 
 
-def _assemble(problem: _Problem, state: _Search, beam_leaf: bytes,
-              enumerate_witnesses: bool, elapsed: float, verify) -> SolveResult:
+def _leaf_of(problem: _Problem, grid: Grid) -> bytes | None:
+    """A grid's letters in branch order, or None when it uses a letter the
+    search does not branch on."""
+    cells = grid.to_dense().cells
+    to_search = [problem.letters.index(ch) if ch in problem.letters else None
+                 for ch in grid.alphabet.letters]
+    if any(to_search[c] is None for c in set(cells)):
+        return None
+    return bytes(to_search[cells[c]] for c in problem.order)
+
+
+def _assemble(problem: _Problem, state: _Search, seed_leaf: bytes,
+              enumerate_witnesses: bool, ceiling: int | None, elapsed: float,
+              verify) -> SolveResult:
     stats = SolveStats(nodes=state.nodes, bound_prunes=state.bound_prunes,
                        symmetry_prunes=state.symmetry_prunes, elapsed=elapsed)
     lower = state.incumbent
     complete = not state.stopped
     upper = lower if complete else max(lower, state.open_bound)
+    if ceiling is not None:
+        if ceiling < lower:
+            raise AssertionError(f"lower {lower} exceeds the ceiling {ceiling}")
+        upper = min(upper, ceiling)
 
     alphabet = Alphabet(problem.letters)
 
@@ -369,17 +401,19 @@ def _assemble(problem: _Problem, state: _Search, beam_leaf: bytes,
         classes: int | None = len(witnesses)
     else:
         # Without enumeration the search prunes ties, so its best leaf is the
-        # first optimal leaf in branch order unless the beam seed already held
-        # the optimum; only then does a complete run hunt for that leaf.
+        # first optimal leaf in branch order unless the seed already held the
+        # optimum; only then does a complete run hunt for that leaf.
         if state.best_value == lower:
             blob = state.best_leaf
         elif complete:
             blob = _hunt_witness(problem, lower)
         else:
-            blob = beam_leaf
-        witnesses = (grid_of(_canonical_cells(blob, problem)),) if blob else ()
+            blob = seed_leaf
+        witnesses = (grid_of(_canonical_cells(blob, problem)),) if blob is not None else ()
         classes = None
 
+    if not witnesses:
+        raise AssertionError(f"no leaf reaches the claimed optimum {lower}")
     for g in witnesses:
         got = verify(g)
         if got != lower:
@@ -388,39 +422,53 @@ def _assemble(problem: _Problem, state: _Search, beam_leaf: bytes,
                        witnesses=witnesses, classes=classes, stats=stats)
 
 
-def _solve_rows(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
-                cell_cap: int, verify) -> SolveResult:
+def _compile(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
+             cell_cap: int) -> _Problem:
     if any(w.n != n for w in words):
         raise ValueError("word length must equal the grid side n")
     if n**d > cell_cap:
         raise ValueError(f"{n}^{d} cells exceed the search cap {cell_cap}")
     letters, rows = _search_letters(words)
-    problem = _Problem(rows, letters, n, d, symmetry=cfg.symmetry)
+    return _Problem(rows, letters, n, d, symmetry=cfg.symmetry)
 
+
+def _solve_rows(problem: _Problem, cfg: SolveConfig, verify,
+                seed: ConstructionResult | None = None,
+                ceiling: int | None = None) -> SolveResult:
+    """Search from the better of the beam seed and `seed`; skip the search
+    when that start meets `ceiling` and no witnesses are enumerated."""
     start = time.monotonic()
-    beam_value, beam_leaf = _beam_seed(problem)
+    incumbent, seed_leaf = _beam_seed(problem)
+    if seed is not None and seed.achieved > incumbent:
+        leaf = _leaf_of(problem, seed.grid)
+        if leaf is not None:
+            incumbent, seed_leaf = seed.achieved, leaf
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
     # strict pruning keeps every optimal leaf reachable for enumeration
-    state = _Search(incumbent=beam_value, strict=cfg.enumerate_witnesses,
+    state = _Search(incumbent=incumbent, strict=cfg.enumerate_witnesses,
                     collect=cfg.enumerate_witnesses, node_budget=cfg.node_budget,
                     deadline=deadline)
-    for prefix in _task_prefixes(problem):
-        _run_task(problem, prefix, state)
+    if cfg.enumerate_witnesses or ceiling is None or incumbent < ceiling:
+        for prefix in _task_prefixes(problem):
+            _run_task(problem, prefix, state)
     elapsed = time.monotonic() - start
-    return _assemble(problem, state, beam_leaf, cfg.enumerate_witnesses, elapsed, verify)
+    return _assemble(problem, state, seed_leaf, cfg.enumerate_witnesses, ceiling,
+                     elapsed, verify)
 
 
 def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveResult:
     """Maximize f(w, G) over all (n, d)-grids; exact unless a budget is hit.
 
-    An incomplete result reports no upper end above the proven ceiling
-    (`upper_bound_2d` at d = 2, `upper_bound_d` otherwise)."""
-    result = _solve_rows([w], n, d, cfg, DEFAULT_CELL_CAP,
-                         lambda g: count_word(w, g).total)
+    The search starts from `best_construction(w, d)` (d >= 2) when that grid
+    uses only the letters of w and beats the beam seed. When the start
+    already meets the proven ceiling (`upper_bound_2d` at d = 2,
+    `upper_bound_d` otherwise), the optimum is reported without a search,
+    unless witnesses are enumerated; the witness still comes from a leaf.
+    An incomplete result reports no upper end above the ceiling."""
+    problem = _compile([w], n, d, cfg, DEFAULT_CELL_CAP)
+    seed = best_construction(w, d) if d >= 2 else None
     ceiling = upper_bound_2d(w).upper if d == 2 else upper_bound_d(w, d)
-    if ceiling < result.lower:
-        raise AssertionError(f"lower {result.lower} exceeds the ceiling {ceiling}")
-    return replace(result, upper=min(result.upper, ceiling))
+    return _solve_rows(problem, cfg, lambda g: count_word(w, g).total, seed, ceiling)
 
 
 def solve_set(words: Sequence[Word], n: int, d: int,
@@ -431,8 +479,8 @@ def solve_set(words: Sequence[Word], n: int, d: int,
     word_list = list(words)
     if not word_list:
         raise ValueError("word set must be nonempty")
-    return _solve_rows(word_list, n, d, cfg, SET_CELL_CAP,
-                       lambda g: count_word_set(word_list, g).total)
+    problem = _compile(word_list, n, d, cfg, SET_CELL_CAP)
+    return _solve_rows(problem, cfg, lambda g: count_word_set(word_list, g).total)
 
 
 def solve_oracle(w: Word, n: int, d: int) -> int:

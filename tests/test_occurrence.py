@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from wordgrid.constructions import counterpoint_grid
 from wordgrid.core import Alphabet, Grid, Word, all_symmetries, apply_symmetry
 from wordgrid.lines import (
     DEFAULT_LINE_CAP,
@@ -325,6 +326,26 @@ def test_estimate_fraction_parity_grid():
     assert count_lines(2, 5)[1] == 496
     frac, radius = estimate_fraction(w, g, 10_000, random.Random(77))
     assert abs(frac - 256 / 496) < radius
+
+
+@pytest.mark.parametrize("text, d", [("AMM", 4), ("AMAM", 3), ("AMM", 8)])
+def test_estimate_fraction_dense_matches_pointwise(text, d):
+    # dense grids read a drawn line by flat index; the reference wraps the same
+    # cells as a procedural grid, read point by point. The random grid (its
+    # alphabet in the other order) is not symmetric, so it catches a misplaced
+    # coordinate; the materialized counterpoint grid is the CLI's --grid case.
+    w = Word.from_string(text)
+    n = w.n
+    grids = [random_grid(random.Random(f"{text} {d}"), n, d, letters="MA"),
+             counterpoint_grid(w, d).to_dense()]
+    for g in grids:
+        assert g.dense
+        ref = Grid.procedural(n, d, g.alphabet, g.at)
+        for seed in (3, 4, 5):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            got = estimate_fraction(w, g, 2_000, rng)
+            assert got == estimate_fraction(w, ref, 2_000, ref_rng), seed
+            assert rng.getstate() == ref_rng.getstate()
 
 
 def test_estimate_fraction_procedural_smoke():

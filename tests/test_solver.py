@@ -7,6 +7,7 @@ import pytest
 
 import wordgrid.solver as solver_mod
 from wordgrid.bounds import bracket
+from wordgrid.constructions import ConstructionResult, best_construction
 from wordgrid.core import Alphabet, Grid, Word
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
@@ -196,12 +197,27 @@ def test_node_budget_interval():
         assert count_word(w, limited.witnesses[0]).total == limited.lower
 
 
-@pytest.mark.parametrize("text", ["ABACBD", "ABBCBD"])
-def test_budgeted_upper_within_proven_ceiling(text):
+@pytest.mark.parametrize("text, budget, head", [
+    # from the beam seed (5) these two stayed open at 20k nodes; from the rows
+    # construction (8) they close within that budget
+    pytest.param("ABACBD", 20_000, "optimum 8", id="ABACBD"),
+    pytest.param("ABBCBD", 20_000, "optimum 8", id="ABBCBD"),
+    pytest.param("ABCDBE", 5_000, "interval 8 10", id="ABCDBE"),
+])
+def test_budgeted_upper_within_proven_ceiling(text, budget, head):
     w = Word.from_string(text)
-    r = solve(w, 6, 2, SolveConfig(node_budget=20_000))
-    assert not r.complete
-    assert r.lower <= r.upper <= bracket(w, 2).upper
+    r = solve(w, 6, 2, SolveConfig(node_budget=budget))
+    b = bracket(w, 2)
+    assert r.canonical_text().splitlines()[0] == head
+    assert b.lower <= r.lower <= r.upper <= b.upper
+
+
+def test_seed_at_ceiling_ignores_the_budget():
+    # the parity construction reaches the ceiling 52, so no search runs and
+    # the budget never binds; from the beam seed this read interval 46 52
+    r = solve(Word.from_string("AMAM"), 4, 3, SolveConfig(node_budget=1000))
+    assert r.canonical_text().startswith("optimum 52\n")
+    assert r.stats.nodes == 0
 
 
 def test_config_validation():
@@ -216,6 +232,44 @@ def test_config_validation():
 def test_cell_cap():
     with pytest.raises(ValueError):
         solve(Word.from_string("AMM"), 3, 5)  # 243 cells
+
+
+# ---------------------------------------------------------------- construction seed
+
+def _construction_claims(monkeypatch, achieved):
+    """Make the construction the solver consults claim `achieved` lines; 0
+    forces the beam seed and the full search."""
+    def claim(w, d):
+        built = best_construction(w, d)
+        return ConstructionResult(built.grid, guaranteed=0, achieved=achieved,
+                                  provenance=built.provenance)
+    monkeypatch.setattr(solver_mod, "best_construction", claim)
+
+
+def _outputs(r):
+    return r.complete, r.lower, r.upper, r.classes, r.canonical_text()
+
+
+def test_seeded_solve_matches_unseeded_search(monkeypatch):
+    runs = [(text, n, d, False) for text, n, d in _small_words() if d == 2]
+    runs += [("AMAM", 4, 3, True), ("ABC", 3, 3, True), ("AMM", 3, 3, True)]
+    seeded = [_outputs(solve(Word.from_string(t), n, d, SolveConfig(enumerate_witnesses=e)))
+              for t, n, d, e in runs]
+    _construction_claims(monkeypatch, 0)
+    for (t, n, d, e), want in zip(runs, seeded):
+        got = _outputs(solve(Word.from_string(t), n, d, SolveConfig(enumerate_witnesses=e)))
+        assert got == want, (t, n, d, e)
+
+
+@pytest.mark.parametrize("enumerate_witnesses", [False, True])
+def test_unbacked_seed_is_refused(monkeypatch, enumerate_witnesses):
+    # AMM 3^2 has optimum 5 under a ceiling of 6; a construction claiming 6
+    # must not come back as an optimum with no witness
+    w = Word.from_string("AMM")
+    assert solve(w, 3, 2).optimum == 5 and bracket(w, 2).upper == 6
+    _construction_claims(monkeypatch, 6)
+    with pytest.raises(AssertionError):
+        solve(w, 3, 2, SolveConfig(enumerate_witnesses=enumerate_witnesses))
 
 
 # ---------------------------------------------------------------- word sets
@@ -257,9 +311,9 @@ def _word(text):
 
 # Exact output and search tallies. Node and prune counts are deterministic
 # and do not depend on workers, so any change to the branch order, the bound,
-# the symmetry check or the task split shows up here. Each entry holds the
-# run, (complete, lower, upper, classes, nodes, bound prunes, symmetry
-# prunes) and the canonical text.
+# the symmetry check, the task split or the seed shows up here. Each entry
+# holds the run, (complete, lower, upper, classes, nodes, bound prunes,
+# symmetry prunes) and the canonical text.
 PINNED = {
     "amm_3d_enumerate": (
         lambda: solve(_word("AMM"), 3, 3, SolveConfig(enumerate_witnesses=True)),
@@ -274,6 +328,14 @@ PINNED = {
         (True, 25, 25, None, 118001, 234406, 534),
         "optimum 25\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=3 sigma=ABC\nAAA\nAAA\nAAA\nABA\nBBB\nCBC\nCCC\nCCC\nCCC\n",
+    ),
+    "amam_3d": (
+        # the parity construction meets the ceiling: no search, the hunt finds the witness
+        lambda: solve(_word("AMAM"), 4, 3),
+        (True, 52, 52, None, 0, 0, 0),
+        "optimum 52\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=3 n=4 sigma=AM\nAMAM\nMAMA\nAMAM\nMAMA\nMAMA\nAMAM\nMAMA\nAMAM\n"
+        "AMAM\nMAMA\nAMAM\nMAMA\nMAMA\nAMAM\nMAMA\nAMAM\n",
     ),
     "aaamm_plane": (
         lambda: solve(_word("AAAMM"), 5, 2),
