@@ -157,6 +157,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.stats:
         s = result.stats
         print(f"nodes {s.nodes}")
+        print(f"bound_prunes {s.bound_prunes}")
+        print(f"symmetry_prunes {s.symmetry_prunes}")
         print(f"elapsed {s.elapsed:.3f}s")
     return 0 if result.complete else 3
 

@@ -20,20 +20,26 @@ the beam seed, or for `solve` the best construction when that grid uses only
 the search letters and reaches more lines. When that seed already meets the
 proven ceiling (`upper_bound_2d` at d = 2, `upper_bound_d` otherwise), the
 optimum is known, and without witness enumeration the branch-and-bound is
-skipped; only the witness hunt runs. A seed is a claim until a leaf backs it:
-a complete result whose optimum no leaf reaches raises instead of returning
-no witness.
+skipped. A seed is a claim until a recount backs it: every witness is
+recounted, so a seed no grid reaches raises instead of returning a wrong
+witness.
 
-The tree is split into prefix tasks, and the tasks run one after another in
-branch order against one search state, so the outputs and the node and prune
-tallies are deterministic. `SolveConfig.workers` is validated but has no
-effect. Witness enumeration prunes strictly (bound < incumbent), which can
-never cut a subtree containing an optimal leaf.
+One depth-first search from the root visits the tree in branch order, so
+the outputs and the node and prune tallies are deterministic.
+`SolveConfig.workers` is validated but has no effect. Every node counts
+against the node budget, and the search stops at the first node past it.
+Without enumeration the search prunes ties with the incumbent, so when no
+leaf reached the seed's value (the seed held the optimum, or the search was
+skipped) the same search runs a second time, pruning strictly (bound <
+incumbent, which can never cut a subtree holding an optimal leaf) and
+stopping at the first leaf: the first optimal leaf in branch order. Both
+passes share the budgets and the tallies. Witness enumeration prunes
+strictly too.
 """
 
 from __future__ import annotations
 
-import itertools
+import sys
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -51,8 +57,7 @@ SET_CELL_CAP = 25
 ORACLE_STATE_CAP = 2**28
 BEAM_WIDTH = 64
 SYMMETRY_DEPTH = 12
-MIN_TASKS = 8
-BUDGET_CHECK_MASK = 0xFFF
+CLOCK_CHECK_MASK = 0xFFF
 COLLECT_TRIM = 200_000
 
 
@@ -60,8 +65,10 @@ COLLECT_TRIM = 200_000
 class SolveConfig:
     """Search knobs; defaults give an exact run.
 
-    `workers` must be at least 1 and has no effect: every solve is one
-    sequential search."""
+    A node budget is exact: a search stopped by it has visited
+    `node_budget + 1` nodes. The time budget runs from the beam seed on and
+    is checked every CLOCK_CHECK_MASK + 1 nodes. `workers` must be at
+    least 1 and has no effect: every solve is one sequential search."""
 
     node_budget: int | None = None
     time_budget: float | None = None
@@ -82,9 +89,9 @@ class SolveConfig:
 class SolveStats:
     """Tallies of one solve.
 
-    `nodes` and the two prune counts count the branch-and-bound search, not
-    the witness hunt, and read 0 when the seed met the proven ceiling and
-    the search was skipped. `elapsed` covers the beam seed and the search."""
+    `nodes` and the two prune counts, and `elapsed` with them, cover every
+    pass: the branch-and-bound search and the witness pass that looks up the
+    first optimal leaf. `elapsed` also covers the beam seed."""
 
     nodes: int
     bound_prunes: int
@@ -181,7 +188,7 @@ class _Problem:
 
 
 class _Search:
-    """State one search carries across its task list.
+    """State the passes of one solve share.
 
     It holds the incumbent, the budgets and the stop flag, the tallies, the
     best leaf (the first in branch order at the highest value reached), the
@@ -189,11 +196,10 @@ class _Search:
     With `strict`, ties with the incumbent are searched; with `first`, the
     search stops at the first leaf it reaches."""
 
-    def __init__(self, incumbent: int, strict: bool, collect: bool = False,
-                 node_budget: int | None = None, deadline: float | None = None,
-                 first: bool = False):
+    def __init__(self, incumbent: int, strict: bool, collect: bool,
+                 node_budget: int | None, deadline: float | None):
         self.incumbent = incumbent
-        self.strict, self.collect, self.first = strict, collect, first
+        self.strict, self.collect, self.first = strict, collect, False
         self.node_budget = node_budget
         self.deadline = deadline
         self.stopped = False
@@ -202,15 +208,6 @@ class _Search:
         self.best_leaf: bytes | None = None
         self.collected: list[tuple[int, bytes]] = []
         self.open_bound = -1
-
-    def charge(self, nodes: int) -> bool:
-        """Account a node batch; returns True when the search must stop."""
-        self.nodes += nodes
-        if self.node_budget is not None and self.nodes > self.node_budget:
-            self.stopped = True
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            self.stopped = True
-        return self.stopped
 
 
 def _search_letters(words: Sequence[Word]) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
@@ -268,18 +265,19 @@ def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
     return best[0], bytes(best[2])
 
 
-def _run_task(problem: _Problem, prefix: tuple[int, ...], state: _Search) -> None:
-    """Depth-first search below one prefix of the branch order, into `state`.
+def _dfs(problem: _Problem, state: _Search) -> None:
+    """Depth-first search from the root in branch order, into `state`.
 
-    The task counts its own nodes and charges them to the state every
-    BUDGET_CHECK_MASK + 1 nodes and once at its end; budgets stop at those
-    points only."""
+    Each node is counted and tested against the node budget; the clock is
+    read every CLOCK_CHECK_MASK + 1 nodes."""
     L, A, N = problem.L, problem.A, problem.N
     masks, shifts = problem.masks, problem.shifts
     gmaps = problem.gmaps
     strict = state.strict
-    s: list[int] = list(prefix)
-    counter = [0]
+    budget = state.node_budget if state.node_budget is not None else sys.maxsize
+    deadline = state.deadline
+    s: list[int] = []
+    nodes = state.nodes
 
     def leaf(value: int) -> None:
         if state.first:
@@ -298,14 +296,16 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], state: _Search) -> Non
             state.best_leaf = blob
 
     def dfs(q: int, bads: int, bound: int) -> None:
+        nonlocal nodes
         if state.stopped:
             state.open_bound = max(state.open_bound, bound)
             return
-        counter[0] += 1
-        if counter[0] & BUDGET_CHECK_MASK == 0:
-            if state.charge(BUDGET_CHECK_MASK + 1):
-                state.open_bound = max(state.open_bound, bound)
-                return
+        nodes += 1
+        if nodes > budget or (nodes & CLOCK_CHECK_MASK == 0 and deadline is not None
+                              and time.monotonic() > deadline):
+            state.stopped = True
+            state.open_bound = max(state.open_bound, bound)
+            return
         if 2 <= q <= SYMMETRY_DEPTH and not _lex_leader(gmaps, s, q):
             state.symmetry_prunes += 1
             return
@@ -328,31 +328,8 @@ def _run_task(problem: _Problem, prefix: tuple[int, ...], state: _Search) -> Non
             s.pop()
             inc = state.incumbent
 
-    bads, bound = 0, L
-    for depth, a in enumerate(prefix):
-        bads, bound = _step(problem, bads, masks[depth][a])
-    dfs(len(prefix), bads, bound)
-    state.charge(counter[0] & BUDGET_CHECK_MASK)
-
-
-def _hunt_witness(problem: _Problem, target: int) -> bytes | None:
-    """First leaf in branch order achieving the target; sequential, deterministic.
-
-    Strict pruning against a fixed incumbent equal to the target cuts exactly
-    the subtrees with fewer than `target` live lines."""
-    state = _Search(incumbent=target, strict=True, first=True)
-    _run_task(problem, (), state)
-    return state.best_leaf
-
-
-def _task_prefixes(problem: _Problem) -> list[tuple[int, ...]]:
-    """Prefixes splitting the tree into tasks, in branch order."""
-    A, N = problem.A, problem.N
-    depth = 0
-    while A**depth < MIN_TASKS and depth < N and depth < 4:
-        depth += 1
-    return [prefix for prefix in itertools.product(range(A), repeat=depth)
-            if not 2 <= depth <= SYMMETRY_DEPTH or _lex_leader(problem.gmaps, prefix, depth)]
+    dfs(0, 0, L)
+    state.nodes = nodes
 
 
 def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:
@@ -376,13 +353,12 @@ def _leaf_of(problem: _Problem, grid: Grid) -> bytes | None:
     return bytes(to_search[cells[c]] for c in problem.order)
 
 
-def _assemble(problem: _Problem, state: _Search, seed_leaf: bytes,
+def _assemble(problem: _Problem, state: _Search, complete: bool, seed_leaf: bytes,
               enumerate_witnesses: bool, ceiling: int | None, elapsed: float,
               verify) -> SolveResult:
     stats = SolveStats(nodes=state.nodes, bound_prunes=state.bound_prunes,
                        symmetry_prunes=state.symmetry_prunes, elapsed=elapsed)
     lower = state.incumbent
-    complete = not state.stopped
     upper = lower if complete else max(lower, state.open_bound)
     if ceiling is not None:
         if ceiling < lower:
@@ -400,16 +376,8 @@ def _assemble(problem: _Problem, state: _Search, seed_leaf: bytes,
         witnesses = tuple(grid_of(c) for c in sorted(forms))
         classes: int | None = len(witnesses)
     else:
-        # Without enumeration the search prunes ties, so its best leaf is the
-        # first optimal leaf in branch order unless the seed already held the
-        # optimum; only then does a complete run hunt for that leaf.
-        if state.best_value == lower:
-            blob = state.best_leaf
-        elif complete:
-            blob = _hunt_witness(problem, lower)
-        else:
-            blob = seed_leaf
-        witnesses = (grid_of(_canonical_cells(blob, problem)),) if blob is not None else ()
+        blob = state.best_leaf if state.best_value == lower else seed_leaf
+        witnesses = (grid_of(_canonical_cells(blob, problem)),)
         classes = None
 
     if not witnesses:
@@ -436,7 +404,8 @@ def _solve_rows(problem: _Problem, cfg: SolveConfig, verify,
                 seed: ConstructionResult | None = None,
                 ceiling: int | None = None) -> SolveResult:
     """Search from the better of the beam seed and `seed`; skip the search
-    when that start meets `ceiling` and no witnesses are enumerated."""
+    when that start meets `ceiling` and no witnesses are enumerated, then run
+    the witness pass when no leaf reached the start's value."""
     start = time.monotonic()
     incumbent, seed_leaf = _beam_seed(problem)
     if seed is not None and seed.achieved > incumbent:
@@ -449,11 +418,16 @@ def _solve_rows(problem: _Problem, cfg: SolveConfig, verify,
                     collect=cfg.enumerate_witnesses, node_budget=cfg.node_budget,
                     deadline=deadline)
     if cfg.enumerate_witnesses or ceiling is None or incumbent < ceiling:
-        for prefix in _task_prefixes(problem):
-            _run_task(problem, prefix, state)
+        _dfs(problem, state)
+    complete = not state.stopped
+    if complete and not cfg.enumerate_witnesses and state.best_value < state.incumbent:
+        # No leaf reached the seed's value; find the first leaf that does.
+        # A budget may cut this pass, and then the seed leaf is the witness.
+        state.strict = state.first = True
+        _dfs(problem, state)
     elapsed = time.monotonic() - start
-    return _assemble(problem, state, seed_leaf, cfg.enumerate_witnesses, ceiling,
-                     elapsed, verify)
+    return _assemble(problem, state, complete, seed_leaf, cfg.enumerate_witnesses,
+                     ceiling, elapsed, verify)
 
 
 def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveResult:
@@ -462,9 +436,10 @@ def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveRes
     The search starts from `best_construction(w, d)` (d >= 2) when that grid
     uses only the letters of w and beats the beam seed. When the start
     already meets the proven ceiling (`upper_bound_2d` at d = 2,
-    `upper_bound_d` otherwise), the optimum is reported without a search,
-    unless witnesses are enumerated; the witness still comes from a leaf.
-    An incomplete result reports no upper end above the ceiling."""
+    `upper_bound_d` otherwise), the optimum is reported without the
+    branch-and-bound, unless witnesses are enumerated; the witness pass
+    still looks up the first optimal leaf, and the start grid is the witness
+    only when a budget cuts that pass. An incomplete result reports no upper end above the ceiling."""
     problem = _compile([w], n, d, cfg, DEFAULT_CELL_CAP)
     seed = best_construction(w, d) if d >= 2 else None
     ceiling = upper_bound_2d(w).upper if d == 2 else upper_bound_d(w, d)

@@ -1,5 +1,6 @@
 """CLI: golden output, exit codes, and WG1 round-trips through files."""
 
+import re
 import shlex
 from pathlib import Path
 
@@ -158,6 +159,16 @@ def test_solve_budget_exhaustion_exits_3(capsys):
     code, out, _ = run(capsys, "solve", "--word", "AAMMM", "--node-budget", "3")
     assert code == 3
     assert out.startswith("interval ")
+
+
+def test_solve_stats_prints_tallies_after_the_result(capsys):
+    code, out, _ = run(capsys, "solve", "--word", "AMM", "--stats")
+    assert code == 0
+    text = "optimum 5\nclasses unknown\nwitnesses 1\nWG1 d=2 n=3 sigma=AM\nAAA\nAMM\nAMM\n"
+    assert out.startswith(text)
+    tail = out[len(text):].splitlines()
+    assert tail[:3] == ["nodes 30", "bound_prunes 19", "symmetry_prunes 3"]
+    assert len(tail) == 4 and re.fullmatch(r"elapsed \d+\.\d{3}s", tail[3])
 
 
 def test_solve_word_set(capsys):

@@ -11,8 +11,8 @@ from wordgrid.constructions import ConstructionResult, best_construction
 from wordgrid.core import Alphabet, Grid, Word
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
-from wordgrid.solver import (SolveConfig, _canonical_cells, _hunt_witness, _Problem,
-                             _search_letters, _step, solve, solve_oracle, solve_set)
+from wordgrid.solver import (SolveConfig, _canonical_cells, _Problem, _search_letters, _step,
+                             solve, solve_oracle, solve_set)
 
 BINARY = Alphabet(("A", "M"))
 
@@ -158,29 +158,52 @@ def _small_words():
     yield from (("ABC", 3, 3), ("AAB", 3, 3), ("AMM", 3, 3))
 
 
+def _first_leaf_reaching(problem, target):
+    """First leaf in branch order with at least `target` live lines, by a
+    plain recursive search with no symmetry and no incumbent."""
+    def walk(depth, bads, live, prefix):
+        if live < target:
+            return None
+        if depth == problem.N:
+            return bytes(prefix)
+        for a in range(problem.A):
+            found = walk(depth + 1, *_step(problem, bads, problem.masks[depth][a]), prefix + [a])
+            if found is not None:
+                return found
+        return None
+    return walk(0, 0, problem.L, [])
+
+
 def test_witness_is_first_optimal_leaf_in_branch_order():
-    # the witness a complete solve returns, from its own best leaf or from the
-    # hunt, is the canonical form of the first optimal leaf in branch order
+    # the witness a complete solve returns, from its search or from the
+    # witness pass, is the canonical form of the first optimal leaf in branch
+    # order; the symmetry check only cuts leaves with a smaller image
     for text, n, d in _small_words():
         w = Word.from_string(text)
         r = solve(w, n, d)
         letters, rows = _search_letters([w])
-        problem = _Problem(rows, letters, n, d, symmetry=True)
-        want = _canonical_cells(_hunt_witness(problem, r.lower), problem)
+        problem = _Problem(rows, letters, n, d, symmetry=False)
+        want = _canonical_cells(_first_leaf_reaching(problem, r.lower), problem)
         assert r.complete and r.witnesses[0].cells == want, (text, n, d)
 
 
-@pytest.mark.parametrize("text, n, d, hunts", [("ABC", 3, 3, 0), ("AAAMM", 5, 2, 1)])
-def test_hunt_only_when_beam_held_the_optimum(monkeypatch, text, n, d, hunts):
+@pytest.mark.parametrize("text, n, d, passes", [
+    ("ABC", 3, 3, 1), ("AAAMM", 5, 2, 2), ("AMAM", 4, 3, 1),
+])
+def test_witness_pass_only_when_no_leaf_reached_the_seed(monkeypatch, text, n, d, passes):
+    # ABC 3^3 beats its beam seed in the search; AAAMM 5^2's beam seed holds
+    # the optimum, so the search prunes every tie and a second pass finds the
+    # leaf; AMAM 4^3's seed meets the ceiling, so the witness pass is the only one
     calls = []
+    dfs = solver_mod._dfs
 
-    def counting(problem, target):
-        calls.append(target)
-        return _hunt_witness(problem, target)
+    def counting(problem, state):
+        calls.append(state.first)
+        dfs(problem, state)
 
-    monkeypatch.setattr(solver_mod, "_hunt_witness", counting)
+    monkeypatch.setattr(solver_mod, "_dfs", counting)
     solve(Word.from_string(text), n, d)
-    assert len(calls) == hunts
+    assert len(calls) == passes
 
 
 # ---------------------------------------------------------------- budgets
@@ -212,12 +235,21 @@ def test_budgeted_upper_within_proven_ceiling(text, budget, head):
     assert b.lower <= r.lower <= r.upper <= b.upper
 
 
-def test_seed_at_ceiling_ignores_the_budget():
-    # the parity construction reaches the ceiling 52, so no search runs and
-    # the budget never binds; from the beam seed this read interval 46 52
-    r = solve(Word.from_string("AMAM"), 4, 3, SolveConfig(node_budget=1000))
+def test_budget_binds_on_the_witness_pass():
+    # the parity construction reaches the ceiling 52, so the branch-and-bound
+    # is skipped; the budget cuts the witness pass, and the seed is the witness
+    w = Word.from_string("AMAM")
+    r = solve(w, 4, 3, SolveConfig(node_budget=1000))
     assert r.canonical_text().startswith("optimum 52\n")
-    assert r.stats.nodes == 0
+    assert r.stats.nodes == 1001
+    assert count_word(w, r.witnesses[0]).total == 52
+
+
+@pytest.mark.parametrize("budget", [1, 3, 4096, 5000])
+def test_node_budget_is_exact(budget):
+    r = solve(Word.from_string("AMMA"), 4, 3, SolveConfig(node_budget=budget))
+    assert not r.complete
+    assert r.stats.nodes == budget + 1
 
 
 def test_config_validation():
@@ -311,13 +343,13 @@ def _word(text):
 
 # Exact output and search tallies. Node and prune counts are deterministic
 # and do not depend on workers, so any change to the branch order, the bound,
-# the symmetry check, the task split or the seed shows up here. Each entry
+# the symmetry check, the seed or the witness pass shows up here. Each entry
 # holds the run, (complete, lower, upper, classes, nodes, bound prunes,
 # symmetry prunes) and the canonical text.
 PINNED = {
     "amm_3d_enumerate": (
         lambda: solve(_word("AMM"), 3, 3, SolveConfig(enumerate_witnesses=True)),
-        (True, 28, 28, 3, 31707, 31561, 73),
+        (True, 28, 28, 3, 31716, 31561, 75),
         "optimum 28\nclasses 3\nwitnesses 3\n"
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMA\nMAM\nMAM\nAMM\nMMA\n"
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMM\nMMA\nAMM\nMMA\nMAM\n"
@@ -325,39 +357,39 @@ PINNED = {
     ),
     "abc_3d": (
         lambda: solve(_word("ABC"), 3, 3),
-        (True, 25, 25, None, 118001, 234406, 534),
+        (True, 25, 25, None, 118005, 234406, 534),
         "optimum 25\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=3 sigma=ABC\nAAA\nAAA\nAAA\nABA\nBBB\nCBC\nCCC\nCCC\nCCC\n",
     ),
     "amam_3d": (
-        # the parity construction meets the ceiling: no search, the hunt finds the witness
+        # the parity construction meets the ceiling: only the witness pass runs
         lambda: solve(_word("AMAM"), 4, 3),
-        (True, 52, 52, None, 0, 0, 0),
+        (True, 52, 52, None, 20697, 20526, 81),
         "optimum 52\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=4 sigma=AM\nAMAM\nMAMA\nAMAM\nMAMA\nMAMA\nAMAM\nMAMA\nAMAM\n"
         "AMAM\nMAMA\nAMAM\nMAMA\nMAMA\nAMAM\nMAMA\nAMAM\n",
     ),
     "aaamm_plane": (
         lambda: solve(_word("AAAMM"), 5, 2),
-        (True, 8, 8, None, 86, 76, 8),
+        (True, 8, 8, None, 229, 179, 18),
         "optimum 8\nclasses unknown\nwitnesses 1\n"
         "WG1 d=2 n=5 sigma=AM\nAAAMM\nAAAMM\nAAAAA\nMMAAA\nMMAAA\n",
     ),
     "abc_plane": (
         lambda: solve(_word("ABC"), 3, 2),
-        (True, 5, 5, None, 21, 42, 3),
+        (True, 5, 5, None, 36, 49, 5),
         "optimum 5\nclasses unknown\nwitnesses 1\n"
         "WG1 d=2 n=3 sigma=ABC\nAAA\nBBB\nCCC\n",
     ),
     "ama_palindrome_enumerate": (
         lambda: solve(_word("AMA"), 3, 2, SolveConfig(enumerate_witnesses=True)),
-        (True, 6, 6, 1, 17, 19, 1),
+        (True, 6, 6, 1, 15, 12, 1),
         "optimum 6\nclasses 1\nwitnesses 1\n"
         "WG1 d=2 n=3 sigma=AM\nAMA\nMMM\nAMA\n",
     ),
     "amm_plane_no_symmetry": (
         lambda: solve(_word("AMM"), 3, 2, SolveConfig(enumerate_witnesses=True, symmetry=False)),
-        (True, 5, 5, 6, 168, 112, 0),
+        (True, 5, 5, 6, 168, 105, 0),
         "optimum 5\nclasses 6\nwitnesses 6\n"
         "WG1 d=2 n=3 sigma=AM\nAAA\nAMM\nAMM\n"
         "WG1 d=2 n=3 sigma=AM\nAAA\nAMM\nMMM\n"
@@ -368,13 +400,13 @@ PINNED = {
     ),
     "set_abcd_abdc": (
         lambda: solve_set([_word("ABCD"), _word("ABDC")], 4, 2),
-        (True, 6, 6, None, 789, 1945, 106),
+        (True, 6, 6, None, 799, 1942, 112),
         "optimum 6\nclasses unknown\nwitnesses 1\n"
         "WG1 d=2 n=4 sigma=ABCD\nAAAA\nBBBB\nCCCC\nDDDD\n",
     ),
     "aammm_node_budget": (
         lambda: solve(_word("AAMMM"), 5, 2, SolveConfig(node_budget=3)),
-        (False, 8, 10, None, 16, 18, 1),
+        (False, 8, 10, None, 4, 1, 0),
         "interval 8 10\nclasses unknown\nwitnesses 1\n"
         "WG1 d=2 n=5 sigma=AM\nAAMMM\nAAMMM\nMMAMM\nMMMAA\nMMMAA\n",
     ),
