@@ -65,10 +65,10 @@ COLLECT_TRIM = 200_000
 class SolveConfig:
     """Search knobs; defaults give an exact run.
 
-    A node budget is exact: a search stopped by it has visited
-    `node_budget + 1` nodes. The time budget runs from the beam seed on and
-    is checked every CLOCK_CHECK_MASK + 1 nodes. `workers` must be at
-    least 1 and has no effect: every solve is one sequential search."""
+    A node budget is exact: a search stopped by it has visited `node_budget + 1`
+    nodes. The time budget runs from entry to `solve` or `solve_set`, setup
+    included, and is checked every CLOCK_CHECK_MASK + 1 nodes. `workers` must
+    be at least 1 and has no effect: every solve is one sequential search."""
 
     node_budget: int | None = None
     time_budget: float | None = None
@@ -91,7 +91,8 @@ class SolveStats:
 
     `nodes` and the two prune counts, and `elapsed` with them, cover every
     pass: the branch-and-bound search and the witness pass that looks up the
-    first optimal leaf. `elapsed` also covers the beam seed."""
+    first optimal leaf. `elapsed` runs from entry to `solve` or `solve_set`,
+    so it also covers compilation and both seeds, the construction and the beam."""
 
     nodes: int
     bound_prunes: int
@@ -141,10 +142,8 @@ class _Problem:
                  n: int, d: int, symmetry: bool):
         self.n, self.d = n, d
         self.letters = letters
-        A = len(letters)
-        self.A = A
-        N = n**d
-        self.N = N
+        self.A = A = len(letters)
+        self.N = N = n**d
         line_cells = segment_table(n, d, n)[0].tolist()
         self.L = len(line_cells)
 
@@ -157,9 +156,7 @@ class _Problem:
 
         incident = np.bincount(np.ravel(line_cells), minlength=N).tolist()
         self.order = sorted(range(N), key=lambda c: (-incident[c], c))
-        pos_of = [0] * N
-        for i, c in enumerate(self.order):
-            pos_of[c] = i
+        pos_of = np.argsort(self.order)  # depth of each cell
 
         # masks[depth][a]: bit p*L + li is set when letter a at the cell
         # branched on at that depth contradicts line li's probe-p reading
@@ -174,17 +171,13 @@ class _Problem:
                             at_depth[a] |= bit
         self.masks = masks
 
-        self.gmaps: tuple[tuple[int, ...], ...] = ()
+        # gmaps[k][i]: depth of the k-th non-identity image of depth i's cell. `_lex_leader`
+        # reads only the first SYMMETRY_DEPTH depths, so maps equal there are kept once, in order.
+        self.gmaps: list[list[int]] = []
         if symmetry:
-            tables = symmetry_cell_tables(n, d)
-            seen = set()
-            gmaps = []
-            for tg in tables[1:]:
-                gm = tuple(pos_of[tg[self.order[i]]] for i in range(N))
-                if gm not in seen:
-                    seen.add(gm)
-                    gmaps.append(gm)
-            self.gmaps = tuple(gmaps)
+            gmaps = pos_of[symmetry_cell_tables(n, d)[1:, self.order[:SYMMETRY_DEPTH]]]
+            first = np.unique(gmaps, axis=0, return_index=True)[1]
+            self.gmaps = gmaps[np.sort(first)].tolist()
 
 
 class _Search:
@@ -234,7 +227,7 @@ def _step(problem: _Problem, bads: int, m: int) -> tuple[int, int]:
     return c, problem.L - dead.bit_count()
 
 
-def _lex_leader(gmaps: Sequence[tuple[int, ...]], s: Sequence[int], q: int) -> bool:
+def _lex_leader(gmaps: Sequence[Sequence[int]], s: Sequence[int], q: int) -> bool:
     """False when some symmetry maps the assigned prefix s[:q] below itself."""
     for gm in gmaps:
         for i in range(q):
@@ -334,12 +327,9 @@ def _dfs(problem: _Problem, state: _Search) -> None:
 
 def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:
     """Lexicographically minimal cell array over the symmetry group."""
-    N = problem.N
-    cells = bytearray(N)
-    for depth, a in enumerate(blob):
-        cells[problem.order[depth]] = a
-    tables = symmetry_cell_tables(problem.n, problem.d)
-    return min(bytes(cells[tg[c]] for c in range(N)) for tg in tables)
+    cells = np.empty(problem.N, dtype=np.uint8)
+    cells[problem.order] = np.frombuffer(blob, dtype=np.uint8)
+    return min(map(bytes, cells[symmetry_cell_tables(problem.n, problem.d)]))
 
 
 def _leaf_of(problem: _Problem, grid: Grid) -> bytes | None:
@@ -400,13 +390,12 @@ def _compile(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
     return _Problem(rows, letters, n, d, symmetry=cfg.symmetry)
 
 
-def _solve_rows(problem: _Problem, cfg: SolveConfig, verify,
+def _solve_rows(problem: _Problem, cfg: SolveConfig, verify, start: float,
                 seed: ConstructionResult | None = None,
                 ceiling: int | None = None) -> SolveResult:
     """Search from the better of the beam seed and `seed`; skip the search
     when that start meets `ceiling` and no witnesses are enumerated, then run
-    the witness pass when no leaf reached the start's value."""
-    start = time.monotonic()
+    the witness pass when no leaf reached the start's value. The clock runs from `start`."""
     incumbent, seed_leaf = _beam_seed(problem)
     if seed is not None and seed.achieved > incumbent:
         leaf = _leaf_of(problem, seed.grid)
@@ -440,10 +429,11 @@ def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveRes
     branch-and-bound, unless witnesses are enumerated; the witness pass
     still looks up the first optimal leaf, and the start grid is the witness
     only when a budget cuts that pass. An incomplete result reports no upper end above the ceiling."""
+    start = time.monotonic()
     problem = _compile([w], n, d, cfg, DEFAULT_CELL_CAP)
     seed = best_construction(w, d) if d >= 2 else None
     ceiling = upper_bound_2d(w).upper if d == 2 else upper_bound_d(w, d)
-    return _solve_rows(problem, cfg, lambda g: count_word(w, g).total, seed, ceiling)
+    return _solve_rows(problem, cfg, lambda g: count_word(w, g).total, start, seed, ceiling)
 
 
 def solve_set(words: Sequence[Word], n: int, d: int,
@@ -451,11 +441,12 @@ def solve_set(words: Sequence[Word], n: int, d: int,
     """Maximize f(W, G). The single-word letter reduction does not carry over
     to sets, so the search alphabet is the union of all word letters and the
     cell cap is tighter."""
+    start = time.monotonic()
     word_list = list(words)
     if not word_list:
         raise ValueError("word set must be nonempty")
     problem = _compile(word_list, n, d, cfg, SET_CELL_CAP)
-    return _solve_rows(problem, cfg, lambda g: count_word_set(word_list, g).total)
+    return _solve_rows(problem, cfg, lambda g: count_word_set(word_list, g).total, start)
 
 
 def solve_oracle(w: Word, n: int, d: int) -> int:

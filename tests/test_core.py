@@ -1,8 +1,10 @@
 """Tests for core types: indexing, word stats, symmetries, and the WG1 codec."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from wordgrid.core import (
@@ -19,6 +21,7 @@ from wordgrid.core import (
     parse_grid,
     point_index,
     serialize_grid,
+    symmetry_cell_tables,
     word_stats,
 )
 
@@ -186,6 +189,31 @@ def test_symmetry_inverse_and_identity():
             assert s.compose(s.inverse()) == ident
             assert s.inverse().compose(s) == ident
             assert s.compose(ident) == s
+
+
+def _reference_tables(n, d):
+    """Each group element's flat cell map, one point at a time."""
+    pts = list(all_points(n, d))
+    return [[point_index(g.apply_point(p, n), n, d) for p in pts] for g in all_symmetries(d)]
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (4, 2), (5, 2), (3, 3), (4, 3),
+                                  (3, 4), (2, 5), (3, 5), (2, 6)])
+def test_symmetry_cell_tables_match_reference(n, d):
+    tables = symmetry_cell_tables(n, d)
+    assert tables.dtype == np.int32 and not tables.flags.writeable
+    assert tables.shape == (2**d * math.factorial(d), n**d)
+    assert tables.tolist() == _reference_tables(n, d)
+
+
+@pytest.mark.parametrize("n, d", [(3, 3), (2, 4)])
+def test_apply_symmetry_matches_per_point_reference(n, d):
+    rng = random.Random(n * 10 + d)
+    cells = bytes(rng.randrange(3) for _ in range(n**d))
+    g = Grid(n=n, d=d, alphabet=Alphabet(tuple("ABC")), cells=cells)
+    for s in all_symmetries(d):
+        want = bytes(cells[point_index(s.apply_point(p, n), n, d)] for p in all_points(n, d))
+        assert apply_symmetry(g, s).cells == want, s
 
 
 def test_apply_symmetry_rejects_procedural():

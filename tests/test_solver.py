@@ -2,13 +2,14 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 import wordgrid.solver as solver_mod
 from wordgrid.bounds import bracket
 from wordgrid.constructions import ConstructionResult, best_construction
-from wordgrid.core import Alphabet, Grid, Word
+from wordgrid.core import Alphabet, Grid, Word, all_points, all_symmetries, point_index
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
 from wordgrid.solver import (SolveConfig, _canonical_cells, _Problem, _search_letters, _step,
@@ -187,6 +188,23 @@ def test_witness_is_first_optimal_leaf_in_branch_order():
         assert r.complete and r.witnesses[0].cells == want, (text, n, d)
 
 
+@pytest.mark.parametrize("text, n, d", [("AMM", 3, 3), ("AM", 2, 5)])
+def test_canonical_cells_is_least_image(text, n, d):
+    # the least image over the group, each element's cell map built point by point
+    letters, rows = _search_letters([Word.from_string(text)])
+    problem = _Problem(rows, letters, n, d, symmetry=True)
+    tables = [[point_index(g.apply_point(p, n), n, d) for p in all_points(n, d)]
+              for g in all_symmetries(d)]
+    rng = random.Random(n * 10 + d)
+    for _ in range(5):
+        blob = bytes(rng.randrange(problem.A) for _ in range(problem.N))
+        cells = bytearray(problem.N)
+        for depth, a in enumerate(blob):
+            cells[problem.order[depth]] = a
+        want = min(bytes(cells[c] for c in table) for table in tables)
+        assert _canonical_cells(blob, problem) == want
+
+
 @pytest.mark.parametrize("text, n, d, passes", [
     ("ABC", 3, 3, 1), ("AAAMM", 5, 2, 2), ("AMAM", 4, 3, 1),
 ])
@@ -250,6 +268,20 @@ def test_node_budget_is_exact(budget):
     r = solve(Word.from_string("AMMA"), 4, 3, SolveConfig(node_budget=budget))
     assert not r.complete
     assert r.stats.nodes == budget + 1
+
+
+def test_elapsed_covers_compile(monkeypatch):
+    # the solve clock starts on entry, so compilation is part of `elapsed`
+    compile_ = solver_mod._compile
+
+    def slow_compile(*args):
+        time.sleep(0.3)
+        return compile_(*args)
+
+    monkeypatch.setattr(solver_mod, "_compile", slow_compile)
+    r = solve(Word.from_string("AMM"), 3, 2)
+    assert r.optimum == 5
+    assert r.stats.elapsed >= 0.3
 
 
 def test_config_validation():
