@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_grid(path: str) -> Grid:
-    return parse_grid(Path(path).read_text())
+    return parse_grid(Path(path).read_text(encoding="utf-8"))
 
 
 def _emit(header: list[str], grid: Grid, out: str | None) -> None:
@@ -50,7 +50,7 @@ def _emit(header: list[str], grid: Grid, out: str | None) -> None:
     for line in header:
         print(line)
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 

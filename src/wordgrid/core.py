@@ -9,6 +9,7 @@ operation is pure.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -394,26 +395,53 @@ WG1_MAGIC = "WG1"
 
 
 def serialize_grid(grid: Grid) -> str:
-    """Canonical WG1 text: header plus n^{d-1} data lines, newline separated."""
-    if not grid.dense:
+    """Canonical WG1 text: header plus n^{d-1} data lines, newline separated.
+
+    The body is built in one vectorized pass: the cells, as rows of n, go to
+    their letters' code points in an (n^{d-1}, n+1) array whose last column
+    is the newline, and that array is decoded once as UTF-32. The text equals
+    the header and `grid.rows()` joined by newlines, with a final newline.
+    """
+    if grid.cells is None:
         raise ValueError("only dense grids serialize to WG1")
     sigma = "".join(grid.alphabet.letters)
-    lines = [f"{WG1_MAGIC} d={grid.d} n={grid.n} sigma={sigma}"]
-    lines.extend(grid.rows())
-    return "\n".join(lines) + "\n"
+    n = grid.n
+    codes = np.array([ord(ch) for ch in sigma], dtype="<u4")
+    body = np.empty((len(grid.cells) // n, n + 1), dtype="<u4")
+    body[:, :n] = codes[np.frombuffer(grid.cells, dtype=np.uint8).reshape(-1, n)]
+    body[:, n] = ord("\n")
+    return f"{WG1_MAGIC} d={grid.d} n={n} sigma={sigma}\n" + body.tobytes().decode("utf-32-le")
+
+
+def _power_text(n: int, e: int) -> str:
+    """n^e in decimal, or as `n^e` when it has more than 4,300 digits (CPython's
+    default limit for int-to-str conversion), so it is never computed."""
+    if n > 1 and e * math.log10(n) >= 4300:
+        return f"{n}^{e}"
+    return str(n**e)
 
 
 def parse_grid(text: str) -> Grid:
-    """Parse a WG1 document; inverse of serialize_grid on dense grids."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    pos = 0
-    while pos < len(lines) and lines[pos].startswith("#"):
+    """Parse a WG1 document; inverse of serialize_grid on dense grids.
+
+    Only the comment and header lines are walked one by one. The data lines
+    are counted with one `str.count`, so a header whose n^{d-1} runs past the
+    document is refused without computing it. Row widths, newline positions
+    and letters are then checked in one vectorized pass over the body's code
+    points, with a lookup table from code point to letter index. On any
+    mismatch a line walk finds the first bad line and raises its error; it
+    never returns a grid.
+    """
+    pos = start = 0  # line number and offset of the line being read, 0-based
+    while text.startswith("#", start):
+        nl = text.find("\n", start)
+        start = len(text) if nl < 0 else nl + 1
         pos += 1
-    if pos >= len(lines):
+    if start >= len(text):
         raise GridFormatError(f"line {pos + 1}: missing WG1 header")
-    header = lines[pos]
+    nl = text.find("\n", start)
+    header = text[start:] if nl < 0 else text[start:nl]
+    body = "" if nl < 0 else text[nl + 1 :]
     parts = header.split()
     if len(parts) != 4 or parts[0] != WG1_MAGIC:
         raise GridFormatError(f"line {pos + 1}: bad header {header!r}")
@@ -433,21 +461,30 @@ def parse_grid(text: str) -> Grid:
         alphabet = Alphabet(tuple(sigma))
     except ValueError as exc:
         raise GridFormatError(f"line {pos + 1}: {exc}") from None
-    data_lines = lines[pos + 1 :]
-    expected_lines = n ** (d - 1)
-    if len(data_lines) != expected_lines:
+    if body and not body.endswith("\n"):
+        body += "\n"
+    found = body.count("\n")
+    # n^(d-1) > found once d-1 reaches found's bit length, so larger powers are never built
+    if (n > 1 and d - 1 >= found.bit_length()) or n ** (d - 1) != found:
         raise GridFormatError(
-            f"line {pos + 1 + len(data_lines) + 1}: expected {n ** d} cells "
-            f"({expected_lines} lines of {n}), got {len(data_lines)} lines"
+            f"line {pos + 2 + found}: expected {_power_text(n, d)} cells "
+            f"({_power_text(n, d - 1)} lines of {n}), got {found} lines"
         )
-    body = "".join(data_lines)
-    if any(len(row) != n for row in data_lines) or not set(body) <= set(sigma):
-        for off, row in enumerate(data_lines):  # report the first bad line
-            lineno = pos + 2 + off
-            if len(row) != n:
-                raise GridFormatError(f"line {lineno}: expected {n} cells, got {len(row)}")
-            for ch in row:
-                if ch not in alphabet:
-                    raise GridFormatError(f"line {lineno}: letter {ch!r} not in declared alphabet {sigma!r}")
-    cells = body.translate({ord(ch): i for i, ch in enumerate(sigma)}).encode("latin-1")
-    return Grid(n=n, d=d, alphabet=alphabet, cells=cells)
+    # The body holds `found` newlines and sigma none, so if it has found * (n+1) code
+    # points and n letters of sigma open each row, every row ends in its newline.
+    if len(body) == found * (n + 1):
+        points = np.frombuffer(body.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+        codes = [ord(ch) for ch in sigma]
+        lut = np.full(max(codes) + 2, 255, dtype=np.uint8)  # the last slot takes every larger point
+        lut[codes] = range(len(codes))
+        cells = lut[np.minimum(points.reshape(found, n + 1)[:, :n], len(lut) - 1)]
+        if (cells < len(codes)).all():
+            return Grid(n=n, d=d, alphabet=alphabet, cells=cells.tobytes())
+    for off, row in enumerate(body.split("\n")):  # report the first bad line
+        lineno = pos + 2 + off
+        if len(row) != n:
+            raise GridFormatError(f"line {lineno}: expected {n} cells, got {len(row)}")
+        for ch in row:
+            if ch not in alphabet:
+                raise GridFormatError(f"line {lineno}: letter {ch!r} not in declared alphabet {sigma!r}")
+    raise AssertionError("the vectorized pass and the line walk disagree")

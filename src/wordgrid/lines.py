@@ -38,6 +38,8 @@ TABLE_CACHE_BYTES = 64 * 2**20
 _tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
 _tables_lock = threading.Lock()
 
+_UNIT_STEPS = frozenset((-1, 0, 1))
+
 
 @dataclass(frozen=True)
 class CanonicalLine:
@@ -48,16 +50,19 @@ class CanonicalLine:
     weight: int
 
     def __post_init__(self) -> None:
-        if len(self.p) != len(self.v):
+        v = self.v
+        if len(self.p) != len(v):
             raise ValueError("p and v must have the same dimension")
-        nz = [x for x in self.v if x != 0]
-        if not nz:
+        for x in v:  # x ends as the first nonzero coordinate
+            if x != 0:
+                break
+        else:
             raise ValueError("direction must have a nonzero coordinate")
-        if nz[0] != 1:
+        if x != 1:
             raise ValueError("first nonzero direction coordinate must be +1")
-        if any(x not in (-1, 0, 1) for x in self.v):
+        if not _UNIT_STEPS.issuperset(v):
             raise ValueError("direction coordinates must be in {-1, 0, +1}")
-        if self.weight != len(nz):
+        if self.weight != len(v) - v.count(0):
             raise ValueError("weight must equal the nonzero count of v")
 
 
@@ -71,14 +76,18 @@ class Segment:
     weight: int
 
     def __post_init__(self) -> None:
-        if len(self.p) != len(self.v):
+        v = self.v
+        if len(self.p) != len(v):
             raise ValueError("p and v must have the same dimension")
-        nz = [x for x in self.v if x != 0]
-        if not nz or nz[0] != 1:
+        x = 0
+        for x in v:  # x ends as the first nonzero coordinate, or 0
+            if x != 0:
+                break
+        if x != 1:
             raise ValueError("first nonzero direction coordinate must be +1")
         if self.k < 2:
             raise ValueError("segments need k >= 2")
-        if self.weight != len(nz):
+        if self.weight != len(v) - v.count(0):
             raise ValueError("weight must equal the nonzero count of v")
 
 

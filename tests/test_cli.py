@@ -1,7 +1,10 @@
 """CLI: golden output, exit codes, and WG1 round-trips through files."""
 
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,6 +322,29 @@ def test_bad_sigma_exits_1_with_line_number(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "error: line 2:" in err
+
+
+def test_grid_files_are_utf8_under_the_c_locale(tmp_path):
+    # with UTF-8 mode and locale coercion off, the locale's encoding is ASCII
+    grid = tmp_path / "accent.wg1"
+    grid.write_bytes("WG1 d=2 n=2 sigma=Aé\nAé\néA\n".encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cli = [sys.executable, "-m", "wordgrid.cli"]
+    done = subprocess.run([*cli, "count", "--word", "AA", "--grid", str(grid)],
+                          env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"total 1\nweight 1: 0\nweight 2: 1\n", b"")
+
+    # the C locale decodes argv as ASCII, so the word reaches main() from code
+    out = tmp_path / "out.wg1"
+    write = ("import sys; from wordgrid.cli import main; "
+             "sys.exit(main(['construct', '--word', '\\u00e9AA', '--out', sys.argv[1]]))")
+    done = subprocess.run([sys.executable, "-c", write, str(out)],
+                          env=env, capture_output=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    text = out.read_bytes().decode("utf-8")
+    assert text.startswith("WG1 d=2 n=3 sigma=") and "é" in text
+    assert parse_grid(text).alphabet.letters == ("é", "A")
 
 
 def test_missing_file_exits_1(capsys, tmp_path):

@@ -282,3 +282,21 @@ def test_parse_errors_carry_line_numbers():
         parse_grid("# note\nWG1 d=2 n=2 sigma=AA\nAA\nAA\n")
     with pytest.raises(GridFormatError, match="line 2: alphabet must have 1..26 letters"):
         parse_grid("# note\nWG1 d=2 n=2 sigma=\nAA\nAA\n")
+
+
+@pytest.mark.parametrize("d", [5000, 3_000_000])
+def test_huge_header_is_refused_by_line_count(d):
+    # 10^d runs past CPython's 4,300-digit int-to-str limit; the count is decided
+    # from the document's one data line, and the message names the powers
+    text = f"WG1 d={d} n=10 sigma=AM\nAM\n"
+    with pytest.raises(GridFormatError) as info:
+        parse_grid(text)
+    assert str(info.value) == f"line 3: expected 10^{d} cells (10^{d - 1} lines of 10), got 1 lines"
+
+
+def test_line_count_message_prints_powers_up_to_4300_digits():
+    with pytest.raises(GridFormatError) as info:
+        parse_grid("WG1 d=4300 n=10 sigma=AM\n")
+    assert str(info.value) == f"line 2: expected 10^4300 cells ({10 ** 4299} lines of 10), got 0 lines"
+    with pytest.raises(GridFormatError, match=r"^line 5: expected 27 cells \(9 lines of 3\), got 2 lines$"):
+        parse_grid("# note\nWG1 d=3 n=3 sigma=AM\nAMA\nMAM\n")

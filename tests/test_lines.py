@@ -92,6 +92,65 @@ def test_line_points_examples():
     assert line_points(CanonicalLine((2, 1), (0, 1), 1), 3) == [(2, 1), (2, 2), (2, 3)]
 
 
+# ---------------------------------------------------------------- validation
+
+def _reference_line_check(p, v, weight):
+    """The list-and-generator validation that `CanonicalLine` replaced."""
+    if len(p) != len(v):
+        raise ValueError("p and v must have the same dimension")
+    nz = [x for x in v if x != 0]
+    if not nz:
+        raise ValueError("direction must have a nonzero coordinate")
+    if nz[0] != 1:
+        raise ValueError("first nonzero direction coordinate must be +1")
+    if any(x not in (-1, 0, 1) for x in v):
+        raise ValueError("direction coordinates must be in {-1, 0, +1}")
+    if weight != len(nz):
+        raise ValueError("weight must equal the nonzero count of v")
+
+
+def _reference_segment_check(p, v, k, weight):
+    """The list-based validation that `Segment` replaced."""
+    if len(p) != len(v):
+        raise ValueError("p and v must have the same dimension")
+    nz = [x for x in v if x != 0]
+    if not nz or nz[0] != 1:
+        raise ValueError("first nonzero direction coordinate must be +1")
+    if k < 2:
+        raise ValueError("segments need k >= 2")
+    if weight != len(nz):
+        raise ValueError("weight must equal the nonzero count of v")
+
+
+def _verdict(make, *args):
+    try:
+        make(*args)
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+def test_validation_matches_reference():
+    rng = random.Random(12)
+    cases = [((), (), 0, 2), ((1, 1), (0, 0), 0, 2), ((3, 1), (-1, 1), 2, 3), ((1, 2), (2, 0), 1, 2),
+             ((1, 2), (1, -2), 2, 2), ((1, 2), (1, 2), 2, 2), ((1, 2), (1, 1), 1, 2), ((1,), (1, 0), 1, 2),
+             ((1, 1), (0, 1), 1, 1), ((1, 1), (0, 1), 1, 0), ((2, 1), (0, 1), 1, 2)]
+    for _ in range(20_000):
+        d = rng.randint(0, 4)
+        v = tuple(rng.choice((-2, -1, -1, 0, 0, 0, 1, 1, 1, 2)) for _ in range(d))
+        p = tuple(rng.randint(1, 4) for _ in range(d + rng.choice((-1, 0, 0, 0, 0, 1))))
+        weight = sum(x != 0 for x in v) + rng.choice((-1, 0, 0, 0, 1))
+        cases.append((p, v, weight, rng.randint(0, 4)))
+    verdicts = set()
+    for p, v, weight, k in cases:
+        line = _verdict(CanonicalLine, p, v, weight)
+        assert line == _verdict(_reference_line_check, p, v, weight), (p, v, weight)
+        seg = _verdict(Segment, p, v, k, weight)
+        assert seg == _verdict(_reference_segment_check, p, v, k, weight), (p, v, k, weight)
+        verdicts |= {("line", line), ("segment", seg)}
+    assert len(verdicts) == 6 + 5  # acceptance and every message of both classes occur
+
+
 # ---------------------------------------------------------------- enumeration
 
 def test_enumerate_lines_counts():
