@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage or input error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import sys
 from pathlib import Path
@@ -34,6 +35,19 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # usage problems exit 1, not 2
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _letters(text: str) -> str:
+    """A letters argument as UTF-8, also where the locale decoded argv as ASCII.
+
+    Such a locale hands non-ASCII bytes over as surrogate escapes; they are
+    re-encoded and read as UTF-8, like WG1 files. Text that does not round
+    trip, such as letters passed from code, is returned as it is.
+    """
+    try:
+        return os.fsencode(text).decode("utf-8")
+    except UnicodeError:
+        return text
 
 
 def _load_grid(path: str) -> Grid:
@@ -239,7 +253,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="count lines reading a word in a grid file")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, type=_letters)
     p.add_argument("--grid", required=True, help="WG1 grid file")
     p.add_argument("--matches", action="store_true", help="list matched lines")
     p.set_defaults(fn=cmd_count)
@@ -259,24 +273,24 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_segments)
 
     p = sub.add_parser("construct", help="build a certified grid for a word")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, type=_letters)
     p.add_argument("--method", default="best",
                    choices=["best", "rows", "cross", "quad", "stripe", "parity",
                             "counterpoint"])
     p.add_argument("-d", type=int, default=2)
-    p.add_argument("--letter", help="selector letter for cross")
-    p.add_argument("--letters", help="letter pair a,m for quad")
+    p.add_argument("--letter", help="selector letter for cross", type=_letters)
+    p.add_argument("--letters", help="letter pair a,m for quad", type=_letters)
     p.add_argument("--out", help="write the WG1 grid here instead of stdout")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("bounds", help="lower/upper/exact bounds with rule table")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, type=_letters)
     p.add_argument("-d", type=int, default=2)
     p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("solve", help="exact optimum by branch and bound")
-    p.add_argument("--word")
-    p.add_argument("--words", help="comma-separated word set")
+    p.add_argument("--word", type=_letters)
+    p.add_argument("--words", help="comma-separated word set", type=_letters)
     p.add_argument("-d", type=int, default=2)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted but has no effect: the search is sequential")
@@ -289,13 +303,13 @@ def build_parser() -> _Parser:
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("f1", help="single-row optimum for a short word")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, type=_letters)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--witness", action="store_true")
     p.set_defaults(fn=cmd_f1)
 
     p = sub.add_parser("estimate", help="sampled fraction of lines reading a word")
-    p.add_argument("--word", required=True)
+    p.add_argument("--word", required=True, type=_letters)
     p.add_argument("-d", type=int, help="dimension of the layered grid (needed without --grid)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -308,13 +322,15 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("unfold", help="cross-shaped net of a 3x3x3 grid")
     p.add_argument("grid", help="WG1 grid file")
-    p.add_argument("--word", help="annotate with the word's line count")
+    p.add_argument("--word", help="annotate with the word's line count", type=_letters)
     p.set_defaults(fn=cmd_unfold)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys.stdout, "reconfigure"):  # a redirected stream may be a StringIO
+        sys.stdout.reconfigure(encoding="utf-8")  # printed grids are UTF-8, like WG1 files
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -219,7 +219,8 @@ def _draw_line_code(n: int, d: int, rng) -> list[int]:
     """The first draw from {0..n+1}^d holding a sign, before mirroring.
 
     Values below n are the numerals 1..n, n is '+' and n+1 is '-'. Every
-    sampler of lines draws through here, so one seed gives one line sequence.
+    sampler of lines draws through here or through `_draw_line_codes`, which
+    replays it, so one seed gives one line sequence.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
@@ -228,6 +229,43 @@ def _draw_line_code(n: int, d: int, rng) -> list[int]:
         if any(x >= n for x in raw):
             return raw
     raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
+
+
+def _draw_line_codes(n: int, d: int, rng, count: int) -> np.ndarray:
+    """`count` calls of `_draw_line_code` as the rows of one (count, d) array.
+
+    The rows and the rng state left behind are those of the scalar calls.
+    On CPython `randrange(m)` keeps the top m.bit_length() bits of one
+    32-bit `getrandbits` word and redraws values >= m, and `getrandbits(32k)`
+    returns the next k words, the first one lowest. So the words are read in
+    rounds, each no longer than what the scalar calls would still consume:
+    (rows still needed)·d less the values already pending. Values >= n+2 are
+    dropped, the rest cut into rows of d, and rows with no sign rejected.
+    """
+    if n < 2 or d < 1:
+        raise ValueError("need n >= 2 and d >= 1")
+    m = n + 2
+    if m.bit_length() > 32:
+        raise ValueError(f"n = {n} is too large for one 32-bit word per draw")
+    shift = 32 - m.bit_length()
+    accepted = [np.empty((0, d), dtype=np.int64)]
+    pending = np.empty(0, dtype=np.int64)  # the values of an unfinished row
+    got = rejected = 0  # rejected: rows without a sign since the last accepted
+    while got < count:
+        words = (count - got) * d - len(pending)
+        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                            dtype="<u4") >> shift
+        values = np.concatenate((pending, raw[raw < m]))
+        full = len(values) - len(values) % d
+        rows, pending = values[:full].reshape(-1, d), values[full:]
+        keep = np.flatnonzero((rows >= n).any(axis=1))
+        gaps = np.diff(keep, prepend=-1 - rejected) - 1
+        rejected = len(rows) - 1 - keep[-1] if len(keep) else rejected + len(rows)
+        if max(gaps.max(initial=0), rejected) >= SAMPLE_CAP:
+            raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
+        accepted.append(rows[keep])
+        got += len(keep)
+    return np.concatenate(accepted)
 
 
 def _segment_symbols(n: int, k: int) -> list[tuple[int, int]]:

@@ -1,6 +1,9 @@
 """CLI: golden output, exit codes, and WG1 round-trips through files."""
 
+import contextlib
+import io
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -226,6 +229,40 @@ def test_estimate_grid_file_needs_no_dimension(capsys, tmp_path):
     assert (code_d, out_d) == (code, out)
 
 
+def test_estimate_readme_example_is_pinned(capsys):
+    # the draws replay CPython's randrange; a change to it on any Python fails here
+    code, out, _ = run(capsys, "estimate", "--word", "AMM", "-d", "12",
+                       "--samples", "20000", "--seed", "7")
+    assert (code, out) == (0, "fraction 0.278450\nradius 0.011509\nsamples 20000\n")
+
+
+def replay_dense_fraction(grid: Grid, symbols: tuple, samples: int, seed: int) -> float:
+    """The estimator's draws made with randrange and read point by point."""
+    rng, n, d = random.Random(seed), grid.n, grid.d
+    hits = 0
+    for _ in range(samples):
+        raw = [rng.randrange(n + 2) for _ in range(d)]
+        while all(x < n for x in raw):
+            raw = [rng.randrange(n + 2) for _ in range(d)]
+        start = [x + 1 if x < n else (1 if x == n else n) for x in raw]
+        step = [0 if x < n else (1 if x == n else -1) for x in raw]
+        reading = tuple(grid.at(tuple(p + i * v for p, v in zip(start, step))) for i in range(n))
+        hits += reading in (symbols, symbols[::-1])
+    return hits / samples
+
+
+def test_estimate_grid_file_matches_randrange_replay(capsys, tmp_path):
+    cells = bytes(random.Random("cells").choices(range(2), k=4**3))
+    grid = Grid(n=4, d=3, alphabet=infer_alphabet("AM"), cells=cells)
+    path = tmp_path / "g.wg1"
+    path.write_text(serialize_grid(grid), encoding="utf-8")
+    code, out, _ = run(capsys, "estimate", "--word", "AMMA", "--grid", str(path),
+                       "--samples", "3000", "--seed", "12")
+    want = replay_dense_fraction(grid, Word.from_string("AMMA", grid.alphabet).symbols, 3000, 12)
+    assert code == 0
+    assert out.splitlines()[0] == f"fraction {want:.6f}"
+
+
 def test_estimate_without_grid_or_dimension_exits_1(capsys):
     code, out, err = run(capsys, "estimate", "--word", "AMM", "--samples", "100",
                          "--seed", "1")
@@ -345,6 +382,32 @@ def test_grid_files_are_utf8_under_the_c_locale(tmp_path):
     text = out.read_bytes().decode("utf-8")
     assert text.startswith("WG1 d=2 n=3 sigma=") and "é" in text
     assert parse_grid(text).alphabet.letters == ("é", "A")
+
+
+def test_letters_and_printed_grids_are_utf8_under_the_c_locale():
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    want = ("provenance cross(é)\nguaranteed 3\nachieved 3\n"
+            "WG1 d=2 n=3 sigma=éA\néAA\nAAA\nAAA\n").encode("utf-8")
+    # argv bytes the C locale cannot decode reach the parser as surrogate escapes
+    argv = [b"construct", b"--word", "éAA".encode("utf-8"), b"--method", b"cross",
+            b"--letter", "é".encode("utf-8")]
+    done = subprocess.run([os.fsencode(sys.executable), b"-m", b"wordgrid.cli", *argv],
+                          env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, b"")
+    # the same call from code, printing the grid to stdout
+    call = ("import sys; from wordgrid.cli import main; sys.exit(main(['construct', "
+            "'--word', '\\u00e9AA', '--method', 'cross', '--letter', '\\u00e9']))")
+    done = subprocess.run([sys.executable, "-c", call], env=env, capture_output=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, want, b"")
+
+
+def test_main_prints_to_a_redirected_string_stream():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["construct", "--word", "éAA", "--method", "cross", "--letter", "é"])
+    assert code == 0
+    assert out.getvalue().endswith("WG1 d=2 n=3 sigma=éA\néAA\nAAA\nAAA\n")
 
 
 def test_missing_file_exits_1(capsys, tmp_path):

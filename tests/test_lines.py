@@ -29,6 +29,7 @@ from wordgrid.lines import (
     segment_points,
     segment_table,
 )
+from wordgrid.occurrence import DRAW_CHUNK
 
 
 def brute_line_sets(n, d):
@@ -244,6 +245,59 @@ def test_sample_line_uniform_3d():
     se = math.sqrt(p * (1 - p) / m)
     for c in counts.values():
         assert abs(c / m - p) < 4 * se
+
+
+def scalar_codes(n, d, rng, count):
+    return [lines._draw_line_code(n, d, rng) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", range(2, 8))  # n+2 is a power of two at n = 2 and 6
+def test_batched_draws_replay_the_scalar_draws(n):
+    for d in range(1, 13):
+        # the last count spans several estimator chunks of DRAW_CHUNK values
+        for count in (1, 7, 3 * DRAW_CHUNK // d + 5):
+            rng, ref = random.Random(f"{n} {d} {count}"), random.Random(f"{n} {d} {count}")
+            got = lines._draw_line_codes(n, d, rng, count)
+            assert got.shape == (count, d)
+            assert got.tolist() == scalar_codes(n, d, ref, count), (n, d, count)
+            assert rng.getstate() == ref.getstate(), (n, d, count)
+
+
+class WordStream(random.Random):
+    """`getrandbits` over a given stream of 32-bit words, cut as CPython cuts them."""
+
+    def __init__(self, words):
+        super().__init__()
+        self.words = iter(words)
+
+    def getrandbits(self, k):
+        if k <= 32:
+            return next(self.words) >> (32 - k)
+        return sum(next(self.words) << (32 * i) for i in range(k // 32))
+
+
+def outcome(draw):
+    try:
+        return draw()
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("count", [1, 7, 1000])
+@pytest.mark.parametrize("zero_rows", [49, 50, None])  # None: zeros without end
+def test_batched_draws_give_up_like_the_scalar_draws(monkeypatch, count, zero_rows):
+    # a zero word is the numeral 1, so zero_rows leading rows have no sign
+    monkeypatch.setattr(lines, "SAMPLE_CAP", 50)
+    n, d = 3, 4
+
+    def stream():
+        tail = random.Random(5)
+        zeros = itertools.repeat(0) if zero_rows is None else [0] * (zero_rows * d)
+        return itertools.chain(zeros, iter(lambda: tail.getrandbits(32), None))
+    want = outcome(lambda: scalar_codes(n, d, WordStream(stream()), count))
+    got = outcome(lambda: lines._draw_line_codes(n, d, WordStream(stream()), count).tolist())
+    assert got == want
+    assert (want == "no line accepted within 50 draws") == (zero_rows != 49)
 
 
 # ---------------------------------------------------------------- segments

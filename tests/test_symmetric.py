@@ -6,6 +6,7 @@ The reference wraps the same rule as a plain `Grid.procedural`, which
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -85,6 +86,8 @@ def test_constant_to_dense_matches_pointwise():
 @pytest.mark.parametrize("text,d,samples", [
     ("AMM", 3, 1000), ("AMM", 12, 1000), ("AMM", 40, 500), ("AMMAM", 12, 500),
     ("ABCA", 6, 1000),
+    # a mixed-radix profile key, sum of c_j (d+1)^j, would pass 2^63 here
+    ("ABCDEFGHIJKL", 40, 400),
 ])
 def test_estimate_fraction_matches_pointwise(text, d, samples):
     w = W(text)
@@ -97,6 +100,21 @@ def test_estimate_fraction_matches_pointwise(text, d, samples):
         assert rng.getstate() == ref_rng.getstate()
 
 
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 7), (4, 5), (5, 12), (3, 40)])
+def test_estimate_fraction_on_arbitrary_symmetric_rules_matches_pointwise(n, d):
+    # the construction rules are also symmetric under mirroring one coordinate,
+    # which hides a '-' read as '+'; a rule of the sorted point alone is not
+    ab = Alphabet(("A", "M"))
+    rule = lambda p: random.Random(str(sorted(p))).randrange(2)  # noqa: E731
+    g = Grid.symmetric(n, d, ab, rule)
+    w = Word.from_string("AM" + "M" * (n - 2), ab)
+    for seed in (1, 2):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        got = estimate_fraction(w, g, 3000, rng)
+        assert got == estimate_fraction(w, pointwise(g), 3000, ref_rng), seed
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_estimate_fraction_on_symmetric_parity_grid_matches_pointwise():
     w = W("AMAM")
     g = parity_grid(w, 9).grid  # 4^9 cells: left procedural
@@ -104,3 +122,17 @@ def test_estimate_fraction_on_symmetric_parity_grid_matches_pointwise():
     for seed in (4, 5):
         got = estimate_fraction(w, g, 2000, random.Random(seed))
         assert got == estimate_fraction(w, pointwise(g), 2000, random.Random(seed))
+
+
+def test_estimate_fraction_memory_does_not_grow_with_samples():
+    w = W("AMM")
+    g = counterpoint_grid(w, 40)
+    peaks = []
+    for samples in (20_000, 200_000):
+        tracemalloc.start()
+        try:
+            estimate_fraction(w, g, samples, random.Random(8))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
