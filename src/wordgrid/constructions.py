@@ -21,6 +21,8 @@ from .occurrence import count_word
 
 DENSE_CAP = 65536
 
+COUNTER_POINT_TRIES = 100_000
+
 PROVENANCE_RANK = {
     "cross": 0,
     "quad": 1,
@@ -170,14 +172,14 @@ def sigma_parity_check(line: CanonicalLine, n: int) -> bool:
     return True
 
 
-def sample_counter_point(n: int, d: int, rng, max_tries: int = 100_000) -> Point:
+def sample_counter_point(n: int, d: int, rng) -> Point:
     """One uniform-ish counter-point, built boundary-first then band-checked."""
     params = CounterpointParams.for_grid(n, d)
     r_lo, r_hi = params.c, params.c * params.upper_mult
     rs = [r for r in range(int(r_lo) + 1, int(r_hi) + 1) if r_lo < r < r_hi]
     if not rs:
         raise ValueError(f"no integer boundary count lies in ({r_lo}, {r_hi}) at d={d}")
-    for _ in range(max_tries):
+    for _ in range(COUNTER_POINT_TRIES):
         r = rng.choice(rs)
         p = [rng.randrange(2, n) for _ in range(d)]
         for j in rng.sample(range(d), r):
@@ -185,7 +187,7 @@ def sample_counter_point(n: int, d: int, rng, max_tries: int = 100_000) -> Point
         q = tuple(p)
         if is_counter_point(q, n, d):
             return q
-    raise RuntimeError(f"no counter-point found in {max_tries} tries at (n={n}, d={d})")
+    raise RuntimeError(f"no counter-point found in {COUNTER_POINT_TRIES} tries at (n={n}, d={d})")
 
 
 def sample_odd_flip_set(p: Point, n: int, rng) -> frozenset[int]:

@@ -6,7 +6,9 @@ encoded as sequences over {1..n, +, -} with at least one sign and a leading
 '+' sign: numeral a fixes a coordinate at a, '+' sweeps 1..n upward, '-'
 sweeps n..1 downward. Segments of length k <= n use the same scheme with
 sign symbols carrying their start offset; a line is the segment of length n,
-so one enumerator and one index table serve both.
+so one enumerator and one index table serve both. The symbols are the
+(start, step) rows of `_segment_symbols(n, k)`, and a line drawn at random
+is d values in {0..n+1}, each the index of its row in `_segment_symbols(n, n)`.
 """
 
 from __future__ import annotations
@@ -23,9 +25,6 @@ import numpy as np
 from .core import Point
 
 Direction = tuple[int, ...]
-
-PLUS = "+"
-MINUS = "-"
 
 SAMPLE_CAP = 10**6
 
@@ -85,6 +84,8 @@ class Segment:
                 break
         if x != 1:
             raise ValueError("first nonzero direction coordinate must be +1")
+        if not _UNIT_STEPS.issuperset(v):
+            raise ValueError("direction coordinates must be in {-1, 0, +1}")
         if self.k < 2:
             raise ValueError("segments need k >= 2")
         if self.weight != len(v) - v.count(0):
@@ -104,11 +105,16 @@ def canonicalize(p: Point, v: Direction, n: int) -> CanonicalLine:
             x = pj + i * vj
             if not 1 <= x <= n:
                 raise ValueError(f"line ({p}; {v}) leaves [1, {n}]^{len(p)} at step {i + 1}")
-    first = next(x for x in v if x != 0)
-    if first == -1:
+    return _oriented(p, v, n)
+
+
+def _oriented(p: Point, v: Direction, n: int) -> CanonicalLine:
+    """The line p, p+v, ..., p+(n-1)v walked from whichever end makes its
+    first nonzero step +1."""
+    if next(x for x in v if x != 0) == -1:
         p = tuple(pj + (n - 1) * vj for pj, vj in zip(p, v))
         v = tuple(-vj for vj in v)
-    return CanonicalLine(p, v, weight=sum(1 for x in v if x != 0))
+    return CanonicalLine(p, v, weight=len(v) - v.count(0))
 
 
 def _walk(kind: str, pair: CanonicalLine | Segment, k: int, n: int) -> list[Point]:
@@ -130,31 +136,6 @@ def line_points(line: CanonicalLine, n: int) -> list[Point]:
 def segment_points(seg: Segment, n: int) -> list[Point]:
     """The k points of the segment, checked against [1, n]^d."""
     return _walk("segment", seg, seg.k, n)
-
-
-def decode_line_code(code: tuple, n: int) -> CanonicalLine:
-    """Line of an encoded sequence: numeral a -> fixed at a, '+' -> up, '-' -> down."""
-    p, v = [], []
-    for sym in code:
-        if sym == PLUS:
-            p.append(1)
-            v.append(1)
-        elif sym == MINUS:
-            p.append(n)
-            v.append(-1)
-        else:
-            p.append(sym)
-            v.append(0)
-    return CanonicalLine(tuple(p), tuple(v), weight=sum(1 for x in v if x != 0))
-
-
-def mirror_normalize(code: tuple) -> tuple:
-    """Swap '+' and '-' throughout if the first sign is '-'; identity otherwise."""
-    first = next((sym for sym in code if sym in (PLUS, MINUS)), None)
-    if first != MINUS:
-        return code
-    swap = {PLUS: MINUS, MINUS: PLUS}
-    return tuple(swap.get(sym, sym) for sym in code)
 
 
 def _canonical_pairs(n: int, d: int, k: int) -> Iterator[tuple[Point, Direction, int]]:
@@ -206,19 +187,20 @@ def count_lines(n: int, d: int) -> tuple[dict[int, int], int]:
 def sample_line(n: int, d: int, rng) -> CanonicalLine:
     """One uniform canonical line, by rejection over {1..n, +, -}^d.
 
-    Sequences without a sign are rejected; the rest are mirror-normalized so
-    the first sign is '+'. Every line has exactly two preimages, so accepted
+    Sequences without a sign are rejected; the rest are oriented so the
+    first sign is '+'. Every line has exactly two preimages, so accepted
     draws are uniform over lines.
     """
-    raw = _draw_line_code(n, d, rng)
-    code = tuple(x + 1 if x < n else (PLUS if x == n else MINUS) for x in raw)
-    return decode_line_code(mirror_normalize(code), n)
+    symbols = _segment_symbols(n, n)
+    p, v = zip(*(symbols[x] for x in _draw_line_code(n, d, rng)))
+    return _oriented(p, v, n)
 
 
 def _draw_line_code(n: int, d: int, rng) -> list[int]:
-    """The first draw from {0..n+1}^d holding a sign, before mirroring.
+    """The first draw from {0..n+1}^d holding a sign, before orienting.
 
-    Values below n are the numerals 1..n, n is '+' and n+1 is '-'. Every
+    Value x is row x of `_segment_symbols(n, n)`: the numerals 1..n, then
+    '+', then '-', so a value of n or more is a sign. Every
     sampler of lines draws through here or through `_draw_line_codes`, which
     replays it, so one seed gives one line sequence.
     """
@@ -275,6 +257,13 @@ def _segment_symbols(n: int, k: int) -> list[tuple[int, int]]:
     return ([(a, 0) for a in range(1, n + 1)]
             + [(a, 1) for a in range(1, n - k + 2)]
             + [(b, -1) for b in range(k, n + 1)])
+
+
+def _symbol_coords(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(step, coord) of the `_segment_symbols(n, k)` rows: step[s] is symbol s's
+    step and coord[s, i] its 0-based coordinate at the i-th point."""
+    start, step = np.array(_segment_symbols(n, k)).T
+    return step, start[:, None] - 1 + step[:, None] * np.arange(k)
 
 
 def enumerate_segments(n: int, d: int, k: int) -> Iterator[Segment]:
@@ -334,8 +323,7 @@ def _build_segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray
             f"{total} length-{k} segments at (n={n}, d={d}) exceed the table cap "
             f"{DEFAULT_LINE_CAP}; for full lines use estimate_fraction"
         )
-    start, step = np.array(_segment_symbols(n, k)).T
-    coord = start[:, None] - 1 + step[:, None] * np.arange(k)
+    step, coord = _symbol_coords(n, k)
     idx = np.zeros((1, k), dtype=np.int64)
     first = np.zeros(1, dtype=np.int64)  # step of the first signed axis, 0 if none yet
     weights = np.zeros(1, dtype=np.int8)

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Grid, Word
-from .lines import CanonicalLine, _draw_line_codes, line_points, sample_line, segment_table
+from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, line_points, sample_line,
+                    segment_table)
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -173,9 +174,9 @@ def count_segments_word(w: Word, grid: Grid) -> int:
     return int(np.count_nonzero(_match(grid.cells, idx, {sym, sym[::-1]})))
 
 
-def hoeffding_radius(samples: int, confidence: float = HOEFFDING_CONFIDENCE) -> float:
-    """Two-sided Hoeffding deviation radius at the given confidence."""
-    return math.sqrt(math.log(2 / (1 - confidence)) / (2 * samples))
+def hoeffding_radius(samples: int) -> float:
+    """Two-sided Hoeffding deviation radius at confidence HOEFFDING_CONFIDENCE."""
+    return math.sqrt(math.log(2 / (1 - HOEFFDING_CONFIDENCE)) / (2 * samples))
 
 
 def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, float]:
@@ -186,16 +187,15 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     draws go through `rng.getrandbits`; for a `random.Random` the stream is
     the one `randrange` gives. Dense and symmetric grids draw and read the
     lines in chunks whose buffers hold at most about DRAW_CHUNK values, so
-    memory does not grow with `samples`. A dense grid reads each drawn line
-    by flat-index arithmetic: a numeral x adds x·n^(d-1-j) to the first
-    cell, '+' adds n^(d-1-j) to the step and '-' adds (n-1)·n^(d-1-j) to the
-    first cell and subtracts n^(d-1-j) from the step. A symmetric grid is
-    read per profile class: a line's reading depends only on its symbol
-    counts c (at step i the profile is the numeral counts plus c+ at value i
-    and c- at value n+1-i), and the rule is called once per profile for the
-    call. Other procedural grids are read point by point, so they work in
-    any dimension. Drawn lines are not mirrored, so a reading may run
-    backward; the word is matched both ways.
+    memory does not grow with `samples`. A drawn value x at axis j is row x
+    of `lines._segment_symbols(n, n)`, a (start, step) symbol: a dense grid
+    adds (start-1)·n^(d-1-j) to the line's first flat index and step·n^(d-1-j)
+    to its flat stride. A symmetric grid is read per profile class: a line's
+    reading depends only on its symbol counts, at step i each symbol counts
+    toward the value its coordinate takes there, and the rule is called once
+    per profile for the call. Other procedural grids are read point by point,
+    so they work in any dimension. Drawn lines are not oriented, so a reading
+    may run backward; the word is matched both ways.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -221,12 +221,13 @@ def _dense_reader(grid: Grid):
     n, d = grid.n, grid.d
     cells = np.frombuffer(grid.cells, dtype=np.uint8)
     place = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    step, coord = _symbol_coords(n, n)
     offsets = np.arange(n)
 
     def read(codes: np.ndarray) -> np.ndarray:
-        first = np.where(codes < n, codes, (codes - n) * (n - 1)) @ place
-        step = ((codes == n).astype(np.int64) - (codes == n + 1)) @ place
-        return cells[first[:, None] + step[:, None] * offsets]
+        first = coord[codes, 0] @ place
+        stride = step[codes] @ place
+        return cells[first[:, None] + stride[:, None] * offsets]
     return read
 
 
@@ -238,15 +239,16 @@ def _symmetric_reader(grid: Grid):
     """
     n, rule = grid.n, grid.rule
     letters: dict[tuple[int, ...], int] = {}  # profile -> letter
-    steps = np.arange(n)
+    _, coord = _symbol_coords(n, n)
+    symbols = len(coord)
+    # (symbol, step * n + value): 1 where the symbol's coordinate at the step is the value
+    at = (coord[:, :, None] == np.arange(n)).reshape(symbols, n * n).astype(np.int64)
 
     def read(codes: np.ndarray) -> np.ndarray:
         m = len(codes)
-        counts = np.bincount((codes + (n + 2) * np.arange(m)[:, None]).ravel(),
-                             minlength=m * (n + 2)).reshape(m, n + 2)
-        profiles = np.repeat(counts[:, None, :n], n, axis=1)  # (line, step, value)
-        profiles[:, steps, steps] += counts[:, n, None]
-        profiles[:, steps, n - 1 - steps] += counts[:, n + 1, None]
+        counts = np.bincount((codes + symbols * np.arange(m)[:, None]).ravel(),
+                             minlength=m * symbols).reshape(m, symbols)
+        profiles = counts @ at  # (line, step * n + value)
         # distinct rows by lexsort: np.unique(axis=0) sorts a void view, about
         # 6x slower, and a mixed-radix key passes 2^63 (41^12 at d=40, n=12)
         flat = profiles.reshape(-1, n)

@@ -241,8 +241,8 @@ def _lex_leader(gmaps: Sequence[Sequence[int]], s: Sequence[int], q: int) -> boo
     return True
 
 
-def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
-    """Deterministic beam over the branch order; returns (value, assignment)."""
+def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
+    """Deterministic beam of BEAM_WIDTH over the branch order; returns (value, assignment)."""
     A = problem.A
     root = (problem.L, 0, ())
     states: list[tuple[int, int, tuple[int, ...]]] = [root]
@@ -253,7 +253,7 @@ def _beam_seed(problem: _Problem, width: int = BEAM_WIDTH) -> tuple[int, bytes]:
                 nb, live = _step(problem, bads, row[a])
                 nxt.append((live, nb, s + (a,)))
         nxt.sort(key=lambda e: (-e[0], e[2]))
-        states = nxt[:width]
+        states = nxt[:BEAM_WIDTH]
     best = max(states, key=lambda e: (e[0], tuple(-x for x in e[2])))
     return best[0], bytes(best[2])
 

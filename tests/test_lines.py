@@ -12,19 +12,15 @@ import pytest
 from wordgrid import lines
 from wordgrid.core import all_points, point_index
 from wordgrid.lines import (
-    MINUS,
-    PLUS,
     CanonicalLine,
     Segment,
     canonicalize,
     count_lines,
     count_segments,
-    decode_line_code,
     enumerate_lines,
     enumerate_segments,
     format_line,
     line_points,
-    mirror_normalize,
     sample_line,
     segment_points,
     segment_table,
@@ -117,6 +113,8 @@ def _reference_segment_check(p, v, k, weight):
     nz = [x for x in v if x != 0]
     if not nz or nz[0] != 1:
         raise ValueError("first nonzero direction coordinate must be +1")
+    if any(x not in (-1, 0, 1) for x in v):
+        raise ValueError("direction coordinates must be in {-1, 0, +1}")
     if k < 2:
         raise ValueError("segments need k >= 2")
     if weight != len(nz):
@@ -149,7 +147,7 @@ def test_validation_matches_reference():
         seg = _verdict(Segment, p, v, k, weight)
         assert seg == _verdict(_reference_segment_check, p, v, k, weight), (p, v, k, weight)
         verdicts |= {("line", line), ("segment", seg)}
-    assert len(verdicts) == 6 + 5  # acceptance and every message of both classes occur
+    assert len(verdicts) == 6 + 6  # acceptance and every message of both classes occur
 
 
 # ---------------------------------------------------------------- enumeration
@@ -213,12 +211,27 @@ def test_weight_filter():
 
 # ---------------------------------------------------------------- sampling
 
-def test_decode_and_mirror_rules():
-    assert decode_line_code((PLUS, 2), 3) == CanonicalLine((1, 2), (1, 0), 1)
-    assert mirror_normalize((MINUS, PLUS)) == (PLUS, MINUS)
-    assert mirror_normalize((PLUS, MINUS)) == (PLUS, MINUS)
-    assert mirror_normalize((2, MINUS)) == (2, PLUS)
-    assert decode_line_code((PLUS, MINUS), 3) == CanonicalLine((1, 3), (1, -1), 2)
+class FixedDraws(random.Random):
+    """`randrange` returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__()
+        self.values = iter(values)
+
+    def randrange(self, *args):
+        return next(self.values)
+
+
+def test_sample_line_decodes_and_orients_draws():
+    # values 0..2 are the numerals 1..3 at n = 3, value 3 is '+' and 4 is '-'
+    cases = [
+        ([3, 1], ((1, 2), (1, 0), 1)),  # '+' then the numeral 2
+        ([4, 3], ((1, 3), (1, -1), 2)),  # '-' first: the line is walked from the other end
+        ([1, 4], ((2, 1), (0, 1), 1)),  # numeral 2 then '-', oriented up
+        ([3, 4], ((1, 3), (1, -1), 2)),  # '+' then '-'
+    ]
+    for draws, want in cases:
+        assert sample_line(3, 2, FixedDraws(draws)) == CanonicalLine(*want), draws
 
 
 def test_sample_line_uniform_small():
@@ -376,6 +389,8 @@ def test_segment_type_checks():
         Segment((1, 1), (0, 0), 2, 0)
     with pytest.raises(ValueError):
         Segment((1, 3), (-1, 1), 2, 2)  # wrong orientation
+    with pytest.raises(ValueError, match=r"direction coordinates must be in \{-1, 0, \+1\}"):
+        Segment((1, 1), (1, 2), 2, 2)  # would walk (1, 1), (2, 3)
 
 
 def test_format_line():

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from wordgrid.constructions import counterpoint_grid
@@ -17,6 +18,8 @@ from wordgrid.lines import (
     segment_points,
 )
 from wordgrid.occurrence import (
+    _dense_reader,
+    _symmetric_reader,
     count_segments_word,
     count_word,
     count_word_set,
@@ -346,6 +349,32 @@ def test_estimate_fraction_dense_matches_pointwise(text, d):
             got = estimate_fraction(w, g, 2_000, rng)
             assert got == estimate_fraction(w, ref, 2_000, ref_rng), seed
             assert rng.getstate() == ref_rng.getstate()
+
+
+def walk_code(grid, code):
+    """Letters along a drawn line, decoded by hand: a value x < n is the
+    numeral x+1, n is '+' (1 upward) and n+1 is '-' (n downward)."""
+    n = grid.n
+    p = [x + 1 if x < n else (1 if x == n else n) for x in code]
+    v = [0 if x < n else (1 if x == n else -1) for x in code]
+    return [grid.at(tuple(pj + i * vj for pj, vj in zip(p, v))) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_readers_match_pointwise_walk_on_every_code(n):
+    # every drawn code with a sign, read unoriented, as estimate_fraction reads it
+    letters = "ABCD"[:n]
+    for d in range(1, 5):
+        rng = random.Random(f"{n} {d}")
+        codes = np.array([c for c in itertools.product(range(n + 2), repeat=d)
+                          if max(c) >= n])
+        dense = random_grid(rng, n, d, letters)
+        classes = {q: rng.randrange(n)
+                   for q in itertools.combinations_with_replacement(range(1, n + 1), d)}
+        symmetric = Grid.symmetric(n, d, dense.alphabet, lambda p: classes[tuple(sorted(p))])
+        for grid, reader in ((dense, _dense_reader), (symmetric, _symmetric_reader)):
+            want = [walk_code(grid, code) for code in codes.tolist()]
+            assert reader(grid)(codes).tolist() == want, (n, d, reader.__name__)
 
 
 def test_estimate_fraction_procedural_smoke():
