@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 from string import ascii_uppercase
 from typing import Callable
@@ -99,8 +100,20 @@ class CounterpointParams:
         return cls(n=n, d=d, c=Fraction(39 * d, 10 * (n + 2)), k=Fraction(23 * d, 10 * (n + 2)))
 
     def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError("layered classification needs n >= 3")
         if not self.c > self.k > 0:
             raise ValueError("thresholds must satisfy c > k > 0")
+
+    @cached_property
+    def _integer_thresholds(self) -> tuple[int, ...]:
+        """Numerator and denominator of c, c * upper_mult, k, band_lo and band_hi.
+
+        A Fraction's denominator is positive, so `_classify` compares these
+        cross-multiplied integers exactly as it would compare the fractions.
+        """
+        fracs = (self.c, self.c * self.upper_mult, self.k, self.band_lo, self.band_hi)
+        return tuple(x for f in fracs for x in (f.numerator, f.denominator))
 
 
 def is_counter_point(p: Point, n: int, d: int) -> bool:
@@ -116,16 +129,19 @@ def classify_point(p: Point, n: int, d: int) -> str:
 
 def _classify(prof: PointProfile, params: CounterpointParams) -> tuple[str, int | None]:
     n, d = params.n, params.d
-    tau1 = prof.tau(1)
-    if params.c < tau1 < params.c * params.upper_mult:
-        lo = params.band_lo * (d - tau1) / (n - 2)
-        hi = params.band_hi * (d - tau1) / (n - 2)
-        if all(lo <= prof.pi[i - 1] <= hi for i in range(2, n)):
+    cn, cd, tn, td, kn, kd, lo_n, lo_d, hi_n, hi_d = params._integer_thresholds
+    pi = prof.pi
+    tau1 = pi[0] + pi[-1]  # prof.tau(1); pi[-i] is pi[prof.n - i]
+    if cn < tau1 * cd and tau1 * td < tn:
+        # band_lo * (d - tau1) / (n - 2) <= pi_i <= band_hi * (d - tau1) / (n - 2)
+        lo, hi = lo_n * (d - tau1), hi_n * (d - tau1)
+        lo_scale, hi_scale = lo_d * (n - 2), hi_d * (n - 2)
+        if all(lo <= x * lo_scale and x * hi_scale <= hi for x in pi[1 : n - 1]):
             return "counter-point", None
-    if tau1 <= params.c:
+    if tau1 * cd <= cn:
         # tau is mirror-symmetric, so scanning past the middle adds nothing;
         # at the middle index both word sides agree, making parity irrelevant
-        cands = [i for i in range(2, (n + 1) // 2 + 1) if prof.tau(i) >= params.k]
+        cands = [i for i in range(2, (n + 1) // 2 + 1) if (pi[i - 1] + pi[-i]) * kd >= kn]
         if len(cands) == 1:
             return "band-index", cands[0]
     return "arbitrary", None
@@ -139,6 +155,11 @@ def counterpoint_grid(w: Word, d: int) -> Grid:
     serves. Points matching no rule get the word's first or last letter by
     the same parity, which can only add lines.
     """
+    return Grid.symmetric(w.n, d, w.alphabet, _counterpoint_rule(w, d))
+
+
+def _counterpoint_rule(w: Word, d: int) -> Callable[[Point], int]:
+    """The letter of a point by its branch and the parity of its sigma."""
     n = w.n
     if n < 3:
         raise ValueError("needs word length >= 3; length-2 words are covered by "
@@ -154,7 +175,7 @@ def counterpoint_grid(w: Word, d: int) -> Grid:
             return sym[i - 1] if odd else sym[n - i]
         return sym[0] if odd else sym[n - 1]
 
-    return Grid.symmetric(n, d, w.alphabet, rule)
+    return rule
 
 
 def sigma_parity_check(line: CanonicalLine, n: int) -> bool:
@@ -452,10 +473,8 @@ def best_construction(w: Word, d: int = 2) -> ConstructionResult:
         elif st.binary and st.antisymmetric:
             results.append(parity_grid(w, d))
         if w.n >= 3:
-            grid = counterpoint_grid(w, d)
-            achieved = 0
-            if w.n**d <= DENSE_CAP:
-                achieved = count_word(w, grid.to_dense()).total
+            grid = _symmetric_grid(w, d, _counterpoint_rule(w, d))
+            achieved = count_word(w, grid).total if grid.dense else 0
             results.append(ConstructionResult(grid, guaranteed=0, achieved=achieved,
                                               provenance="counterpoint"))
         if not results:

@@ -136,7 +136,8 @@ class WordStats:
         return len(self.t_set(a, m))
 
 
-@lru_cache(maxsize=None)
+# An entry is a WordStats: the word, a tuple of at most 26 letter counts and five small fields.
+@lru_cache(maxsize=1024)
 def word_stats(w: Word) -> WordStats:
     counts = [0] * len(w.alphabet)
     for sym in w.symbols:
@@ -194,6 +195,8 @@ class Grid:
     depends only on the point's profile, how many coordinates take each
     value. `to_dense` and `occurrence.estimate_fraction` then call the rule
     once per profile, on the sorted point, instead of once per point.
+    Which cells share a profile depends only on (n, d), so `to_dense` reads it
+    from a map cached per (n, d) and per call only calls the rule and gathers.
     """
 
     n: int
@@ -267,8 +270,10 @@ class Grid:
     def to_dense(self, cap: int | None = None) -> "Grid":
         """Materialize a procedural grid (identity on dense grids).
 
-        A symmetric grid is filled per profile class (`_cells_by_profile`);
-        any other rule is called once per point.
+        A symmetric grid is filled per profile class (`_cells_by_profile`):
+        the rule is called once per class, and the class of every cell comes
+        from `_profile_classes(n, d)`, built once per (n, d) and cached. Any
+        other rule is called once per point.
         """
         if self.cells is not None:
             return self
@@ -282,25 +287,63 @@ class Grid:
         return Grid(n=self.n, d=self.d, alphabet=self.alphabet, cells=cells)
 
 
+# One entry holds n^(d-1) int32 prefix ids, a (C(n+d-2, d-1), n) int32 step table and
+# (C(n+d-1, d), d) int32 representatives. Under `constructions.DENSE_CAP` = 2^16 cells the
+# largest are (256, 2) and (65536, 1), about 0.5 MB each (256 KB of step table, 256 KB of
+# representatives), so the cache holds at most about 8.4 MB.
+@lru_cache(maxsize=16)
+def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profile classes of [n]^d as read-only int32 arrays (reps, step, ids).
+
+    `reps[c]` is the sorted 1-based point of class c, `step[c][x - 1]` the class
+    of a class-c prefix of d-1 coordinates extended by x, and `ids` the classes
+    of the n^(d-1) prefixes in flat-index order, so `step[ids].ravel()` is the
+    class of every cell. Ids grow one coordinate at a time, as
+    `lines.segment_table` grows its index.
+
+    A class of k coordinates is a multiset, and its id is its rank in the
+    combinatorial number system: the sorted 0-based a_0 <= .. <= a_(k-1) ranks
+    as sum_i C(a_i + i, i + 1), a bijection onto [0, C(n+k-1, k)), so no
+    deduplication is needed. `table[i][a]` = C(a + i, i + 1) is `table[i-1]`
+    summed cumulatively (Pascal's rule). Every rank is below the class count,
+    which is checked to fit int32 first.
+    """
+    if math.comb(n + d - 1, d) > np.iinfo(np.int32).max:
+        raise ValueError(f"[{n}]^{d} has more profile classes than int32 ids hold")
+    table = [np.arange(n, dtype=np.int64)]
+    reps = np.zeros((1, 0), dtype=np.int32)
+    ids = np.zeros(1, dtype=np.int32)
+    for j in range(d):
+        if j:
+            table.append(np.cumsum(table[-1]))
+        # x inserted into a sorted row r lands as max(r[i-1], min(r[i], x)) at every i
+        below = np.full((len(reps), 1, j + 1), -1, dtype=np.int32)
+        above = np.full((len(reps), 1, j + 1), n, dtype=np.int32)
+        below[:, 0, 1:] = above[:, 0, :j] = reps
+        x = np.arange(n, dtype=np.int32)[:, None]
+        grown = np.maximum(below, np.minimum(above, x)).reshape(-1, j + 1)
+        ranks = sum(t[col] for t, col in zip(table, grown.T))
+        step = ranks.astype(np.int32).reshape(len(reps), n)
+        reps = np.empty((math.comb(n + j, j + 1), j + 1), dtype=np.int32)
+        reps[ranks] = grown
+        if j < d - 1:
+            ids = step[ids].ravel()
+    reps += 1
+    for a in (reps, step, ids):
+        a.flags.writeable = False
+    return reps, step, ids
+
+
 def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int]) -> bytes:
     """Cells of a symmetric rule in flat-index order, one rule call per profile class.
 
-    A class is keyed by its sorted point. Ids grow one coordinate at a time,
-    as `lines.segment_table` grows its index: step[c][x - 1] is the class of
-    a class-c prefix extended by coordinate x, so the ids of all n^(j+1)
-    prefixes are `step[ids].ravel()`. The last coordinate maps straight to
-    letters, so at most one int32 id per n cells is held, never a point array.
+    The rule is called on each class's sorted point from the cached
+    `_profile_classes(n, d)`; the last coordinate maps straight to letters,
+    `letters[step][ids]`, so no `(n^d, d)` array is ever built.
     """
-    ids = np.zeros(1, dtype=np.int32)
-    reps: list[Point] = [()]
-    for j in range(d):
-        grown: dict[Point, int] = {}
-        step = np.array([[grown.setdefault(tuple(sorted(rep + (x,))), len(grown))
-                          for x in range(1, n + 1)] for rep in reps], dtype=np.int32)
-        reps = list(grown)
-        if j < d - 1:
-            ids = step[ids].ravel()
-    letters = np.array([rule(rep) for rep in reps], dtype=np.uint8)
+    reps, step, ids = _profile_classes(n, d)
+    points = zip(*reps.T.tolist())  # one tuple at a time, not a list of C(n+d-1, d) tuples
+    letters = np.fromiter(map(rule, points), dtype=np.uint8, count=len(reps))
     return letters[step][ids].tobytes()
 
 

@@ -2,14 +2,17 @@
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from wordgrid.constructions import (
+    DENSE_CAP,
     ConstructionResult,
     CounterpointParams,
     PointProfile,
     best_construction,
+    _classify,
     classify_point,
     counterpoint_grid,
     cross_grid,
@@ -245,6 +248,86 @@ def test_counterpoint_rejects_short_words():
         counterpoint_grid(W("AM"), 5)
 
 
+def _classify_fraction(prof, params):
+    """The Fraction arithmetic `_classify` replaced with cross-multiplied integers."""
+    n, d = params.n, params.d
+    tau1 = prof.tau(1)
+    if params.c < tau1 < params.c * params.upper_mult:
+        lo = params.band_lo * (d - tau1) / (n - 2)
+        hi = params.band_hi * (d - tau1) / (n - 2)
+        if all(lo <= prof.pi[i - 1] <= hi for i in range(2, n)):
+            return "counter-point", None
+    if tau1 <= params.c:
+        cands = [i for i in range(2, (n + 1) // 2 + 1) if prof.tau(i) >= params.k]
+        if len(cands) == 1:
+            return "band-index", cands[0]
+    return "arbitrary", None
+
+
+def _profiles(n, d):
+    """Every profile of a point of [n]^d: the compositions of d into n parts."""
+    for cuts in itertools.combinations(range(d + n - 1), n - 1):
+        bounds = (-1,) + cuts + (d + n - 1,)
+        yield PointProfile(tuple(b - a - 1 for a, b in zip(bounds, bounds[1:])))
+
+
+def _random_profile(rng, n, d):
+    cuts = sorted(rng.randrange(d + 1) for _ in range(n - 1))
+    return PointProfile(tuple(b - a for a, b in zip([0] + cuts, cuts + [d])))
+
+
+def test_integer_classify_matches_fraction_reference_on_every_small_profile():
+    branches = set()
+    for n in range(3, 7):
+        for d in range(1, 11):
+            params = CounterpointParams.for_grid(n, d)
+            for prof in _profiles(n, d):
+                got = _classify(prof, params)
+                assert got == _classify_fraction(prof, params), (prof, d)
+                branches.add(got[0])
+    assert branches == {"counter-point", "band-index", "arbitrary"}
+
+
+@pytest.mark.parametrize("d", [12, 40, 80])
+def test_integer_classify_matches_fraction_reference_on_sampled_profiles(d):
+    rng = random.Random(d)
+    branches = set()
+    for n in (3, 4, 5, 6, 9):
+        params = CounterpointParams.for_grid(n, d)
+        for _ in range(400):
+            prof = _random_profile(rng, n, d)
+            got = _classify(prof, params)
+            assert got == _classify_fraction(prof, params), (prof, d)
+            branches.add(got[0])
+    assert "arbitrary" in branches and len(branches) >= 2
+
+
+def test_integer_classify_matches_fraction_reference_on_custom_thresholds():
+    # thresholds whose denominators differ from the defaults', a negative band_lo,
+    # and a band whose ends profiles meet exactly: at n=4 d=12 tau1 = 4 puts the
+    # band at [2, 6], so (2, 2, 6, 2) lies on both ends
+    for params in (CounterpointParams(n=5, d=9, c=Fraction(7, 3), k=Fraction(5, 7),
+                                      upper_mult=Fraction(13, 6), band_lo=Fraction(-1, 4),
+                                      band_hi=Fraction(9, 8)),
+                   CounterpointParams(n=4, d=10, c=Fraction(4), k=Fraction(3, 2),
+                                      upper_mult=Fraction(7, 4), band_lo=Fraction(2, 3),
+                                      band_hi=Fraction(3, 2)),
+                   CounterpointParams(n=4, d=12, c=Fraction(3), k=Fraction(1),
+                                      upper_mult=Fraction(3), band_lo=Fraction(1, 2),
+                                      band_hi=Fraction(3, 2))):
+        branches = set()
+        for prof in _profiles(params.n, params.d):
+            got = _classify(prof, params)
+            assert got == _classify_fraction(prof, params), (prof, params)
+            branches.add(got[0])
+        assert branches == {"counter-point", "band-index", "arbitrary"}, params
+
+
+def test_counterpoint_params_need_three_values():
+    with pytest.raises(ValueError, match="n >= 3"):
+        CounterpointParams(n=2, d=4, c=Fraction(2), k=Fraction(1))
+
+
 def test_classification_is_total_and_deterministic():
     for p in itertools.product(range(1, 4), repeat=3):
         branch = classify_point(p, 3, 3)
@@ -334,6 +417,20 @@ def test_best_construction_high_dimensional_routes():
     assert r.provenance == "counterpoint"
     assert r.guaranteed == 0
     assert r.achieved == count_word(W("AMM"), r.grid.to_dense()).total
+
+
+def test_best_construction_counts_and_returns_one_counterpoint_grid():
+    for text, d in (("AMM", 3), ("ABC", 5), ("ABCA", 4), ("AMAMM", 6), ("AMM", 10)):
+        w = W(text)
+        r = best_construction(w, d)
+        assert r.provenance == "counterpoint"
+        assert r.grid.dense and r.grid.n**d <= DENSE_CAP
+        assert r.grid.cells == counterpoint_grid(w, d).to_dense().cells
+        assert r.achieved == count_word(w, r.grid).total
+    # above the cap the grid stays procedural and uncounted
+    r = best_construction(W("AMM"), 11)
+    assert r.provenance == "counterpoint" and r.achieved == 0
+    assert not r.grid.dense and r.grid.permutation_invariant
 
 
 def test_best_construction_rejects_low_dimension():

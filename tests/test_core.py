@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from wordgrid import core
 from wordgrid.core import (
     Alphabet,
     Grid,
@@ -146,6 +147,94 @@ def test_procedural_grid_matches_dense():
         g.at((0, 1))
     with pytest.raises(ValueError):
         g.to_dense(cap=8)
+
+
+# ---------------------------------------------------------------- profile classes
+
+def _reference_cells_by_profile(n, d, rule):
+    """The dict build the cached class map replaced: each level's classes keyed
+    by sorted-point tuples, rebuilt on every call."""
+    ids = np.zeros(1, dtype=np.int32)
+    reps = [()]
+    for j in range(d):
+        grown = {}
+        step = np.array([[grown.setdefault(tuple(sorted(rep + (x,))), len(grown))
+                          for x in range(1, n + 1)] for rep in reps], dtype=np.int32)
+        reps = list(grown)
+        if j < d - 1:
+            ids = step[ids].ravel()
+    letters = np.array([rule(rep) for rep in reps], dtype=np.uint8)
+    return letters[step][ids].tobytes()
+
+
+def _sorted_point_rule(letters):
+    # any function of the sorted point is a symmetric rule
+    return lambda p: hash(tuple(sorted(p))) % letters
+
+
+CLASS_MAP_SIZES = sorted({(n, d) for n in range(1, 65) for d in range(1, 13) if n**d <= 4096}
+                         | {(1, 5), (2, 16), (16, 4), (256, 2), (65536, 1)})
+
+
+@pytest.mark.parametrize("n,d", CLASS_MAP_SIZES)
+def test_cells_by_profile_matches_dict_reference(n, d):
+    rule = _sorted_point_rule(5)
+    assert core._cells_by_profile(n, d, rule) == _reference_cells_by_profile(n, d, rule)
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (3, 4), (4, 1), (2, 9), (6, 3)])
+def test_profile_classes_are_sorted_ranked_and_read_only(n, d):
+    reps, step, ids = core._profile_classes(n, d)
+    assert len(reps) == math.comb(n + d - 1, d)
+    assert sorted(map(tuple, reps.tolist())) == list(itertools.combinations_with_replacement(
+        range(1, n + 1), d))
+    assert step.shape == (math.comb(n + d - 2, d - 1), n) and len(ids) == n ** (d - 1)
+    for a in (reps, step, ids):
+        assert a.dtype == np.int32 and not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    # every cell's class is the class of its sorted point
+    cls = step[ids].ravel()
+    index = {tuple(p): c for c, p in enumerate(reps.tolist())}
+    assert [index[tuple(sorted(p))] for p in all_points(n, d)] == cls.tolist()
+
+
+def test_to_dense_calls_the_rule_once_per_class_cold_and_warm():
+    for n, d in ((3, 5), (2, 16), (7, 3), (1, 4), (9, 1)):
+        calls = []
+
+        def rule(p):
+            calls.append(p)
+            return sum(p) % 3
+
+        g = Grid.symmetric(n, d, Alphabet(("A", "B", "C")), rule)
+        core._profile_classes.cache_clear()
+        for _ in ("cold", "warm"):
+            calls.clear()
+            dense = g.to_dense()
+            assert len(calls) == len(set(calls)) == math.comb(n + d - 1, d)
+            assert all(list(p) == sorted(p) for p in calls)
+            assert dense.cells == Grid.procedural(n, d, g.alphabet, rule).to_dense().cells
+        assert core._profile_classes.cache_info().hits >= 1
+
+
+def test_profile_class_cache_is_bounded():
+    bound = core._profile_classes.cache_info().maxsize
+    assert bound is not None and bound <= 16
+    for n in range(2, 2 * bound + 3):
+        core._profile_classes(n, 2)
+    assert core._profile_classes.cache_info().currsize <= bound
+
+
+def test_profile_classes_refuse_ids_past_int32():
+    # C(65537, 2) classes overflow int32; refused before anything is allocated
+    with pytest.raises(ValueError, match="int32"):
+        core._profile_classes(65536, 2)
+
+
+def test_word_stats_cache_is_bounded():
+    assert word_stats.cache_info().maxsize is not None
+    assert word_stats.cache_info().maxsize <= 4096
 
 
 # ---------------------------------------------------------------- symmetries

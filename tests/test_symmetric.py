@@ -17,6 +17,7 @@ from wordgrid.constructions import (
     counterpoint_grid,
     parity_grid,
 )
+from wordgrid import core
 from wordgrid.core import Alphabet, Grid, Word
 from wordgrid.occurrence import estimate_fraction
 
@@ -81,6 +82,21 @@ def test_constant_to_dense_matches_pointwise():
         rule = _constant_result(w, 20).grid.rule  # n^20 cells: left procedural
         want = Grid.procedural(w.n, d, w.alphabet, rule).to_dense().cells
         assert g.to_dense().cells == want == bytes(w.n**d)
+
+
+def test_parity_grid_class_map_memory_is_bounded():
+    # n=100 d=2: 5,050 classes for 10,000 cells; a dict of sorted-point tuples
+    # per call peaked at 0.72 MB here, the cached numpy map at 0.33 MB cold
+    w = W("AM" * 50)
+    core._profile_classes.cache_clear()
+    for _ in ("cold", "warm"):
+        tracemalloc.start()
+        try:
+            g = parity_grid(w, 2).grid
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.dense and peak < 500_000, peak
 
 
 @pytest.mark.parametrize("text,d,samples", [
