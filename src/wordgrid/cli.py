@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .bounds import bracket, f1_exact
 from .constructions import (
+    DENSE_CAP,
     best_construction,
     counterpoint_grid,
     cross_grid,
@@ -27,8 +28,6 @@ from .lines import count_lines, count_segments, enumerate_lines, enumerate_segme
 from .occurrence import count_word, estimate_fraction
 from .solver import SolveConfig, solve, solve_set
 from .verify import run_suite
-
-SERIALIZE_CAP = 65536
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,10 +56,10 @@ def _load_grid(path: str) -> Grid:
 def _emit(header: list[str], grid: Grid, out: str | None) -> None:
     """Print the header lines, then the grid as WG1 to stdout or to `out`.
 
-    The grid is materialized first, so a grid over SERIALIZE_CAP is refused
-    before anything is written.
+    A procedural grid is materialized first, so one over DENSE_CAP cells is
+    refused before anything is written; a dense grid prints as it is.
     """
-    text = serialize_grid(grid.to_dense(SERIALIZE_CAP))
+    text = serialize_grid(grid.to_dense(DENSE_CAP))
     for line in header:
         print(line)
     if out:

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Iterator
 
 import numpy as np
@@ -19,6 +21,13 @@ import numpy as np
 Point = tuple[int, ...]
 
 MAX_ALPHABET = 26
+
+# Bytes of cached tables kept before the least recently used go. The census
+# segment tables, (3,8) to (8,4,k=4), take 11.3 MB together; one n=3 segment
+# table at `lines.DEFAULT_LINE_CAP` takes about 120 MB and is kept alone.
+TABLE_CACHE_BYTES = 64 * 2**20
+_tables: OrderedDict[tuple, tuple[object, int]] = OrderedDict()
+_tables_lock = threading.Lock()
 
 
 class GridFormatError(ValueError):
@@ -156,6 +165,30 @@ def word_stats(w: Word) -> WordStats:
     )
 
 
+def _cached_table(build: Callable) -> Callable:
+    """Cache `build`'s numpy table (an array or a tuple of arrays) by its positional
+    arguments, read-only and shared. All cached tables share one budget: past
+    TABLE_CACHE_BYTES the least recently used go; the table just returned stays."""
+    @wraps(build)
+    def cached(*args):
+        key = (build.__name__, *args)
+        with _tables_lock:
+            if key in _tables:
+                _tables.move_to_end(key)
+                return _tables[key][0]
+        table = build(*args)
+        arrays = table if isinstance(table, tuple) else (table,)
+        for a in arrays:
+            a.flags.writeable = False
+        with _tables_lock:
+            _tables[key] = table, sum(a.nbytes for a in arrays)
+            held = sum(size for _, size in _tables.values())
+            while held > TABLE_CACHE_BYTES and len(_tables) > 1:
+                held -= _tables.popitem(last=False)[1][1]
+        return table
+    return cached
+
+
 def point_index(p: Point, n: int, d: int) -> int:
     """Flat index of a 1-based point; coordinate 1 most significant."""
     if len(p) != d:
@@ -196,7 +229,7 @@ class Grid:
     value. `to_dense` and `occurrence.estimate_fraction` then call the rule
     once per profile, on the sorted point, instead of once per point.
     Which cells share a profile depends only on (n, d), so `to_dense` reads it
-    from a map cached per (n, d) and per call only calls the rule and gathers.
+    from a map in the shared table cache and per call only calls the rule and gathers.
     """
 
     n: int
@@ -251,6 +284,8 @@ class Grid:
         """Letter index at 1-based point p."""
         if self.cells is not None:
             return self.cells[point_index(p, self.n, self.d)]
+        if len(p) != self.d:
+            raise ValueError(f"point has {len(p)} coordinates, expected {self.d}")
         for x in p:
             if not 1 <= x <= self.n:
                 raise ValueError(f"coordinate {x} out of [1, {self.n}] in point {p}")
@@ -272,8 +307,8 @@ class Grid:
 
         A symmetric grid is filled per profile class (`_cells_by_profile`):
         the rule is called once per class, and the class of every cell comes
-        from `_profile_classes(n, d)`, built once per (n, d) and cached. Any
-        other rule is called once per point.
+        from `_profile_classes(n, d)`, kept per (n, d) in the shared table cache.
+        Any other rule is called once per point.
         """
         if self.cells is not None:
             return self
@@ -287,11 +322,7 @@ class Grid:
         return Grid(n=self.n, d=self.d, alphabet=self.alphabet, cells=cells)
 
 
-# One entry holds n^(d-1) int32 prefix ids, a (C(n+d-2, d-1), n) int32 step table and
-# (C(n+d-1, d), d) int32 representatives. Under `constructions.DENSE_CAP` = 2^16 cells the
-# largest are (256, 2) and (65536, 1), about 0.5 MB each (256 KB of step table, 256 KB of
-# representatives), so the cache holds at most about 8.4 MB.
-@lru_cache(maxsize=16)
+@_cached_table
 def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The profile classes of [n]^d as read-only int32 arrays (reps, step, ids).
 
@@ -329,17 +360,15 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         if j < d - 1:
             ids = step[ids].ravel()
     reps += 1
-    for a in (reps, step, ids):
-        a.flags.writeable = False
     return reps, step, ids
 
 
 def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int]) -> bytes:
     """Cells of a symmetric rule in flat-index order, one rule call per profile class.
 
-    The rule is called on each class's sorted point from the cached
-    `_profile_classes(n, d)`; the last coordinate maps straight to letters,
-    `letters[step][ids]`, so no `(n^d, d)` array is ever built.
+    The rule is called on each class's sorted point from `_profile_classes(n, d)`,
+    read from the shared table cache or built into it; the last coordinate maps
+    straight to letters, `letters[step][ids]`, so no `(n^d, d)` array is ever built.
     """
     reps, step, ids = _profile_classes(n, d)
     points = zip(*reps.T.tolist())  # one tuple at a time, not a list of C(n+d-1, d) tuples
@@ -410,17 +439,14 @@ def _cell_map(n: int, d: int, perm: tuple[int, ...], flips: tuple[bool, ...]) ->
     return np.ravel_multi_index(tuple(coords), (n,) * d).ravel()
 
 
-# Under the solver's 64-cell cap the largest table, 2^6, is 46,080 x 64 int32s: 11.8 MB.
-@lru_cache(maxsize=4)
+@_cached_table
 def symmetry_cell_tables(n: int, d: int) -> np.ndarray:
     """Read-only int32 array, shape (2^d * d!, n^d): row k is the flat map cell -> g(cell) of
     the k-th g of `all_symmetries(d)`, a reflection map read at a permutation map."""
     perms = np.array([_cell_map(n, d, p, (False,) * d) for p in itertools.permutations(range(d))])
     refl = np.array([_cell_map(n, d, tuple(range(d)), flips)
                      for flips in itertools.product((False, True), repeat=d)], dtype=np.int32)
-    tables = refl[:, perms].transpose(1, 0, 2).reshape(-1, n**d)
-    tables.flags.writeable = False
-    return tables
+    return refl[:, perms].transpose(1, 0, 2).reshape(-1, n**d)
 
 
 def apply_symmetry(grid: Grid, g: GridSymmetry) -> Grid:

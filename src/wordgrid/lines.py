@@ -14,28 +14,19 @@ is d values in {0..n+1}, each the index of its row in `_segment_symbols(n, n)`.
 from __future__ import annotations
 
 import itertools
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .core import Point
+from .core import Point, _cached_table
 
 Direction = tuple[int, ...]
 
 SAMPLE_CAP = 10**6
 
 DEFAULT_LINE_CAP = 5_000_000
-
-# Bytes of cached segment tables kept before the least recently used go. The
-# census tables, (3,8) to (8,4,k=4), take 11.3 MB together; one n=3 table
-# at DEFAULT_LINE_CAP takes about 120 MB and is kept alone.
-TABLE_CACHE_BYTES = 64 * 2**20
-_tables: OrderedDict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_tables_lock = threading.Lock()
 
 _UNIT_STEPS = frozenset((-1, 0, 1))
 
@@ -282,6 +273,7 @@ def count_segments(n: int, d: int, k: int) -> int:
     return ((3 * n - 2 * k + 2) ** d - n**d) // 2
 
 
+@_cached_table
 def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Flat point indices of every canonical length-k segment, plus weights.
 
@@ -297,26 +289,10 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     compares one column at a time over all rows, which is several times
     faster than reducing each short row.
 
-    Tables are cached, read-only and shared by every caller. The cache drops
-    the least recently used tables once their bytes exceed TABLE_CACHE_BYTES;
-    the table just returned always stays.
+    Tables are read-only and shared by every caller through `core._cached_table`,
+    whose one TABLE_CACHE_BYTES budget also holds the profile-class and symmetry
+    tables; the least recently used go first and the table just returned stays.
     """
-    key = (n, d, k)
-    with _tables_lock:
-        if key in _tables:
-            _tables.move_to_end(key)
-            return _tables[key]
-    table = _build_segment_table(n, d, k)
-    with _tables_lock:
-        _tables[key] = table
-        held = sum(idx.nbytes + weights.nbytes for idx, weights in _tables.values())
-        while held > TABLE_CACHE_BYTES and len(_tables) > 1:
-            idx, weights = _tables.popitem(last=False)[1]
-            held -= idx.nbytes + weights.nbytes
-    return table
-
-
-def _build_segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     total = count_segments(n, d, k)
     if total > DEFAULT_LINE_CAP:
         raise ValueError(
@@ -336,7 +312,6 @@ def _build_segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray
         idx, first = grown, lead[keep]
         weights = (weights[:, None] + (step != 0))[keep]
     assert len(idx) == total
-    idx.flags.writeable = weights.flags.writeable = False
     return idx, weights
 
 

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from wordgrid.core import (
     symmetry_cell_tables,
     word_stats,
 )
+from wordgrid.lines import segment_table
 
 
 # ---------------------------------------------------------------- indexing
@@ -149,6 +151,16 @@ def test_procedural_grid_matches_dense():
         g.to_dense(cap=8)
 
 
+@pytest.mark.parametrize("make", [Grid.procedural, Grid.symmetric])
+def test_rule_grid_refuses_points_of_the_wrong_dimension_like_dense(make):
+    ab = Alphabet(("A", "B"))
+    g = make(3, 2, ab, lambda p: sum(p) % 2)
+    for p in ((1,), (1, 2, 3)):
+        for grid in (g, g.to_dense()):
+            with pytest.raises(ValueError, match=f"point has {len(p)} coordinates, expected 2"):
+                grid.at(p)
+
+
 # ---------------------------------------------------------------- profile classes
 
 def _reference_cells_by_profile(n, d, rule):
@@ -199,7 +211,11 @@ def test_profile_classes_are_sorted_ranked_and_read_only(n, d):
     assert [index[tuple(sorted(p))] for p in all_points(n, d)] == cls.tolist()
 
 
-def test_to_dense_calls_the_rule_once_per_class_cold_and_warm():
+def _held_bytes():
+    return sum(size for _, size in core._tables.values())
+
+
+def test_to_dense_calls_the_rule_once_per_class_cold_and_warm(monkeypatch):
     for n, d in ((3, 5), (2, 16), (7, 3), (1, 4), (9, 1)):
         calls = []
 
@@ -208,22 +224,57 @@ def test_to_dense_calls_the_rule_once_per_class_cold_and_warm():
             return sum(p) % 3
 
         g = Grid.symmetric(n, d, Alphabet(("A", "B", "C")), rule)
-        core._profile_classes.cache_clear()
+        monkeypatch.setattr(core, "_tables", OrderedDict())
+        built = []
         for _ in ("cold", "warm"):
             calls.clear()
             dense = g.to_dense()
             assert len(calls) == len(set(calls)) == math.comb(n + d - 1, d)
             assert all(list(p) == sorted(p) for p in calls)
             assert dense.cells == Grid.procedural(n, d, g.alphabet, rule).to_dense().cells
-        assert core._profile_classes.cache_info().hits >= 1
+            assert list(core._tables) == [("_profile_classes", n, d)]
+            built.append(core._tables["_profile_classes", n, d][0])
+        assert built[1] is built[0]  # the warm call read the cold call's map
 
 
-def test_profile_class_cache_is_bounded():
-    bound = core._profile_classes.cache_info().maxsize
-    assert bound is not None and bound <= 16
-    for n in range(2, 2 * bound + 3):
+def test_profile_class_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(core, "_tables", OrderedDict())
+    monkeypatch.setattr(core, "TABLE_CACHE_BYTES", 100_000)
+    for n in range(2, 41):  # the (40, 2) map alone is 13 KB, all of them 180 KB
         core._profile_classes(n, 2)
-    assert core._profile_classes.cache_info().currsize <= bound
+        assert _held_bytes() <= core.TABLE_CACHE_BYTES
+        assert next(reversed(core._tables)) == ("_profile_classes", n, 2)
+    assert ("_profile_classes", 2, 2) not in core._tables
+
+
+def test_cached_tables_of_every_kind_share_one_byte_budget(monkeypatch):
+    monkeypatch.setattr(core, "_tables", OrderedDict())
+    monkeypatch.setattr(core, "TABLE_CACHE_BYTES", 150_000)
+    calls = [  # bytes cached by each call in the comments
+        lambda: core._profile_classes(30, 3),  # 118,920
+        lambda: symmetry_cell_tables(3, 3),  # 5,184
+        lambda: segment_table(5, 4, 5),  # 36,408: the class map goes
+        lambda: Grid.symmetric(9, 4, Alphabet(("A", "B")), lambda p: p[0] % 2).to_dense(),
+        lambda: core._profile_classes(30, 3),  # the symmetry and segment tables go
+        lambda: symmetry_cell_tables(2, 5),  # 491,520: over the budget alone, kept alone
+        lambda: segment_table(6, 3, 4),
+    ]
+    evicted = []
+    for call in calls:
+        order = list(core._tables)
+        call()
+        gone = [key for key in order if key not in core._tables]
+        assert gone == order[: len(gone)]  # least recently used first
+        evicted += [key[0] for key in gone]
+        newest = next(reversed(core._tables))
+        assert _held_bytes() <= core.TABLE_CACHE_BYTES or list(core._tables) == [newest]
+        for table, size in core._tables.values():
+            arrays = table if isinstance(table, tuple) else (table,)
+            assert size == sum(a.nbytes for a in arrays)
+            assert not any(a.flags.writeable for a in arrays)
+    assert evicted == ["_profile_classes", "symmetry_cell_tables", "segment_table",
+                       "_profile_classes", "_profile_classes", "symmetry_cell_tables"]
+    assert list(core._tables) == [("segment_table", 6, 3, 4)]
 
 
 def test_profile_classes_refuse_ids_past_int32():

@@ -9,7 +9,7 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from wordgrid import lines
+from wordgrid import core, lines
 from wordgrid.core import all_points, point_index
 from wordgrid.lines import (
     CanonicalLine,
@@ -364,23 +364,26 @@ def test_segment_table_cache_evicts_oldest_past_byte_budget(monkeypatch):
     def nbytes(table):
         return table[0].nbytes + table[1].nbytes
 
-    monkeypatch.setattr(lines, "_tables", OrderedDict())
+    def cached():
+        return [key[1:] for key in core._tables]
+
+    monkeypatch.setattr(core, "_tables", OrderedDict())
     first = segment_table(4, 3, 4)
     second = segment_table(3, 3, 3)
-    monkeypatch.setattr(lines, "TABLE_CACHE_BYTES", nbytes(first) + nbytes(second))
+    monkeypatch.setattr(core, "TABLE_CACHE_BYTES", nbytes(first) + nbytes(second))
     assert segment_table(4, 3, 4) is first  # a hit, and now the most recent
     third = segment_table(5, 2, 3)
-    assert list(lines._tables) == [(4, 3, 4), (5, 2, 3)]  # the least recent went
+    assert cached() == [(4, 3, 4), (5, 2, 3)]  # the least recent went
     again = segment_table(3, 3, 3)
     assert again is not second
     assert np.array_equal(again[0], second[0]) and np.array_equal(again[1], second[1])
     assert again[0].flags.f_contiguous and not again[0].flags.writeable
     assert not again[1].flags.writeable
-    assert list(lines._tables) == [(5, 2, 3), (3, 3, 3)]
+    assert cached() == [(5, 2, 3), (3, 3, 3)]
     assert segment_table(5, 2, 3) is third
-    monkeypatch.setattr(lines, "TABLE_CACHE_BYTES", 1)
+    monkeypatch.setattr(core, "TABLE_CACHE_BYTES", 1)
     big = segment_table(5, 3, 5)
-    assert list(lines._tables) == [(5, 3, 5)]  # over the budget alone, kept alone
+    assert cached() == [(5, 3, 5)]  # over the budget alone, kept alone
     assert segment_table(5, 3, 5) is big
 
 

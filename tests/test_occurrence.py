@@ -124,6 +124,14 @@ def test_count_word_procedural_needs_stream():
     assert rep.total == 8
 
 
+def test_count_word_stream_refuses_lines_of_another_dimension_on_every_grid_kind():
+    g = Grid.procedural(3, 2, Alphabet(("A", "M")), lambda p: 0)
+    stray = [CanonicalLine((1, 1, 1), (0, 0, 1), 1)]
+    for grid in (g, g.to_dense()):
+        with pytest.raises(ValueError, match="point has 3 coordinates, expected 2"):
+            count_word(Word.from_string("AAA"), grid, lines=stray)
+
+
 # ---------------------------------------------------------------- table kernel vs line stream
 
 def planted_words(rng, g, count):

@@ -7,6 +7,7 @@ The reference wraps the same rule as a plain `Grid.procedural`, which
 import itertools
 import random
 import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
@@ -84,11 +85,11 @@ def test_constant_to_dense_matches_pointwise():
         assert g.to_dense().cells == want == bytes(w.n**d)
 
 
-def test_parity_grid_class_map_memory_is_bounded():
+def test_parity_grid_class_map_memory_is_bounded(monkeypatch):
     # n=100 d=2: 5,050 classes for 10,000 cells; a dict of sorted-point tuples
     # per call peaked at 0.72 MB here, the cached numpy map at 0.33 MB cold
     w = W("AM" * 50)
-    core._profile_classes.cache_clear()
+    monkeypatch.setattr(core, "_tables", OrderedDict())
     for _ in ("cold", "warm"):
         tracemalloc.start()
         try:
