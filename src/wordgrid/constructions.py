@@ -24,17 +24,6 @@ DENSE_CAP = 65536
 
 COUNTER_POINT_TRIES = 100_000
 
-PROVENANCE_RANK = {
-    "cross": 0,
-    "quad": 1,
-    "stripe": 2,
-    "parity": 3,
-    "rows": 4,
-    "constant": 5,
-    "counterpoint": 6,
-}
-
-
 @dataclass(frozen=True)
 class ConstructionResult:
     """A built grid with its certificate: achieved is the measured count."""
@@ -445,41 +434,42 @@ def _constant_result(w: Word, d: int) -> ConstructionResult:
     return ConstructionResult(grid, guaranteed=total, achieved=total, provenance="constant")
 
 
-def best_construction(w: Word, d: int = 2) -> ConstructionResult:
-    """Best certified grid over all applicable builders.
-
-    Ties in achieved value break by provenance rank, then by provenance
-    label, so the dispatch is deterministic.
-    """
-    if d < 2:
-        raise ValueError("needs d >= 2")
+def _candidates(w: Word, d: int) -> list[ConstructionResult]:
+    """Each construction that applies to w at d, built once, in the tie-break
+    order that `best_construction` gives."""
     st = word_stats(w)
-    results: list[ConstructionResult] = []
     if d == 2:
-        for ia in w.letters_used():
-            results.append(cross_grid(w, w.alphabet.letters[ia]))
-        for ia, im in itertools.permutations(w.letters_used(), 2):
-            a, m = w.alphabet.letters[ia], w.alphabet.letters[im]
-            if st.t(a, m) > 0:
-                results.append(quad_grid(w, a, m))
+        letters = sorted(w.alphabet.letters[ia] for ia in w.letters_used())
+        results = [cross_grid(w, a) for a in letters]
+        results += [quad_grid(w, a, m) for a, m in itertools.permutations(letters, 2)
+                    if st.t(a, m) > 0]
         if st.binary:
             results.append(stripe_grid(w))
         if st.binary and st.antisymmetric:
             results.append(parity_grid(w, 2))
-        results.append(rows_grid(w))
-    else:
-        if st.kmax == w.n:
-            results.append(_constant_result(w, d))
-        elif st.binary and st.antisymmetric:
-            results.append(parity_grid(w, d))
-        if w.n >= 3:
-            grid = _symmetric_grid(w, d, _counterpoint_rule(w, d))
-            achieved = count_word(w, grid).total if grid.dense else 0
-            results.append(ConstructionResult(grid, guaranteed=0, achieved=achieved,
-                                              provenance="counterpoint"))
-        if not results:
-            raise ValueError(f"no construction covers {w.text!r} at d={d}")
-    results.sort(key=lambda r: (-r.achieved,
-                                PROVENANCE_RANK[r.provenance.split("(")[0]],
-                                r.provenance))
-    return results[0]
+        return results + [rows_grid(w)]
+    results = []
+    if st.kmax == w.n:
+        results.append(_constant_result(w, d))
+    elif st.binary and st.antisymmetric:
+        results.append(parity_grid(w, d))
+    if w.n >= 3:
+        grid = _symmetric_grid(w, d, _counterpoint_rule(w, d))
+        achieved = count_word(w, grid).total if grid.dense else 0
+        results.append(ConstructionResult(grid, guaranteed=0, achieved=achieved,
+                                          provenance="counterpoint"))
+    return results
+
+
+def best_construction(w: Word, d: int = 2) -> ConstructionResult:
+    """Best certified grid over all applicable builders.
+
+    Ties in achieved value go to the first of `_candidates(w, d)`: at d = 2
+    cross, quad, stripe, parity, rows; above it parity or constant, then
+    counterpoint; letters in code-point order, quad pairs in lexicographic
+    order. Every word is covered: length 2 by constant or parity, longer
+    words by counterpoint.
+    """
+    if d < 2:
+        raise ValueError("needs d >= 2")
+    return max(_candidates(w, d), key=lambda r: r.achieved)

@@ -282,13 +282,9 @@ class Grid:
 
     def at(self, p: Point) -> int:
         """Letter index at 1-based point p."""
+        idx = point_index(p, self.n, self.d)  # checks the point on both paths
         if self.cells is not None:
-            return self.cells[point_index(p, self.n, self.d)]
-        if len(p) != self.d:
-            raise ValueError(f"point has {len(p)} coordinates, expected {self.d}")
-        for x in p:
-            if not 1 <= x <= self.n:
-                raise ValueError(f"coordinate {x} out of [1, {self.n}] in point {p}")
+            return self.cells[idx]
         return self.rule(p)  # type: ignore[misc]
 
     def letter_at(self, p: Point) -> str:

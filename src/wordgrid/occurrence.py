@@ -187,7 +187,9 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     draws go through `rng.getrandbits`; for a `random.Random` the stream is
     the one `randrange` gives. Dense and symmetric grids draw and read the
     lines in chunks whose buffers hold at most about DRAW_CHUNK values, so
-    memory does not grow with `samples`. A drawn value x at axis j is row x
+    memory does not grow with `samples`. A chunk holds at least one line, so
+    when n^2 > DRAW_CHUNK a symmetric grid's chunk is one line and its n x n
+    profile counts, and memory grows with n^2. A drawn value x at axis j is row x
     of `lines._segment_symbols(n, n)`, a (start, step) symbol: a dense grid
     adds (start-1)·n^(d-1-j) to the line's first flat index and step·n^(d-1-j)
     to its flat stride. A symmetric grid is read per profile class: a line's
@@ -241,14 +243,16 @@ def _symmetric_reader(grid: Grid):
     letters: dict[tuple[int, ...], int] = {}  # profile -> letter
     _, coord = _symbol_coords(n, n)
     symbols = len(coord)
-    # (symbol, step * n + value): 1 where the symbol's coordinate at the step is the value
-    at = (coord[:, :, None] == np.arange(n)).reshape(symbols, n * n).astype(np.int64)
+    steps = np.arange(n)
 
     def read(codes: np.ndarray) -> np.ndarray:
         m = len(codes)
         counts = np.bincount((codes + symbols * np.arange(m)[:, None]).ravel(),
                              minlength=m * symbols).reshape(m, symbols)
-        profiles = counts @ at  # (line, step * n + value)
+        profiles = np.zeros((m, n, n), dtype=np.int64)  # (line, step, value)
+        for s in range(symbols):
+            # a symbol takes one value per step, so no index repeats in the add
+            profiles[:, steps, coord[s]] += counts[:, s, None]
         # distinct rows by lexsort: np.unique(axis=0) sorts a void view, about
         # 6x slower, and a mixed-radix key passes 2^63 (41^12 at d=40, n=12)
         flat = profiles.reshape(-1, n)

@@ -9,13 +9,16 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from wordgrid import constructions
 from wordgrid.cli import main
 from wordgrid.core import Grid, Word, infer_alphabet, parse_grid, serialize_grid
 from wordgrid.occurrence import count_word
 from wordgrid.solver import SolveConfig, solve
+from wordgrid.verify import CHECKS
 
 
 def run(capsys, *argv):
@@ -282,6 +285,28 @@ def test_verify_fast_suite_passes(capsys):
     assert lines[-1].endswith("failed=0")
     assert any("check=optimum-amm-2d" in ln for ln in lines)
     assert any("check=line-tallies" in ln for ln in lines)
+
+
+def test_verify_reports_a_raising_check_as_failed_and_runs_the_rest(capsys, monkeypatch):
+    # every 3x3 grid counts one line short, so a cross grid falls below its
+    # certificate and ConstructionResult raises inside the check
+    real = constructions.count_word
+
+    def short(w, grid, *args, **kwargs):
+        report = real(w, grid, *args, **kwargs)
+        return SimpleNamespace(total=report.total - ((grid.n, grid.d) == (3, 2)))
+
+    monkeypatch.setattr(constructions, "count_word", short)
+    code, out, _ = run(capsys, "verify", "--suite", "fast")
+    assert code == 2
+    lines = out.splitlines()
+    assert len(lines) == len([c for c in CHECKS if c.fast]) + 1
+    cert = next(ln for ln in lines if "check=construction-certificates" in ln)
+    assert re.search(r"got=\[raised AssertionError: cross\(A\) built a grid achieving \d+, "
+                     r"below its certificate \d+\]", cert)
+    assert cert.endswith("status=FAIL")
+    assert "check=line-tallies" in lines[0] and lines[0].endswith("status=PASS")
+    assert lines[-1].startswith("suite=fast checks=") and not lines[-1].endswith("failed=0")
 
 
 # ---------------------------------------------------------------- unfold

@@ -12,7 +12,9 @@ from wordgrid.constructions import (
     CounterpointParams,
     PointProfile,
     best_construction,
+    _candidates,
     _classify,
+    _constant_result,
     classify_point,
     counterpoint_grid,
     cross_grid,
@@ -28,7 +30,7 @@ from wordgrid.constructions import (
     sigma_parity_check,
     stripe_grid,
 )
-from wordgrid.core import Grid, Word
+from wordgrid.core import Grid, Word, word_stats
 from wordgrid.lines import enumerate_lines
 from wordgrid.occurrence import count_segments_word, count_word
 
@@ -447,3 +449,60 @@ def test_best_never_loses_to_any_single_builder():
         for ia in w.letters_used():
             a = w.alphabet.letters[ia]
             assert best.achieved >= cross_grid(w, a).achieved
+
+
+# The ranking best_construction used before it took the first best of
+# _candidates: a rank per provenance, then the label.
+REFERENCE_RANK = {"cross": 0, "quad": 1, "stripe": 2, "parity": 3, "rows": 4,
+                  "constant": 5, "counterpoint": 6}
+
+
+def reference_key(r: ConstructionResult):
+    return (-r.achieved, REFERENCE_RANK[r.provenance.split("(")[0]], r.provenance)
+
+
+def reference_results(w: Word, d: int) -> list[ConstructionResult]:
+    """Every builder that applies to w at d, chosen as best_construction chose them."""
+    st = word_stats(w)
+    if d > 2:
+        results = []
+        if st.kmax == w.n:
+            results.append(_constant_result(w, d))
+        elif st.binary and st.antisymmetric:
+            results.append(parity_grid(w, d))
+        if w.n >= 3:
+            grid = counterpoint_grid(w, d).to_dense()
+            results.append(ConstructionResult(grid, guaranteed=0,
+                                              achieved=count_word(w, grid).total,
+                                              provenance="counterpoint"))
+        return results
+    results = [rows_grid(w)]
+    for ia in w.letters_used():
+        results.append(cross_grid(w, w.alphabet.letters[ia]))
+    for ia, im in itertools.permutations(w.letters_used(), 2):
+        a, m = w.alphabet.letters[ia], w.alphabet.letters[im]
+        if st.t(a, m) > 0:
+            results.append(quad_grid(w, a, m))
+    if st.binary:
+        results.append(stripe_grid(w))
+    if st.binary and st.antisymmetric:
+        results.append(parity_grid(w, 2))
+    return results
+
+
+def test_candidates_and_best_match_the_reference_ranking():
+    for n in range(2, 6):
+        for letters in itertools.product("ABM", repeat=n):
+            w = W("".join(letters))
+            for d in (2, 3, 4):
+                reference = reference_results(w, d)
+                candidates = _candidates(w, d)
+                # the same builders, listed in the reference's tie-break order
+                ranked = sorted(reference, key=lambda r: reference_key(r)[1:])
+                assert [r.provenance for r in candidates] == [r.provenance for r in ranked]
+                want = min(reference, key=reference_key)
+                got = best_construction(w, d)
+                assert (got.provenance, got.guaranteed, got.achieved) == \
+                    (want.provenance, want.guaranteed, want.achieved), (w.text, d)
+                assert got.grid.alphabet == want.grid.alphabet
+                assert got.grid.cells == want.grid.cells, (w.text, d)

@@ -159,6 +159,9 @@ def test_rule_grid_refuses_points_of_the_wrong_dimension_like_dense(make):
         for grid in (g, g.to_dense()):
             with pytest.raises(ValueError, match=f"point has {len(p)} coordinates, expected 2"):
                 grid.at(p)
+    for grid in (g, g.to_dense()):
+        with pytest.raises(ValueError, match=r"coordinate 4 out of \[1, 3\] in point \(1, 4\)"):
+            grid.at((1, 4))
 
 
 # ---------------------------------------------------------------- profile classes

@@ -153,3 +153,19 @@ def test_estimate_fraction_memory_does_not_grow_with_samples():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.5 * peaks[0], peaks
+
+
+def test_estimate_fraction_memory_grows_with_n_squared_not_n_cubed():
+    # n=200: a one-hot (n+2, n^2) int64 symbol-to-profile matrix peaked at
+    # 73 MB here; the per-symbol adds into the chunk's (1, n, n) profiles at 5 MB
+    w = W("A" * 100 + "M" * 100)
+    g = parity_grid(w, 3).grid  # 200^3 cells: left procedural
+    assert g.permutation_invariant
+    tracemalloc.start()
+    try:
+        got = estimate_fraction(w, g, 10, random.Random(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
+    assert got == estimate_fraction(w, pointwise(g), 10, random.Random(3))
