@@ -229,13 +229,17 @@ def flip_line_points(p: Point, flips: frozenset[int], n: int) -> list[Point]:
 
 # ---------------------------------------------------------------- d=2 builders
 
+def _square_result(w: Word, cells, guaranteed: int, provenance: str,
+                   alphabet: Alphabet | None = None) -> ConstructionResult:
+    """The n x n grid of `cells` over w's alphabet (or `alphabet`), recounted."""
+    grid = Grid(n=w.n, d=2, alphabet=alphabet or w.alphabet, cells=bytes(cells))
+    return ConstructionResult(grid, guaranteed=guaranteed, achieved=count_word(w, grid).total,
+                              provenance=provenance)
+
+
 def rows_grid(w: Word) -> ConstructionResult:
     """Write w along every row; rows and both diagonals read it."""
-    n = w.n
-    cells = bytes(w.symbols[j] for _ in range(n) for j in range(n))
-    grid = Grid(n=n, d=2, alphabet=w.alphabet, cells=cells)
-    achieved = count_word(w, grid).total
-    return ConstructionResult(grid, guaranteed=n + 2, achieved=achieved, provenance="rows")
+    return _square_result(w, w.symbols * w.n, w.n + 2, "rows")
 
 
 def cross_grid(w: Word, a: str) -> ConstructionResult:
@@ -256,12 +260,8 @@ def cross_grid(w: Word, a: str) -> ConstructionResult:
             cells.extend(w.symbols)
         else:
             cells.extend([w.symbols[i - 1]] * n)
-    grid = Grid(n=n, d=2, alphabet=w.alphabet, cells=bytes(cells))
     mirrored = all(w.symbols[n - i] == ia for i in I)
-    guaranteed = 2 * len(I) + (2 if mirrored else 1)
-    achieved = count_word(w, grid).total
-    return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
-                              provenance=f"cross({a})")
+    return _square_result(w, cells, 2 * len(I) + (2 if mirrored else 1), f"cross({a})")
 
 
 def _filler_letter(w: Word, a: str, m: str) -> tuple[Alphabet, int]:
@@ -302,10 +302,7 @@ def quad_grid(w: Word, a: str, m: str) -> ConstructionResult:
             if len(vals) > 1:
                 raise AssertionError(f"cell ({i},{j}) is doubly defined: {vals}")
             cells.append(vals.pop() if vals else filler)
-    grid = Grid(n=n, d=2, alphabet=alphabet, cells=bytes(cells))
-    achieved = count_word(w, grid).total
-    return ConstructionResult(grid, guaranteed=4 * len(tset), achieved=achieved,
-                              provenance=f"quad({a},{m})")
+    return _square_result(w, cells, 4 * len(tset), f"quad({a},{m})", alphabet)
 
 
 def stripe_grid(w: Word) -> ConstructionResult:
@@ -325,9 +322,7 @@ def stripe_grid(w: Word) -> ConstructionResult:
             cells.extend(w.symbols)
         else:
             cells.extend(w.symbols[::-1])
-    grid = Grid(n=n, d=2, alphabet=w.alphabet, cells=bytes(cells))
-    achieved = count_word(w, grid).total
-    return ConstructionResult(grid, guaranteed=n + t, achieved=achieved, provenance="stripe")
+    return _square_result(w, cells, n + t, "stripe")
 
 
 # ---------------------------------------------------------------- parity grid

@@ -244,6 +244,7 @@ def _symmetric_reader(grid: Grid):
     _, coord = _symbol_coords(n, n)
     symbols = len(coord)
     steps = np.arange(n)
+    values = np.arange(1, n + 1)
 
     def read(codes: np.ndarray) -> np.ndarray:
         m = len(codes)
@@ -265,7 +266,7 @@ def _symmetric_reader(grid: Grid):
         table = np.empty(len(distinct), dtype=np.int64)
         for j, key in enumerate(map(tuple, distinct.tolist())):
             if key not in letters:
-                letters[key] = rule(tuple(v for v, c in enumerate(key, 1) for _ in range(c)))
+                letters[key] = rule(tuple(np.repeat(values, key).tolist()))
             table[j] = letters[key]
         return table[inverse.reshape(m, n)]
     return read

@@ -50,7 +50,7 @@ from .bounds import upper_bound_2d, upper_bound_d
 from .constructions import ConstructionResult, best_construction
 from .core import Alphabet, Grid, Word, point_index, serialize_grid, symmetry_cell_tables
 from .lines import enumerate_lines, line_points, segment_table
-from .occurrence import count_word, count_word_set
+from .occurrence import count_word_set
 
 DEFAULT_CELL_CAP = 64
 SET_CELL_CAP = 25
@@ -254,8 +254,8 @@ def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
                 nxt.append((live, nb, s + (a,)))
         nxt.sort(key=lambda e: (-e[0], e[2]))
         states = nxt[:BEAM_WIDTH]
-    best = max(states, key=lambda e: (e[0], tuple(-x for x in e[2])))
-    return best[0], bytes(best[2])
+    live, _, s = states[0]  # most live lines, then least assignment
+    return live, bytes(s)
 
 
 def _dfs(problem: _Problem, state: _Search) -> None:
@@ -343,43 +343,6 @@ def _leaf_of(problem: _Problem, grid: Grid) -> bytes | None:
     return bytes(to_search[cells[c]] for c in problem.order)
 
 
-def _assemble(problem: _Problem, state: _Search, complete: bool, seed_leaf: bytes,
-              enumerate_witnesses: bool, ceiling: int | None, elapsed: float,
-              verify) -> SolveResult:
-    stats = SolveStats(nodes=state.nodes, bound_prunes=state.bound_prunes,
-                       symmetry_prunes=state.symmetry_prunes, elapsed=elapsed)
-    lower = state.incumbent
-    upper = lower if complete else max(lower, state.open_bound)
-    if ceiling is not None:
-        if ceiling < lower:
-            raise AssertionError(f"lower {lower} exceeds the ceiling {ceiling}")
-        upper = min(upper, ceiling)
-
-    alphabet = Alphabet(problem.letters)
-
-    def grid_of(cells: bytes) -> Grid:
-        return Grid(n=problem.n, d=problem.d, alphabet=alphabet, cells=cells)
-
-    if enumerate_witnesses and complete:
-        forms = {_canonical_cells(blob, problem)
-                 for value, blob in state.collected if value == lower}
-        witnesses = tuple(grid_of(c) for c in sorted(forms))
-        classes: int | None = len(witnesses)
-    else:
-        blob = state.best_leaf if state.best_value == lower else seed_leaf
-        witnesses = (grid_of(_canonical_cells(blob, problem)),)
-        classes = None
-
-    if not witnesses:
-        raise AssertionError(f"no leaf reaches the claimed optimum {lower}")
-    for g in witnesses:
-        got = verify(g)
-        if got != lower:
-            raise AssertionError(f"witness re-verification got {got}, expected {lower}")
-    return SolveResult(complete=complete, lower=lower, upper=upper,
-                       witnesses=witnesses, classes=classes, stats=stats)
-
-
 def _compile(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
              cell_cap: int) -> _Problem:
     if any(w.n != n for w in words):
@@ -390,12 +353,13 @@ def _compile(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
     return _Problem(rows, letters, n, d, symmetry=cfg.symmetry)
 
 
-def _solve_rows(problem: _Problem, cfg: SolveConfig, verify, start: float,
+def _solve_rows(problem: _Problem, words: Sequence[Word], cfg: SolveConfig, start: float,
                 seed: ConstructionResult | None = None,
                 ceiling: int | None = None) -> SolveResult:
     """Search from the better of the beam seed and `seed`; skip the search
     when that start meets `ceiling` and no witnesses are enumerated, then run
-    the witness pass when no leaf reached the start's value. The clock runs from `start`."""
+    the witness pass when no leaf reached the start's value. Every witness is
+    recounted on `words`. The clock runs from `start`."""
     incumbent, seed_leaf = _beam_seed(problem)
     if seed is not None and seed.achieved > incumbent:
         leaf = _leaf_of(problem, seed.grid)
@@ -414,9 +378,31 @@ def _solve_rows(problem: _Problem, cfg: SolveConfig, verify, start: float,
         # A budget may cut this pass, and then the seed leaf is the witness.
         state.strict = state.first = True
         _dfs(problem, state)
-    elapsed = time.monotonic() - start
-    return _assemble(problem, state, complete, seed_leaf, cfg.enumerate_witnesses,
-                     ceiling, elapsed, verify)
+    stats = SolveStats(nodes=state.nodes, bound_prunes=state.bound_prunes,
+                       symmetry_prunes=state.symmetry_prunes,
+                       elapsed=time.monotonic() - start)
+    lower = state.incumbent
+    upper = lower if complete else max(lower, state.open_bound)
+    if ceiling is not None:
+        if ceiling < lower:
+            raise AssertionError(f"lower {lower} exceeds the ceiling {ceiling}")
+        upper = min(upper, ceiling)
+    enumerated = cfg.enumerate_witnesses and complete
+    if enumerated:
+        blobs = [blob for value, blob in state.collected if value == lower]
+    else:
+        blobs = [state.best_leaf if state.best_value == lower else seed_leaf]
+    alphabet = Alphabet(problem.letters)
+    witnesses = tuple(Grid(n=problem.n, d=problem.d, alphabet=alphabet, cells=cells)
+                      for cells in sorted({_canonical_cells(b, problem) for b in blobs}))
+    if not witnesses:
+        raise AssertionError(f"no leaf reaches the claimed optimum {lower}")
+    for g in witnesses:
+        got = count_word_set(words, g).total
+        if got != lower:
+            raise AssertionError(f"witness re-verification got {got}, expected {lower}")
+    return SolveResult(complete=complete, lower=lower, upper=upper, witnesses=witnesses,
+                       classes=len(witnesses) if enumerated else None, stats=stats)
 
 
 def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveResult:
@@ -433,7 +419,7 @@ def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveRes
     problem = _compile([w], n, d, cfg, DEFAULT_CELL_CAP)
     seed = best_construction(w, d) if d >= 2 else None
     ceiling = upper_bound_2d(w).upper if d == 2 else upper_bound_d(w, d)
-    return _solve_rows(problem, cfg, lambda g: count_word(w, g).total, start, seed, ceiling)
+    return _solve_rows(problem, [w], cfg, start, seed, ceiling)
 
 
 def solve_set(words: Sequence[Word], n: int, d: int,
@@ -446,7 +432,7 @@ def solve_set(words: Sequence[Word], n: int, d: int,
     if not word_list:
         raise ValueError("word set must be nonempty")
     problem = _compile(word_list, n, d, cfg, SET_CELL_CAP)
-    return _solve_rows(problem, cfg, lambda g: count_word_set(word_list, g).total, start)
+    return _solve_rows(problem, word_list, cfg, start)
 
 
 def solve_oracle(w: Word, n: int, d: int) -> int:

@@ -59,6 +59,16 @@ def _sweep(check_id: str, expected: str, failures: list[str]) -> CheckResult:
     return CheckResult(check_id, expected, got)
 
 
+def _optima(check_id: str, expected: str, cases: list[tuple[Word, int]]) -> CheckResult:
+    """Solve each (word, expected optimum) on the n x n grid and list the misses."""
+    failures = []
+    for w, want in cases:
+        got = solve(w, w.n, 2).optimum
+        if got != want:
+            failures.append(f"{w.text}: {got} != {want}")
+    return _sweep(check_id, expected, failures)
+
+
 # ------------------------------------------------------------------ criterion 1
 
 def check_line_tallies() -> CheckResult:
@@ -105,16 +115,9 @@ def check_optimum_amm_3d() -> CheckResult:
 # ------------------------------------------------------------------ criterion 4
 
 def check_two_block_sweep() -> CheckResult:
-    failures = []
-    for n in range(2, 6):
-        for k in range(1, n // 2 + 1):
-            w = W("A" * k + "M" * (n - k))
-            want = max(2 * (n - k) + 1, 4 * k)
-            got = solve(w, n, 2).optimum
-            if got != want:
-                failures.append(f"{w.text}: {got} != {want}")
-    return _sweep("two-block-sweep",
-                  "solver matches max(2(n-k)+1, 4k), n=2..5", failures)
+    cases = [(W("A" * k + "M" * (n - k)), max(2 * (n - k) + 1, 4 * k))
+             for n in range(2, 6) for k in range(1, n // 2 + 1)]
+    return _optima("two-block-sweep", "solver matches max(2(n-k)+1, 4k), n=2..5", cases)
 
 
 # ------------------------------------------------------------------ criterion 5
@@ -123,20 +126,11 @@ def check_palindrome_sweep() -> CheckResult:
     # the length-3 alternating palindrome resolves to 6 = max(n, 2k)+2, not
     # n+2: the 6-line grid AMA/MMM/AMA is hand-verifiable and the symmetry
     # defect ceiling matches, so the larger value is asserted
-    failures = []
-    for n in range(2, 6):
-        for half in itertools.product("AM", repeat=(n + 1) // 2):
-            word = "".join(half) + "".join(half[: n // 2][::-1])
-            w = W(word)
-            want = max(n, 2 * word_stats(w).kmax) + 2
-            got = solve(w, n, 2).optimum
-            if got != want:
-                failures.append(f"{word}: {got} != {want}")
-    ama = solve(W("AMA"), 3, 2).optimum
-    if ama != 6:
-        failures.append(f"AMA: {ama} != 6")
-    return _sweep("palindrome-sweep",
-                  "solver matches max(n, 2k)+2 on binary palindromes, n<=5", failures)
+    words = [W("".join(half) + "".join(half[: n // 2][::-1]))
+             for n in range(2, 6) for half in itertools.product("AM", repeat=(n + 1) // 2)]
+    cases = [(w, max(w.n, 2 * word_stats(w).kmax) + 2) for w in words] + [(W("AMA"), 6)]
+    return _optima("palindrome-sweep",
+                   "solver matches max(n, 2k)+2 on binary palindromes, n<=5", cases)
 
 
 # ------------------------------------------------------------------ criterion 6
@@ -150,14 +144,9 @@ def _antisymmetric_words(n: int) -> list[Word]:
 
 
 def check_antisymmetric_sweep() -> CheckResult:
-    failures = []
-    for n in (2, 4):
-        for w in _antisymmetric_words(n):
-            got = solve(w, n, 2).optimum
-            if got != 2 * n:
-                failures.append(f"{w.text}: {got} != {2 * n}")
-    return _sweep("antisymmetric-sweep",
-                  "solver gives 2n on binary antisymmetric words, n<=5", failures)
+    cases = [(w, 2 * n) for n in (2, 4) for w in _antisymmetric_words(n)]
+    return _optima("antisymmetric-sweep",
+                   "solver gives 2n on binary antisymmetric words, n<=5", cases)
 
 
 # ------------------------------------------------------------------ criterion 7
@@ -218,23 +207,12 @@ def check_construction_certificates() -> CheckResult:
 # ------------------------------------------------------------------ criterion 9
 
 def check_oracle_equivalence() -> CheckResult:
-    failures = []
-    for n in (3, 4):
-        for bits in itertools.product("AM", repeat=n):
-            w = W("".join(bits))
-            got = solve(w, n, 2).optimum
-            want = solve_oracle(w, n, 2)
-            if got != want:
-                failures.append(f"{w.text}: {got} != {want}")
     rng = random.Random(99)
-    for _ in range(20):
-        w = W("".join(rng.choice("ABC") for _ in range(3)))
-        got = solve(w, 3, 2).optimum
-        want = solve_oracle(w, 3, 2)
-        if got != want:
-            failures.append(f"{w.text}: {got} != {want}")
-    return _sweep("oracle-equivalence",
-                  "search equals exhaustive tensor count on small instances", failures)
+    words = [W("".join(bits)) for n in (3, 4) for bits in itertools.product("AM", repeat=n)]
+    words += [W("".join(rng.choice("ABC") for _ in range(3))) for _ in range(20)]
+    return _optima("oracle-equivalence",
+                   "search equals exhaustive tensor count on small instances",
+                   [(w, solve_oracle(w, w.n, 2)) for w in words])
 
 
 # ----------------------------------------------------------------- criterion 10

@@ -6,7 +6,10 @@ ceilings pinned here; a criterion fails on a wrong value or a blown budget.
 """
 
 import time
+from types import SimpleNamespace
 
+import wordgrid.verify as verify_mod
+from wordgrid.solver import solve as real_solve
 from wordgrid.verify import (
     CheckResult,
     check_antisymmetric_sweep,
@@ -86,3 +89,21 @@ def test_criterion_11_high_dimensional_properties():
 
 def test_criterion_12_worker_determinism():
     _gate(12, 300.0, check_worker_determinism)
+
+
+def _solve_missing(monkeypatch, misses: set[str]) -> None:
+    """Make verify's solve miss the named words and solve the rest."""
+    def solve(w, n, d, *args):
+        return SimpleNamespace(optimum=-1) if w.text in misses else real_solve(w, n, d, *args)
+
+    monkeypatch.setattr(verify_mod, "solve", solve)
+
+
+def test_solver_sweeps_list_the_first_three_misses_in_case_order(monkeypatch):
+    _solve_missing(monkeypatch, {"AMM", "AAMM", "AMMMM", "AAMMM"})
+    assert check_two_block_sweep().got == (
+        "failed: AMM: -1 != 5; AAMM: -1 != 8; AMMMM: -1 != 9")
+    # binary words of length 3, then 4, then the seeded ABC words
+    _solve_missing(monkeypatch, {"MAM", "AMMA", "CAA", "ABA"})
+    assert check_oracle_equivalence().got == (
+        "failed: MAM: -1 != 6; AMMA: -1 != 6; CAA: -1 != 5")

@@ -3,6 +3,7 @@
 import itertools
 import random
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -268,6 +269,18 @@ def test_node_budget_is_exact(budget):
     r = solve(Word.from_string("AMMA"), 4, 3, SolveConfig(node_budget=budget))
     assert not r.complete
     assert r.stats.nodes == budget + 1
+
+
+def test_solve_and_solve_set_recount_every_witness_on_their_words(monkeypatch):
+    # both entry points recount their witnesses through count_word_set, so a
+    # recount that disagrees with the search raises on either
+    real = solver_mod.count_word_set
+    monkeypatch.setattr(solver_mod, "count_word_set",
+                        lambda words, g: SimpleNamespace(total=real(words, g).total - 1))
+    with pytest.raises(AssertionError, match="^witness re-verification got 4, expected 5$"):
+        solve(Word.from_string("AMM"), 3, 2)
+    with pytest.raises(AssertionError, match="^witness re-verification got 4, expected 5$"):
+        solve_set([Word.from_string("ABC"), Word.from_string("ACB")], 3, 2)
 
 
 def test_elapsed_covers_compile(monkeypatch):
