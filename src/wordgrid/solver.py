@@ -10,10 +10,12 @@ Lines are tracked as bits of one Python int per search state. Each probe (a
 reading of a word, forward or reversed) owns L bits, one per line, at offset
 p*L; a set bit means the assignments so far contradict that line's probe-p
 reading. A line is dead when its bit is set in every probe's segment, so one
-step is an OR of the branch's mask, an AND of the state with itself shifted by
-L, 2L, ..., (P-1)L, and a popcount of the low L bits that remain. The bound
-(lines alive) is exact at leaves and monotone along any branch, so pruning
-against the incumbent is safe.
+step is an OR of the branch's mask and a popcount of the dead lines, counted
+by one expression chosen from the probe count P: the state's own popcount
+for a palindrome (P = 1), that of the state ANDed with itself shifted by L for
+one word (P = 2), and for a set an AND with every shift L, 2L, ..., (P-1)L.
+The bound (lines alive, L less the dead) is exact at leaves and monotone
+along any branch, so pruning against the incumbent is safe.
 
 The search starts from the best grid the package can certify without it:
 the beam seed, or for `solve` the best construction when that grid uses only
@@ -42,6 +44,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -242,87 +245,121 @@ def _lex_leader(gmaps: Sequence[Sequence[int]], s: Sequence[int], q: int) -> boo
 
 
 def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
-    """Deterministic beam of BEAM_WIDTH over the branch order; returns (value, assignment)."""
-    A = problem.A
-    root = (problem.L, 0, ())
-    states: list[tuple[int, int, tuple[int, ...]]] = [root]
+    """Deterministic beam of BEAM_WIDTH over the branch order; returns (value, assignment).
+
+    Each level keeps the children with the fewest dead lines, ties going to
+    the least assignment: two stable sorts, by assignment, then by dead count."""
+    L = problem.L
+    letter = [bytes((a,)) for a in range(problem.A)]
+    states: list[tuple[int, int, bytes]] = [(0, 0, b"")]
     for row in problem.masks:
-        nxt: list[tuple[int, int, tuple[int, ...]]] = []
+        nxt: list[tuple[int, int, bytes]] = []
         for _, bads, s in states:
-            for a in range(A):
-                nb, live = _step(problem, bads, row[a])
-                nxt.append((live, nb, s + (a,)))
-        nxt.sort(key=lambda e: (-e[0], e[2]))
+            for a, m in enumerate(row):
+                nb, live = _step(problem, bads, m)
+                nxt.append((L - live, nb, s + letter[a]))
+        nxt.sort(key=itemgetter(2))
+        nxt.sort(key=itemgetter(0))
         states = nxt[:BEAM_WIDTH]
-    live, _, s = states[0]  # most live lines, then least assignment
-    return live, bytes(s)
+    dead, _, s = states[0]  # fewest dead lines, then least assignment
+    return L - dead, s
 
 
 def _dfs(problem: _Problem, state: _Search) -> None:
     """Depth-first search from the root in branch order, into `state`.
 
-    Each node is counted and tested against the node budget; the clock is
-    read every CLOCK_CHECK_MASK + 1 nodes."""
+    Each node is counted and tested against the node budget, and the clock is
+    read every CLOCK_CHECK_MASK + 1 nodes: one compare per node against the
+    next count at which either applies. A node carries its dead-line count,
+    L less its bound. A child is pruned when that count exceeds the cap
+    L - incumbent (less one when ties are pruned too), re-read after each
+    child since a leaf may raise the incumbent. A node's last letter is
+    entered by looping (tail descent), so only the earlier letters recurse.
+    The tallies, the incumbent, the best leaf, the open bound and the stop
+    flag are closure locals, written back to `state` on exit. Collected
+    leaves below the incumbent are dropped each time the list passes a trim
+    point, which then rises to twice what is left (never below
+    COLLECT_TRIM), so a run of ties is not rescanned on every append."""
     L, A, N = problem.L, problem.A, problem.N
-    masks, shifts = problem.masks, problem.shifts
-    gmaps = problem.gmaps
-    strict = state.strict
+    masks, shifts, gmaps = problem.masks, problem.shifts, problem.gmaps
+    one, two = not shifts, len(shifts) == 1  # probe count 1 (palindrome) or 2 (one word)
+    slack = 0 if state.strict else 1
+    first, collect, collected = state.first, state.collect, state.collected
     budget = state.node_budget if state.node_budget is not None else sys.maxsize
     deadline = state.deadline
-    s: list[int] = []
-    nodes = state.nodes
+    last = A - 1
+    s = [0] * N
+    nodes, stopped, open_bound = state.nodes, state.stopped, state.open_bound
+    bound_prunes, symmetry_prunes = state.bound_prunes, state.symmetry_prunes
+    incumbent = state.incumbent
+    cap = L - incumbent - slack
+    best_value, best_leaf = state.best_value, state.best_leaf
+    trim = COLLECT_TRIM
+    # the next node count at which the budget or the clock applies
+    check = budget + 1 if deadline is None else min(budget + 1, (nodes | CLOCK_CHECK_MASK) + 1)
 
-    def leaf(value: int) -> None:
-        if state.first:
-            state.stopped = True
-        if value > state.incumbent:
-            state.incumbent = value
-        blob = bytes(s)
-        if state.collect and value >= state.incumbent:
-            state.collected.append((value, blob))
-            if len(state.collected) > COLLECT_TRIM:
-                inc = state.incumbent
-                state.collected[:] = [e for e in state.collected if e[0] >= inc]
-        # leaves arrive in branch order, so the first at a value is the least
-        if value > state.best_value:
-            state.best_value = value
-            state.best_leaf = blob
+    def dfs(q: int, bads: int, dead: int) -> None:
+        nonlocal nodes, stopped, open_bound, bound_prunes, symmetry_prunes
+        nonlocal incumbent, cap, best_value, best_leaf, trim, check
+        while True:
+            if stopped:
+                open_bound = max(open_bound, L - dead)
+                return
+            nodes += 1
+            if nodes >= check:
+                if nodes > budget or time.monotonic() > deadline:
+                    stopped = True
+                    open_bound = max(open_bound, L - dead)
+                    return
+                check = min(budget + 1, nodes + CLOCK_CHECK_MASK + 1)
+            if q <= SYMMETRY_DEPTH and q >= 2 and not _lex_leader(gmaps, s, q):
+                symmetry_prunes += 1
+                return
+            if q == N:
+                value = L - dead
+                if first:
+                    stopped = True
+                if value > incumbent:
+                    incumbent = value
+                    cap = L - incumbent - slack
+                blob = bytes(s)
+                if collect and value >= incumbent:
+                    collected.append((value, blob))
+                    if len(collected) > trim:
+                        collected[:] = [e for e in collected if e[0] >= incumbent]
+                        trim = max(COLLECT_TRIM, 2 * len(collected))
+                # leaves arrive in branch order, so the first at a value is the least
+                if value > best_value:
+                    best_value, best_leaf = value, blob
+                return
+            mq = masks[q]
+            for a in range(A):
+                nb = bads | mq[a]
+                if one:
+                    dead = nb.bit_count()
+                elif two:
+                    dead = (nb & (nb >> L)).bit_count()
+                else:
+                    dead = nb
+                    for sh in shifts:
+                        dead &= nb >> sh
+                    dead = dead.bit_count()
+                if dead > cap:
+                    bound_prunes += 1
+                    continue
+                s[q] = a
+                if a == last:
+                    break
+                dfs(q + 1, nb, dead)
+            else:
+                return
+            q, bads = q + 1, nb
 
-    def dfs(q: int, bads: int, bound: int) -> None:
-        nonlocal nodes
-        if state.stopped:
-            state.open_bound = max(state.open_bound, bound)
-            return
-        nodes += 1
-        if nodes > budget or (nodes & CLOCK_CHECK_MASK == 0 and deadline is not None
-                              and time.monotonic() > deadline):
-            state.stopped = True
-            state.open_bound = max(state.open_bound, bound)
-            return
-        if 2 <= q <= SYMMETRY_DEPTH and not _lex_leader(gmaps, s, q):
-            state.symmetry_prunes += 1
-            return
-        if q == N:
-            leaf(bound)
-            return
-        inc = state.incumbent
-        mq = masks[q]
-        for a in range(A):
-            nb = bads | mq[a]  # _step, inlined
-            dead = nb
-            for sh in shifts:
-                dead &= nb >> sh
-            nbound = L - dead.bit_count()
-            if nbound < inc or (not strict and nbound == inc):
-                state.bound_prunes += 1
-                continue
-            s.append(a)
-            dfs(q + 1, nb, nbound)
-            s.pop()
-            inc = state.incumbent
-
-    dfs(0, 0, L)
-    state.nodes = nodes
+    dfs(0, 0, 0)
+    state.nodes, state.stopped, state.open_bound = nodes, stopped, open_bound
+    state.bound_prunes, state.symmetry_prunes = bound_prunes, symmetry_prunes
+    state.incumbent = incumbent
+    state.best_value, state.best_leaf = best_value, best_leaf
 
 
 def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 import time
 from types import SimpleNamespace
 
@@ -13,8 +14,9 @@ from wordgrid.constructions import ConstructionResult, best_construction
 from wordgrid.core import Alphabet, Grid, Word, all_points, all_symmetries, point_index
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
-from wordgrid.solver import (SolveConfig, _canonical_cells, _Problem, _search_letters, _step,
-                             solve, solve_oracle, solve_set)
+from wordgrid.solver import (BEAM_WIDTH, CLOCK_CHECK_MASK, SYMMETRY_DEPTH, SolveConfig,
+                             _beam_seed, _canonical_cells, _dfs, _lex_leader, _Problem, _Search,
+                             _search_letters, _step, solve, solve_oracle, solve_set)
 
 BINARY = Alphabet(("A", "M"))
 
@@ -271,6 +273,14 @@ def test_node_budget_is_exact(budget):
     assert r.stats.nodes == budget + 1
 
 
+def test_spent_time_budget_stops_at_the_first_clock_read():
+    # the clock is read every CLOCK_CHECK_MASK + 1 nodes, so a deadline that has
+    # already passed stops the search at node 4,096, not before
+    r = solve(Word.from_string("ABCD"), 4, 3, SolveConfig(time_budget=1e-9))
+    assert not r.complete
+    assert r.stats.nodes == CLOCK_CHECK_MASK + 1 == 4096
+
+
 def test_solve_and_solve_set_recount_every_witness_on_their_words(monkeypatch):
     # both entry points recount their witnesses through count_word_set, so a
     # recount that disagrees with the search raises on either
@@ -449,6 +459,23 @@ PINNED = {
         "optimum 6\nclasses unknown\nwitnesses 1\n"
         "WG1 d=2 n=4 sigma=ABCD\nAAAA\nBBBB\nCCCC\nDDDD\n",
     ),
+    "amma_3d": (
+        # one probe (a palindrome), and the witness pass
+        lambda: solve(_word("AMMA"), 4, 3),
+        (True, 52, 52, None, 388894, 388753, 57),
+        "optimum 52\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=3 n=4 sigma=AM\nAAAA\nAMMA\nAMMA\nAAAA\nAMMA\nMMMM\nMMMM\nAMMA\n"
+        "AMMA\nMMMM\nMMMM\nAMMA\nAAAA\nAMMA\nAMMA\nAAAA\n",
+    ),
+    "abcd_3d_node_budget": (
+        # four letters, stopped partway through a sibling loop: the prunes
+        # counted while unwinding are part of the tally
+        lambda: solve(_word("ABCD"), 4, 3, SolveConfig(node_budget=5000)),
+        (False, 32, 52, None, 5001, 14943, 0),
+        "interval 32 52\nclasses unknown\nwitnesses 1\n"
+        "WG1 d=3 n=4 sigma=ABCD\nAAAA\nABBA\nDCCD\nDDDD\nABBA\nBBBB\nCCCC\nDCCD\n"
+        "DCCD\nCCCC\nBBBB\nABBA\nDDDD\nDCCD\nABBA\nAAAA\n",
+    ),
     "aammm_node_budget": (
         lambda: solve(_word("AAMMM"), 5, 2, SolveConfig(node_budget=3)),
         (False, 8, 10, None, 4, 1, 0),
@@ -466,3 +493,191 @@ def test_pinned_search(key):
     got = (r.complete, r.lower, r.upper, r.classes, s.nodes, s.bound_prunes, s.symmetry_prunes)
     assert got == expected
     assert r.canonical_text() == text
+
+
+# ---------------------------------------------------------------- the search before its node rewrite
+
+def _reference_dfs(problem, state):
+    """`_dfs` before each node ran fewer bytecodes: the state is read and
+    written through attributes, every child is a call, the prefix is a list
+    grown and shrunk, and the dead count folds every probe shift. Collected
+    leaves are trimmed on every append past COLLECT_TRIM."""
+    L, A, N = problem.L, problem.A, problem.N
+    masks, shifts = problem.masks, problem.shifts
+    gmaps = problem.gmaps
+    strict = state.strict
+    budget = state.node_budget if state.node_budget is not None else sys.maxsize
+    deadline = state.deadline
+    s = []
+    nodes = state.nodes
+
+    def leaf(value):
+        if state.first:
+            state.stopped = True
+        if value > state.incumbent:
+            state.incumbent = value
+        blob = bytes(s)
+        if state.collect and value >= state.incumbent:
+            state.collected.append((value, blob))
+            if len(state.collected) > solver_mod.COLLECT_TRIM:
+                inc = state.incumbent
+                state.collected[:] = [e for e in state.collected if e[0] >= inc]
+        if value > state.best_value:
+            state.best_value = value
+            state.best_leaf = blob
+
+    def dfs(q, bads, bound):
+        nonlocal nodes
+        if state.stopped:
+            state.open_bound = max(state.open_bound, bound)
+            return
+        nodes += 1
+        if nodes > budget or (nodes & CLOCK_CHECK_MASK == 0 and deadline is not None
+                              and time.monotonic() > deadline):
+            state.stopped = True
+            state.open_bound = max(state.open_bound, bound)
+            return
+        if 2 <= q <= SYMMETRY_DEPTH and not _lex_leader(gmaps, s, q):
+            state.symmetry_prunes += 1
+            return
+        if q == N:
+            leaf(bound)
+            return
+        inc = state.incumbent
+        mq = masks[q]
+        for a in range(A):
+            nb = bads | mq[a]
+            dead = nb
+            for sh in shifts:
+                dead &= nb >> sh
+            nbound = L - dead.bit_count()
+            if nbound < inc or (not strict and nbound == inc):
+                state.bound_prunes += 1
+                continue
+            s.append(a)
+            dfs(q + 1, nb, nbound)
+            s.pop()
+            inc = state.incumbent
+
+    dfs(0, 0, L)
+    state.nodes = nodes
+
+
+def _reference_beam_seed(problem):
+    """`_beam_seed` before the rewrite: tuple assignments, one (-live, s) sort key."""
+    states = [(problem.L, 0, ())]
+    for row in problem.masks:
+        nxt = []
+        for _, bads, s in states:
+            for a in range(problem.A):
+                nb, live = _step(problem, bads, row[a])
+                nxt.append((live, nb, s + (a,)))
+        nxt.sort(key=lambda e: (-e[0], e[2]))
+        states = nxt[:BEAM_WIDTH]
+    live, _, s = states[0]
+    return live, bytes(s)
+
+
+def _search_facts(state):
+    """Everything a pass leaves in its state that a solve reads, with the
+    collected leaves cut to those at the final incumbent (the only ones read)."""
+    return (state.nodes, state.bound_prunes, state.symmetry_prunes, state.open_bound,
+            state.stopped, state.incumbent, state.best_value, state.best_leaf,
+            [e for e in state.collected if e[0] == state.incumbent])
+
+
+# one probe (AMA, AMMA), two probes (one word, or a set of two reversals) and
+# more (sets), with and without symmetry
+DIFF_PROBLEMS = [
+    (("AMA",), 3, 2, True), (("AMMA",), 4, 2, True), (("AMM",), 3, 2, True),
+    (("AMM",), 3, 2, False), (("ABC",), 3, 2, True), (("AAMM",), 4, 2, True),
+    (("AM",), 2, 3, True), (("AMM",), 3, 3, True), (("ABCD", "ABDC"), 4, 2, True),
+    (("AB", "BA"), 2, 2, True), (("AMM", "MAM", "MMA"), 3, 2, True),
+]
+# (node budget, deadline): budgets that stop at the root, one and two nodes
+# in, around the first clock read and partway through sibling loops; a spent
+# deadline stops at the first clock read
+DIFF_LIMITS = [(1, None), (2, None), (3, None), (50, None), (4096, None), (4097, None),
+               (10_000, None), (None, None), (None, 0.0)]
+
+
+def _diff_problem(texts, n, d, symmetry):
+    letters, rows = _search_letters([Word.from_string(t) for t in texts])
+    return _Problem(rows, letters, n, d, symmetry=symmetry)
+
+
+@pytest.mark.parametrize("texts, n, d, symmetry", DIFF_PROBLEMS)
+def test_dfs_and_beam_match_the_pre_rewrite_search(texts, n, d, symmetry):
+    # fresh identical states, every strict/collect/first combination, from the
+    # beam's value and from two below it (so leaves raise the incumbent); a
+    # pass that completes is followed by the witness pass on the same state
+    problem = _diff_problem(texts, n, d, symmetry)
+    value, leaf = _beam_seed(problem)
+    assert (value, leaf) == _reference_beam_seed(problem)
+    for incumbent, (budget, deadline), strict, collect, first in itertools.product(
+            (value, value - 2), DIFF_LIMITS, (False, True), (False, True), (False, True)):
+        states = []
+        for search in (_dfs, _reference_dfs):
+            state = _Search(incumbent, strict, collect, budget, deadline)
+            state.first = first
+            search(problem, state)
+            facts = [_search_facts(state)]
+            if not state.stopped:
+                state.strict = state.first = True
+                search(problem, state)
+                facts.append(_search_facts(state))
+            states.append(facts)
+        assert states[0] == states[1], (incumbent, budget, deadline, strict, collect, first)
+
+
+@pytest.mark.parametrize("start", [0, 5000])
+def test_clock_cadence_matches_the_pre_rewrite_search(monkeypatch, start):
+    # a fake clock reads 0, 1, 2, ..., so a deadline of 2.5 passes at the
+    # fourth read: node 4 * 4,096 from a fresh state, and from one that has
+    # counted 5,000 nodes already (a witness pass) the fourth multiple of
+    # 4,096 past it
+    problem = _diff_problem(("ABCD",), 4, 3, True)
+    value, _ = _beam_seed(problem)
+    got = []
+    for search in (_dfs, _reference_dfs):
+        monkeypatch.setattr(time, "monotonic", itertools.count().__next__)
+        state = _Search(value, strict=False, collect=False, node_budget=None, deadline=2.5)
+        state.nodes = start
+        search(problem, state)
+        got.append(_search_facts(state))
+    assert got[0] == got[1]
+    assert got[0][0] == (start // 4096 + 4) * 4096
+
+
+class _CountingList(list):
+    """A list that counts slice assignments, the collected leaves' trims."""
+    trims = 0
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            self.trims += 1
+        super().__setitem__(key, value)
+
+
+def test_collect_trim_point_doubles_past_ties(monkeypatch):
+    # AM 2^4 has 189 optimal leaves once symmetry cuts; with the trim point at
+    # 2 and the incumbent already optimal, every leaf ties and no trim removes
+    # anything, so the trim point must grow instead of rescanning on each append
+    monkeypatch.setattr(solver_mod, "COLLECT_TRIM", 2)
+    problem = _diff_problem(("AM",), 2, 4, True)
+    state = _Search(64, strict=True, collect=True, node_budget=None, deadline=None)
+    state.collected = _CountingList()
+    _dfs(problem, state)
+    assert len(state.collected) == 189
+    assert state.collected.trims <= len(state.collected).bit_length()
+
+
+@pytest.mark.parametrize("text, n, d, symmetry", [
+    ("AMM", 3, 3, True), ("AM", 2, 4, True), ("AMM", 3, 2, False), ("AAMM", 4, 2, True),
+])
+def test_small_collect_trim_keeps_every_class(monkeypatch, text, n, d, symmetry):
+    cfg = SolveConfig(enumerate_witnesses=True, symmetry=symmetry)
+    want = solve(Word.from_string(text), n, d, cfg)
+    monkeypatch.setattr(solver_mod, "COLLECT_TRIM", 2)
+    got = solve(Word.from_string(text), n, d, cfg)
+    assert (got.classes, got.canonical_text()) == (want.classes, want.canonical_text())
