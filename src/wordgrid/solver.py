@@ -17,6 +17,20 @@ one word (P = 2), and for a set an AND with every shift L, 2L, ..., (P-1)L.
 The bound (lines alive, L less the dead) is exact at leaves and monotone
 along any branch, so pruning against the incumbent is safe.
 
+Symmetry breaking (lex-leader, as in Crawford, Ginsberg, Luks and Roy,
+KR 1996): with `SolveConfig.symmetry`, a node is pruned when some symmetry
+of the grid maps its assignment, read in branch order, to a smaller one
+over the positions both sides have assigned. Only the first SYMMETRY_DEPTH
+depths are compared; past that horizon no node is cut by symmetry. The
+check is incremental: each map's comparison is split into blocks by the
+depth at which they become comparable, a map still tied waits for its next
+block, and a map whose image compared greater is left alone for the whole
+subtree. The image of an optimal grid is optimal, so the first optimal
+leaf in branch order, and the least member of each optimal class, is no
+greater than any of its images and is never cut: the optimum, the witness
+and the class count do not depend on the horizon, only the tallies and a
+budget-cut result do.
+
 The search starts from the best grid the package can certify without it:
 the beam seed, or for `solve` the best construction when that grid uses only
 the search letters and reaches more lines. When that seed already meets the
@@ -59,7 +73,7 @@ DEFAULT_CELL_CAP = 64
 SET_CELL_CAP = 25
 ORACLE_STATE_CAP = 2**28
 BEAM_WIDTH = 64
-SYMMETRY_DEPTH = 12
+SYMMETRY_DEPTH = 24
 CLOCK_CHECK_MASK = 0xFFF
 COLLECT_TRIM = 200_000
 
@@ -139,7 +153,7 @@ class SolveResult:
 
 
 class _Problem:
-    """Compiled search instance: masks, branch order, symmetry maps."""
+    """Compiled search instance: masks, branch order, lex-leader schedule."""
 
     def __init__(self, symbol_rows: Sequence[tuple[int, ...]], letters: tuple[str, ...],
                  n: int, d: int, symmetry: bool):
@@ -174,13 +188,41 @@ class _Problem:
                             at_depth[a] |= bit
         self.masks = masks
 
-        # gmaps[k][i]: depth of the k-th non-identity image of depth i's cell. `_lex_leader`
-        # reads only the first SYMMETRY_DEPTH depths, so maps equal there are kept once, in order.
-        self.gmaps: list[list[int]] = []
+        # The lex-leader schedule. images[k, i] is the depth of the image of
+        # depth i's cell under the k-th non-identity symmetry. Position i of
+        # that image can be compared with the prefix from depth ready[k, i],
+        # one past the prefix maximum of max(i, images[k, i]). Pairs that
+        # always tie (images[k, i] == i) and pairs not ready by the horizon
+        # are dropped, and maps left with the same pairs are kept once. A
+        # block holds one map's pairs that are ready at the same depth, as
+        # (getter of the prefix letters, getter of their images, depth of the
+        # map's next block or 0, that block). buckets[q] starts out with the
+        # first block of every map whose first block is ready at depth q.
+        self.buckets: list[list[tuple]] = [[] for _ in range(N + 1)]
         if symmetry:
-            gmaps = pos_of[symmetry_cell_tables(n, d)[1:, self.order[:SYMMETRY_DEPTH]]]
-            first = np.unique(gmaps, axis=0, return_index=True)[1]
-            self.gmaps = gmaps[np.sort(first)].tolist()
+            H = min(SYMMETRY_DEPTH, N)
+            images = pos_of[symmetry_cell_tables(n, d)[1:, self.order[:H]]]
+            at = np.arange(H)
+            ready = np.maximum.accumulate(np.maximum(images, at), axis=1) + 1
+            images[(ready > H) | (images == at)] = -1
+            # each row as one opaque value: np.unique(axis=0) is far slower
+            rows = np.ascontiguousarray(images)
+            rows = rows.view(np.dtype((np.void, rows.itemsize * H))).ravel()
+            keep = np.sort(np.unique(rows, return_index=True)[1])
+            images, ready = images[keep], ready[keep]
+            k, i = np.nonzero(images >= 0)
+            j, q = images[k, i], ready[k, i]
+            starts = np.flatnonzero(np.diff(k * (H + 1) + q, prepend=-1)).tolist()
+            ends = starts[1:] + [len(k)]
+            k, i, j, q = k.tolist(), i.tolist(), j.tolist(), q.tolist()
+            # built from the last block back, so each block can name the next
+            nxt_q, nxt = 0, None
+            for lo, hi in zip(reversed(starts), reversed(ends)):
+                if hi == len(k) or k[hi] != k[lo]:  # the map's last block
+                    nxt_q, nxt = 0, None
+                nxt_q, nxt = q[lo], (itemgetter(*i[lo:hi]), itemgetter(*j[lo:hi]), nxt_q, nxt)
+                if lo == 0 or k[lo - 1] != k[lo]:  # the map's first block
+                    self.buckets[nxt_q].append(nxt)
 
 
 class _Search:
@@ -230,20 +272,6 @@ def _step(problem: _Problem, bads: int, m: int) -> tuple[int, int]:
     return c, problem.L - dead.bit_count()
 
 
-def _lex_leader(gmaps: Sequence[Sequence[int]], s: Sequence[int], q: int) -> bool:
-    """False when some symmetry maps the assigned prefix s[:q] below itself."""
-    for gm in gmaps:
-        for i in range(q):
-            j = gm[i]
-            if j >= q:
-                break
-            if s[j] < s[i]:
-                return False
-            if s[j] > s[i]:
-                break
-    return True
-
-
 def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
     """Deterministic beam of BEAM_WIDTH over the branch order; returns (value, assignment).
 
@@ -275,13 +303,26 @@ def _dfs(problem: _Problem, state: _Search) -> None:
     L - incumbent (less one when ties are pruned too), re-read after each
     child since a leaf may raise the incumbent. A node's last letter is
     entered by looping (tail descent), so only the earlier letters recurse.
-    The tallies, the incumbent, the best leaf, the open bound and the stop
-    flag are closure locals, written back to `state` on exit. Collected
+    A node of depth q compares only the blocks waiting in buckets[q]: a
+    smaller image prunes it, a larger one drops the map, and a tie moves
+    the map to the bucket of its next block. Each move is pushed on one
+    undo stack, and a frame that moved maps takes its moves back when it
+    returns, so a frame that moves none does no undo work. The tallies,
+    the incumbent, the best leaf, the open bound and the stop flag are
+    closure locals, written back to `state` on exit. Collected
     leaves below the incumbent are dropped each time the list passes a trim
     point, which then rises to twice what is left (never below
     COLLECT_TRIM), so a run of ties is not rescanned on every append."""
     L, A, N = problem.L, problem.A, problem.N
-    masks, shifts, gmaps = problem.masks, problem.shifts, problem.gmaps
+    masks, shifts = problem.masks, problem.shifts
+    buckets = [list(waiting) for waiting in problem.buckets]
+    undo: list[list[tuple]] = []  # the bucket each move appended to, in order
+
+    def unwind(mark: int) -> None:
+        """Take back every move made since the undo stack was mark - 1 long."""
+        while len(undo) >= mark:
+            undo.pop().pop()
+
     one, two = not shifts, len(shifts) == 1  # probe count 1 (palindrome) or 2 (one word)
     slack = 0 if state.strict else 1
     first, collect, collected = state.first, state.collect, state.collected
@@ -301,6 +342,7 @@ def _dfs(problem: _Problem, state: _Search) -> None:
     def dfs(q: int, bads: int, dead: int) -> None:
         nonlocal nodes, stopped, open_bound, bound_prunes, symmetry_prunes
         nonlocal incumbent, cap, best_value, best_leaf, trim, check
+        mark = 0  # 1 + the undo stack's length before this frame's first move
         while True:
             if stopped:
                 open_bound = max(open_bound, L - dead)
@@ -312,9 +354,20 @@ def _dfs(problem: _Problem, state: _Search) -> None:
                     open_bound = max(open_bound, L - dead)
                     return
                 check = min(budget + 1, nodes + CLOCK_CHECK_MASK + 1)
-            if q <= SYMMETRY_DEPTH and q >= 2 and not _lex_leader(gmaps, s, q):
-                symmetry_prunes += 1
-                return
+            if buckets[q]:
+                if not mark:
+                    mark = len(undo) + 1
+                for own, image, nxt_q, nxt in buckets[q]:
+                    x, y = image(s), own(s)
+                    if x == y:
+                        if nxt_q:
+                            to = buckets[nxt_q]
+                            to.append(nxt)
+                            undo.append(to)
+                    elif x < y:
+                        symmetry_prunes += 1
+                        unwind(mark)
+                        return
             if q == N:
                 value = L - dead
                 if first:
@@ -331,6 +384,8 @@ def _dfs(problem: _Problem, state: _Search) -> None:
                 # leaves arrive in branch order, so the first at a value is the least
                 if value > best_value:
                     best_value, best_leaf = value, blob
+                if mark:
+                    unwind(mark)
                 return
             mq = masks[q]
             for a in range(A):
@@ -352,6 +407,8 @@ def _dfs(problem: _Problem, state: _Search) -> None:
                     break
                 dfs(q + 1, nb, dead)
             else:
+                if mark:
+                    unwind(mark)
                 return
             q, bads = q + 1, nb
 

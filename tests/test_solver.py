@@ -1,21 +1,24 @@
 """Tests for the branch-and-bound solver against the exhaustive oracle."""
 
+import functools
 import itertools
 import random
 import sys
 import time
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import wordgrid.solver as solver_mod
 from wordgrid.bounds import bracket
 from wordgrid.constructions import ConstructionResult, best_construction
-from wordgrid.core import Alphabet, Grid, Word, all_points, all_symmetries, point_index
+from wordgrid.core import (Alphabet, Grid, Word, all_points, all_symmetries, point_index,
+                           symmetry_cell_tables)
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import count_word, count_word_set
 from wordgrid.solver import (BEAM_WIDTH, CLOCK_CHECK_MASK, SYMMETRY_DEPTH, SolveConfig,
-                             _beam_seed, _canonical_cells, _dfs, _lex_leader, _Problem, _Search,
+                             _beam_seed, _canonical_cells, _dfs, _Problem, _Search,
                              _search_letters, _step, solve, solve_oracle, solve_set)
 
 BINARY = Alphabet(("A", "M"))
@@ -404,7 +407,7 @@ def _word(text):
 PINNED = {
     "amm_3d_enumerate": (
         lambda: solve(_word("AMM"), 3, 3, SolveConfig(enumerate_witnesses=True)),
-        (True, 28, 28, 3, 31716, 31561, 75),
+        (True, 28, 28, 3, 16088, 14053, 1015),
         "optimum 28\nclasses 3\nwitnesses 3\n"
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMA\nMAM\nMAM\nAMM\nMMA\n"
         "WG1 d=3 n=3 sigma=AM\nAAA\nAMM\nAMM\nAMM\nMMM\nMMA\nAMM\nMMA\nMAM\n"
@@ -412,14 +415,14 @@ PINNED = {
     ),
     "abc_3d": (
         lambda: solve(_word("ABC"), 3, 3),
-        (True, 25, 25, None, 118005, 234406, 534),
+        (True, 25, 25, None, 66781, 119388, 4724),
         "optimum 25\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=3 sigma=ABC\nAAA\nAAA\nAAA\nABA\nBBB\nCBC\nCCC\nCCC\nCCC\n",
     ),
     "amam_3d": (
         # the parity construction meets the ceiling: only the witness pass runs
         lambda: solve(_word("AMAM"), 4, 3),
-        (True, 52, 52, None, 20697, 20526, 81),
+        (True, 52, 52, None, 7958, 5851, 1049),
         "optimum 52\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=4 sigma=AM\nAMAM\nMAMA\nAMAM\nMAMA\nMAMA\nAMAM\nMAMA\nAMAM\n"
         "AMAM\nMAMA\nAMAM\nMAMA\nMAMA\nAMAM\nMAMA\nAMAM\n",
@@ -462,7 +465,7 @@ PINNED = {
     "amma_3d": (
         # one probe (a palindrome), and the witness pass
         lambda: solve(_word("AMMA"), 4, 3),
-        (True, 52, 52, None, 388894, 388753, 57),
+        (True, 52, 52, None, 151862, 150651, 592),
         "optimum 52\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=4 sigma=AM\nAAAA\nAMMA\nAMMA\nAAAA\nAMMA\nMMMM\nMMMM\nAMMA\n"
         "AMMA\nMMMM\nMMMM\nAMMA\nAAAA\nAMMA\nAMMA\nAAAA\n",
@@ -471,7 +474,7 @@ PINNED = {
         # four letters, stopped partway through a sibling loop: the prunes
         # counted while unwinding are part of the tally
         lambda: solve(_word("ABCD"), 4, 3, SolveConfig(node_budget=5000)),
-        (False, 32, 52, None, 5001, 14943, 0),
+        (False, 32, 52, None, 5001, 14824, 31),
         "interval 32 52\nclasses unknown\nwitnesses 1\n"
         "WG1 d=3 n=4 sigma=ABCD\nAAAA\nABBA\nDCCD\nDDDD\nABBA\nBBBB\nCCCC\nDCCD\n"
         "DCCD\nCCCC\nBBBB\nABBA\nDDDD\nDCCD\nABBA\nAAAA\n",
@@ -485,26 +488,78 @@ PINNED = {
 }
 
 
+# The tallies that differ when the symmetry check stops at depth 12, as the
+# rescan of every map did before the check became incremental; each output
+# and every other tally is the same at both horizons.
+PINNED_AT_DEPTH_12 = {
+    "amm_3d_enumerate": (True, 28, 28, 3, 31716, 31561, 75),
+    "abc_3d": (True, 25, 25, None, 118005, 234406, 534),
+    "amam_3d": (True, 52, 52, None, 20697, 20526, 81),
+    "amma_3d": (True, 52, 52, None, 388894, 388753, 57),
+    "abcd_3d_node_budget": (False, 32, 52, None, 5001, 14943, 0),
+}
+
+
+def _pinned_facts(r):
+    s = r.stats
+    return (r.complete, r.lower, r.upper, r.classes, s.nodes, s.bound_prunes, s.symmetry_prunes)
+
+
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_pinned_search(key):
     run, expected, text = PINNED[key]
     r = run()
-    s = r.stats
-    got = (r.complete, r.lower, r.upper, r.classes, s.nodes, s.bound_prunes, s.symmetry_prunes)
-    assert got == expected
+    assert _pinned_facts(r) == expected
+    assert r.canonical_text() == text
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_search_at_depth_12(monkeypatch, key):
+    # the incremental check at the old horizon prunes exactly the nodes the
+    # per-node rescan pruned, so every tally and text of the rescan returns
+    monkeypatch.setattr(solver_mod, "SYMMETRY_DEPTH", 12)
+    run, expected, text = PINNED[key]
+    r = run()
+    assert _pinned_facts(r) == PINNED_AT_DEPTH_12.get(key, expected)
     assert r.canonical_text() == text
 
 
 # ---------------------------------------------------------------- the search before its node rewrite
 
-def _reference_dfs(problem, state):
-    """`_dfs` before each node ran fewer bytecodes: the state is read and
-    written through attributes, every child is a call, the prefix is a list
-    grown and shrunk, and the dead count folds every probe shift. Collected
-    leaves are trimmed on every append past COLLECT_TRIM."""
+def _lex_leader(gmaps, s, q):
+    """False when some symmetry maps the assigned prefix s[:q] below itself:
+    every map is scanned from depth 0 until its image differs from s or
+    reaches an unassigned depth."""
+    for gm in gmaps:
+        for i in range(q):
+            j = gm[i]
+            if j >= q:
+                break
+            if s[j] < s[i]:
+                return False
+            if s[j] > s[i]:
+                break
+    return True
+
+
+def _reference_gmaps(problem, horizon):
+    """gmaps[k][i]: depth of the k-th non-identity image of depth i's cell,
+    over the first `horizon` depths, maps equal there kept once, in order."""
+    pos_of = np.argsort(problem.order)
+    gmaps = pos_of[symmetry_cell_tables(problem.n, problem.d)[1:, problem.order[:horizon]]]
+    first = np.unique(gmaps, axis=0, return_index=True)[1]
+    return gmaps[np.sort(first)].tolist()
+
+
+def _reference_dfs(problem, state, leader, horizon):
+    """`_dfs` before each node ran fewer bytecodes and before the incremental
+    symmetry check: the state is read and written through attributes, every
+    child is a call, the prefix is a list grown and shrunk, the dead count
+    folds every probe shift, and every node of depth 2 to `horizon` asks
+    `leader` whether its prefix is a lex-leader. Collected leaves are
+    trimmed on every append past COLLECT_TRIM."""
     L, A, N = problem.L, problem.A, problem.N
     masks, shifts = problem.masks, problem.shifts
-    gmaps = problem.gmaps
     strict = state.strict
     budget = state.node_budget if state.node_budget is not None else sys.maxsize
     deadline = state.deadline
@@ -537,7 +592,7 @@ def _reference_dfs(problem, state):
             state.stopped = True
             state.open_bound = max(state.open_bound, bound)
             return
-        if 2 <= q <= SYMMETRY_DEPTH and not _lex_leader(gmaps, s, q):
+        if 2 <= q <= horizon and not leader(s):
             state.symmetry_prunes += 1
             return
         if q == N:
@@ -561,6 +616,22 @@ def _reference_dfs(problem, state):
 
     dfs(0, 0, L)
     state.nodes = nodes
+
+
+def _reference_search(problem, symmetry, horizon=SYMMETRY_DEPTH):
+    """`_reference_dfs` with the rescan of the problem's symmetry maps at
+    `horizon`. The answer depends on the prefix alone, so it is kept per
+    prefix for every search the returned function runs."""
+    gmaps = _reference_gmaps(problem, horizon) if symmetry else []
+    answers = {}
+
+    def leader(s):
+        key = bytes(s)
+        if key not in answers:
+            answers[key] = _lex_leader(gmaps, s, len(s))
+        return answers[key]
+
+    return functools.partial(_reference_dfs, leader=leader, horizon=horizon)
 
 
 def _reference_beam_seed(problem):
@@ -606,18 +677,15 @@ def _diff_problem(texts, n, d, symmetry):
     return _Problem(rows, letters, n, d, symmetry=symmetry)
 
 
-@pytest.mark.parametrize("texts, n, d, symmetry", DIFF_PROBLEMS)
-def test_dfs_and_beam_match_the_pre_rewrite_search(texts, n, d, symmetry):
-    # fresh identical states, every strict/collect/first combination, from the
-    # beam's value and from two below it (so leaves raise the incumbent); a
-    # pass that completes is followed by the witness pass on the same state
-    problem = _diff_problem(texts, n, d, symmetry)
-    value, leaf = _beam_seed(problem)
-    assert (value, leaf) == _reference_beam_seed(problem)
+def _assert_dfs_matches(problem, reference):
+    """Fresh identical states, every strict/collect/first combination, from the
+    beam's value and from two below it (so leaves raise the incumbent); a
+    pass that completes is followed by the witness pass on the same state."""
+    value, _ = _beam_seed(problem)
     for incumbent, (budget, deadline), strict, collect, first in itertools.product(
             (value, value - 2), DIFF_LIMITS, (False, True), (False, True), (False, True)):
         states = []
-        for search in (_dfs, _reference_dfs):
+        for search in (_dfs, reference):
             state = _Search(incumbent, strict, collect, budget, deadline)
             state.first = first
             search(problem, state)
@@ -630,6 +698,22 @@ def test_dfs_and_beam_match_the_pre_rewrite_search(texts, n, d, symmetry):
         assert states[0] == states[1], (incumbent, budget, deadline, strict, collect, first)
 
 
+@pytest.mark.parametrize("texts, n, d, symmetry", DIFF_PROBLEMS)
+def test_dfs_and_beam_match_the_pre_rewrite_search(texts, n, d, symmetry):
+    problem = _diff_problem(texts, n, d, symmetry)
+    assert _beam_seed(problem) == _reference_beam_seed(problem)
+    _assert_dfs_matches(problem, _reference_search(problem, symmetry))
+
+
+@pytest.mark.parametrize("texts, n, d, symmetry", DIFF_PROBLEMS)
+def test_dfs_matches_the_rescan_at_depth_12(monkeypatch, texts, n, d, symmetry):
+    # at the old horizon the schedule is cut short on grids of more than 12
+    # cells, and the rescan there is the parent's symmetry check
+    monkeypatch.setattr(solver_mod, "SYMMETRY_DEPTH", 12)
+    problem = _diff_problem(texts, n, d, symmetry)
+    _assert_dfs_matches(problem, _reference_search(problem, symmetry, 12))
+
+
 @pytest.mark.parametrize("start", [0, 5000])
 def test_clock_cadence_matches_the_pre_rewrite_search(monkeypatch, start):
     # a fake clock reads 0, 1, 2, ..., so a deadline of 2.5 passes at the
@@ -639,7 +723,7 @@ def test_clock_cadence_matches_the_pre_rewrite_search(monkeypatch, start):
     problem = _diff_problem(("ABCD",), 4, 3, True)
     value, _ = _beam_seed(problem)
     got = []
-    for search in (_dfs, _reference_dfs):
+    for search in (_dfs, _reference_search(problem, True)):
         monkeypatch.setattr(time, "monotonic", itertools.count().__next__)
         state = _Search(value, strict=False, collect=False, node_budget=None, deadline=2.5)
         state.nodes = start
@@ -660,7 +744,7 @@ class _CountingList(list):
 
 
 def test_collect_trim_point_doubles_past_ties(monkeypatch):
-    # AM 2^4 has 189 optimal leaves once symmetry cuts; with the trim point at
+    # AM 2^4 has 74 optimal leaves once symmetry cuts; with the trim point at
     # 2 and the incumbent already optimal, every leaf ties and no trim removes
     # anything, so the trim point must grow instead of rescanning on each append
     monkeypatch.setattr(solver_mod, "COLLECT_TRIM", 2)
@@ -668,7 +752,7 @@ def test_collect_trim_point_doubles_past_ties(monkeypatch):
     state = _Search(64, strict=True, collect=True, node_budget=None, deadline=None)
     state.collected = _CountingList()
     _dfs(problem, state)
-    assert len(state.collected) == 189
+    assert len(state.collected) == 74
     assert state.collected.trims <= len(state.collected).bit_length()
 
 
