@@ -19,8 +19,7 @@ print(res.canonical_text(), end="")
 # The 3x3x3 cube: 28 lines read AMM, in exactly 3 inequivalent ways.
 
 res = solve(w, 3, 3, SolveConfig(enumerate_witnesses=True))
-print("f(AMM, 3x3x3):", res.optimum, "classes:", res.classes,
-      "nodes:", res.stats.nodes)
+print("f(AMM, 3x3x3):", res.optimum, "classes:", res.classes)
 print(serialize_grid(res.witnesses[0]), end="")
 
 # Word sets: ask for lines reading any of the 24 orderings of ABCD and the

@@ -9,6 +9,9 @@ sign symbols carrying their start offset; a line is the segment of length n,
 so one enumerator and one index table serve both. The symbols are the
 (start, step) rows of `_segment_symbols(n, k)`, and a line drawn at random
 is d values in {0..n+1}, each the index of its row in `_segment_symbols(n, n)`.
+The enumerator builds only the canonical codes, in lexicographic order, by
+joining each prefix to a prebuilt tail block of at most TAIL_BLOCK codes
+(or of one coordinate's symbols, when those alone are more).
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ Direction = tuple[int, ...]
 SAMPLE_CAP = 10**6
 
 DEFAULT_LINE_CAP = 5_000_000
+
+TAIL_BLOCK = 256  # most codes in the tail block `_canonical_pairs` builds per call
 
 _UNIT_STEPS = frozenset((-1, 0, 1))
 
@@ -133,16 +138,33 @@ def _canonical_pairs(n: int, d: int, k: int) -> Iterator[tuple[Point, Direction,
     """(p, v, weight) of every canonical length-k segment, in encoding order.
 
     The stream is lexicographic over {1..n, +, -}^d with the symbol order of
-    `_segment_symbols`; codes with no sign or a leading '-' are skipped.
+    `_segment_symbols`, less the codes with no sign or a leading '-'; only the
+    canonical codes are built. A code is a prefix over the first d - m
+    coordinates and a tail over the last m, where m is the largest width up
+    to d whose tail block holds at most TAIL_BLOCK codes, or 1 when one
+    coordinate's symbols alone are more. The block is built once per call;
+    a prefix whose first sign is '+' takes all of it, a prefix with no sign
+    only the tail codes whose first sign is '+', and a prefix whose first
+    sign is '-' none.
     """
-    for code in itertools.product(_segment_symbols(n, k), repeat=d):
-        for _, step in code:
-            if step:
-                break
-        if step != 1:
-            continue
-        p, v = zip(*code)
-        yield p, v, d - v.count(0)
+    symbols = _segment_symbols(n, k)
+    m = 1
+    while m < d and len(symbols) ** (m + 1) <= TAIL_BLOCK:
+        m += 1
+    tail = list(_codes(symbols, m))
+    plus_tail = [code for code in tail if code[3] == 1]
+    for hp, hv, hr, lead in _codes(symbols, d - m):
+        if lead >= 0:
+            for p, v, r, _ in tail if lead else plus_tail:
+                yield hp + p, hv + v, hr + r
+
+
+def _codes(symbols: list[tuple[int, int]], m: int) -> Iterator[tuple[Point, Direction, int, int]]:
+    """(p, v, weight, lead) of every code over m coordinates, in encoding
+    order; lead is the step of the first sign, 0 if there is none."""
+    for code in itertools.product(symbols, repeat=m):
+        p, v = zip(*code) if code else ((), ())
+        yield p, v, m - v.count(0), next(filter(None, v), 0)
 
 
 def enumerate_lines(n: int, d: int, weight: int | None = None) -> Iterator[CanonicalLine]:

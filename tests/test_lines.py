@@ -209,6 +209,48 @@ def test_weight_filter():
             list(enumerate_lines(3, 2, weight=weight))
 
 
+def reference_pairs(n, d, k):
+    """The stream built from every code: each code of {1..n, +, -}^d, filtered."""
+    for code in itertools.product(lines._segment_symbols(n, k), repeat=d):
+        for _, step in code:
+            if step:
+                break
+        if step != 1:
+            continue
+        p, v = zip(*code)
+        yield p, v, d - v.count(0)
+
+
+def test_canonical_pairs_match_the_filtered_product():
+    for n in range(2, 7):
+        for d in range(1, 6):
+            for k in range(2, n + 1):
+                assert list(lines._canonical_pairs(n, d, k)) == list(reference_pairs(n, d, k)), \
+                    (n, d, k)
+
+
+@pytest.mark.parametrize("tail_block", [1, 10**9])
+def test_canonical_pairs_at_any_tail_width(monkeypatch, tail_block):
+    # a block of 1 leaves a tail of one coordinate; 10**9 makes the whole code tail
+    monkeypatch.setattr(lines, "TAIL_BLOCK", tail_block)
+    for n, d, k in [(2, 1, 2), (3, 2, 2), (3, 4, 3), (4, 3, 2), (4, 4, 4), (5, 3, 3)]:
+        assert list(lines._canonical_pairs(n, d, k)) == list(reference_pairs(n, d, k)), \
+            (n, d, k)
+
+
+def test_canonical_pairs_when_one_coordinate_exceeds_the_tail_block():
+    for k in (2, 150, 300):
+        assert len(lines._segment_symbols(300, k)) > lines.TAIL_BLOCK
+        assert list(lines._canonical_pairs(300, 2, k)) == list(reference_pairs(300, 2, k)), k
+
+
+def test_weight_filter_is_the_filtered_stream():
+    for n, d in [(2, 1), (3, 3), (4, 4), (2, 6)]:
+        every = list(enumerate_lines(n, d))
+        for r in range(1, d + 1):
+            assert list(enumerate_lines(n, d, weight=r)) == [l for l in every if l.weight == r]
+
+
 # ---------------------------------------------------------------- sampling
 
 class FixedDraws(random.Random):

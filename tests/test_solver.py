@@ -211,6 +211,24 @@ def test_canonical_cells_is_least_image(text, n, d):
         assert _canonical_cells(blob, problem) == want
 
 
+@pytest.mark.parametrize("text, n, d", [("AM", 2, 4), ("AM", 2, 6), ("ABC", 3, 3),
+                                        ("ABCD", 4, 3)])
+def test_canonical_cells_matches_bytes_minimum(text, n, d):
+    # the column-by-column minimum against the minimum over one bytes object
+    # per image; blobs over fewer letters tie many images through many cells
+    letters, rows = _search_letters([Word.from_string(text)])
+    problem = _Problem(rows, letters, n, d, symmetry=True)
+    rng = random.Random(n * 10 + d)
+    blobs = [bytes(problem.N), bytes([problem.A - 1]) * problem.N]
+    for used in range(2, problem.A + 1):
+        blobs += [bytes(rng.randrange(used) for _ in range(problem.N)) for _ in range(4)]
+    for blob in blobs:
+        cells = np.empty(problem.N, dtype=np.uint8)
+        cells[problem.order] = np.frombuffer(blob, dtype=np.uint8)
+        want = min(map(bytes, cells[symmetry_cell_tables(n, d)]))
+        assert _canonical_cells(blob, problem) == want, (text, n, d, blob)
+
+
 @pytest.mark.parametrize("text, n, d, passes", [
     ("ABC", 3, 3, 1), ("AAAMM", 5, 2, 2), ("AMAM", 4, 3, 1),
 ])
