@@ -11,7 +11,8 @@ import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import Word, word_stats
+from .constructions import best_construction
+from .core import Grid, Word, word_stats
 
 
 @dataclass(frozen=True)
@@ -167,6 +168,17 @@ def f1_subadditivity_check(w: Word, n: int) -> bool:
     return f1_exact(w, n + k - 1).value <= f1_exact(w, n).value + 1
 
 
+def product_grid(w: Word, n: int) -> Grid:
+    """Stack an optimal single-row witness for w in every row of an n x n grid."""
+    k = w.n
+    if k > n:
+        raise ValueError(f"word length {k} exceeds the side {n}")
+    row = f1_exact(w, n).witness
+    alphabet = w.alphabet
+    cells = bytes(alphabet.index(ch) for _ in range(n) for ch in row)
+    return Grid(n=n, d=2, alphabet=alphabet, cells=cells)
+
+
 def sandwich_2d(w: Word, n: int) -> tuple[int, int]:
     """Two-sided bounds on the n x n optimum for a length-k word via row optima."""
     k = w.n
@@ -188,8 +200,6 @@ def bracket(w: Word, d: int = 2) -> BoundReport:
         # the only line is the row itself, and writing w there attains it
         return BoundReport(lower=1, upper=1, exact=(1, "single-line"),
                            applied=(("total", 1),))
-    from .constructions import best_construction  # noqa: PLC0415 - cycle guard
-
     built = best_construction(w, d)
     lower = built.achieved
     if d == 2:

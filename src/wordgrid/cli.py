@@ -112,6 +112,8 @@ def cmd_segments(args: argparse.Namespace) -> int:
 def cmd_construct(args: argparse.Namespace) -> int:
     w = Word.from_string(args.word)
     method = args.method
+    if method in ("rows", "cross", "quad", "stripe") and args.d != 2:
+        raise ValueError(f"{method} builds only d=2 grids, not d={args.d}")
     if method == "best":
         result = best_construction(w, args.d)
     elif method == "rows":
@@ -188,6 +190,8 @@ def cmd_f1(args: argparse.Namespace) -> int:
 def cmd_estimate(args: argparse.Namespace) -> int:
     w = Word.from_string(args.word)
     grid = _load_grid(args.grid) if args.grid else counterpoint_grid(w, args.d)
+    if args.d is not None and args.d != grid.d:
+        raise ValueError(f"the grid file has d={grid.d}, not d={args.d}")
     rng = random.Random(args.seed)
     fraction, radius = estimate_fraction(w, grid, samples=args.samples, rng=rng)
     print(f"fraction {fraction:.6f}")
@@ -309,7 +313,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("estimate", help="sampled fraction of lines reading a word")
     p.add_argument("--word", required=True, type=_letters)
-    p.add_argument("-d", type=int, help="dimension of the layered grid (needed without --grid)")
+    p.add_argument("-d", type=int, help="dimension of the layered grid (needed without --grid, "
+                   "and when given with it must match the file's)")
     p.add_argument("--samples", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--grid", help="WG1 grid file (default: layered grid for the word)")

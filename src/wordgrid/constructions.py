@@ -409,19 +409,6 @@ def few_letter_word(k: int) -> Word:
     return Word.from_string("A" * (k + 1) + "".join(middles) + "M" * (k + 1))
 
 
-def product_grid(w: Word, n: int) -> Grid:
-    """Stack an optimal single-row witness for w in every row of an n x n grid."""
-    k = w.n
-    if k > n:
-        raise ValueError(f"word length {k} exceeds the side {n}")
-    from .bounds import f1_exact  # deferred: bounds builds on constructions elsewhere
-
-    row = f1_exact(w, n).witness
-    alphabet = w.alphabet
-    cells = bytes(alphabet.index(ch) for _ in range(n) for ch in row)
-    return Grid(n=n, d=2, alphabet=alphabet, cells=cells)
-
-
 def _constant_result(w: Word, d: int) -> ConstructionResult:
     sym = w.symbols[0]
     grid = _symmetric_grid(w, d, lambda p: sym)

@@ -44,13 +44,14 @@ One depth-first search from the root visits the tree in branch order, so
 the outputs and the node and prune tallies are deterministic.
 `SolveConfig.workers` is validated but has no effect. Every node counts
 against the node budget, and the search stops at the first node past it.
-Without enumeration the search prunes ties with the incumbent, so when no
-leaf reached the seed's value (the seed held the optimum, or the search was
-skipped) the same search runs a second time, pruning strictly (bound <
-incumbent, which can never cut a subtree holding an optimal leaf) and
-stopping at the first leaf: the first optimal leaf in branch order. Both
-passes share the budgets and the tallies. Witness enumeration prunes
-strictly too.
+A solve with witness enumeration runs one pass, which prunes strictly
+(bound < incumbent, which can never cut a subtree holding an optimal leaf)
+and keeps every leaf at the incumbent. Without it, the search prunes ties
+with the incumbent too, so every leaf it reaches raises it. When no leaf
+did (the seed held the optimum, or the search was skipped), the witness
+pass runs the same search again, pruning strictly and stopping at the
+first leaf: the first optimal leaf in branch order. The passes share the
+budgets and the tallies.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ ORACLE_STATE_CAP = 2**28
 BEAM_WIDTH = 64
 SYMMETRY_DEPTH = 24
 CLOCK_CHECK_MASK = 0xFFF
-COLLECT_TRIM = 200_000
 
 
 @dataclass(frozen=True)
@@ -229,22 +229,18 @@ class _Search:
     """State the passes of one solve share.
 
     It holds the incumbent, the budgets and the stop flag, the tallies, the
-    best leaf (the first in branch order at the highest value reached), the
-    leaves collected for enumeration and the highest bound a stop left open.
-    With `strict`, ties with the incumbent are searched; with `first`, the
-    search stops at the first leaf it reaches."""
+    best leaf (the first in branch order at the incumbent, or None when no
+    leaf reached it), the leaves at the incumbent that enumeration collected,
+    in branch order, and the highest bound a stop left open."""
 
-    def __init__(self, incumbent: int, strict: bool, collect: bool,
-                 node_budget: int | None, deadline: float | None):
+    def __init__(self, incumbent: int, node_budget: int | None, deadline: float | None):
         self.incumbent = incumbent
-        self.strict, self.collect, self.first = strict, collect, False
         self.node_budget = node_budget
         self.deadline = deadline
         self.stopped = False
         self.nodes = self.bound_prunes = self.symmetry_prunes = 0
-        self.best_value = -1
         self.best_leaf: bytes | None = None
-        self.collected: list[tuple[int, bytes]] = []
+        self.collected: list[bytes] = []
         self.open_bound = -1
 
 
@@ -293,8 +289,16 @@ def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
     return L - dead, s
 
 
-def _dfs(problem: _Problem, state: _Search) -> None:
+def _dfs(problem: _Problem, state: _Search, collect: bool = False, first: bool = False) -> None:
     """Depth-first search from the root in branch order, into `state`.
+
+    The caller names the pass: the search (the default) prunes ties with the
+    incumbent; enumeration (`collect`) searches them and appends every leaf it
+    reaches to `state.collected`; the witness pass (`first`) searches them and
+    stops at the first leaf. A leaf that raises the incumbent becomes the best
+    leaf and empties the collected list, and one that ties it is the best leaf
+    only when there is none yet, so the list holds exactly the leaves at the
+    incumbent, and the best leaf is the first leaf reached at it.
 
     Each node is counted and tested against the node budget, and the clock is
     read every CLOCK_CHECK_MASK + 1 nodes: one compare per node against the
@@ -309,10 +313,7 @@ def _dfs(problem: _Problem, state: _Search) -> None:
     undo stack, and a frame that moved maps takes its moves back when it
     returns, so a frame that moves none does no undo work. The tallies,
     the incumbent, the best leaf, the open bound and the stop flag are
-    closure locals, written back to `state` on exit. Collected
-    leaves below the incumbent are dropped each time the list passes a trim
-    point, which then rises to twice what is left (never below
-    COLLECT_TRIM), so a run of ties is not rescanned on every append."""
+    closure locals, written back to `state` on exit."""
     L, A, N = problem.L, problem.A, problem.N
     masks, shifts = problem.masks, problem.shifts
     buckets = [list(waiting) for waiting in problem.buckets]
@@ -324,8 +325,8 @@ def _dfs(problem: _Problem, state: _Search) -> None:
             undo.pop().pop()
 
     one, two = not shifts, len(shifts) == 1  # probe count 1 (palindrome) or 2 (one word)
-    slack = 0 if state.strict else 1
-    first, collect, collected = state.first, state.collect, state.collected
+    slack = 0 if collect or first else 1
+    collected = state.collected
     budget = state.node_budget if state.node_budget is not None else sys.maxsize
     deadline = state.deadline
     last = A - 1
@@ -334,14 +335,13 @@ def _dfs(problem: _Problem, state: _Search) -> None:
     bound_prunes, symmetry_prunes = state.bound_prunes, state.symmetry_prunes
     incumbent = state.incumbent
     cap = L - incumbent - slack
-    best_value, best_leaf = state.best_value, state.best_leaf
-    trim = COLLECT_TRIM
+    best_leaf = state.best_leaf
     # the next node count at which the budget or the clock applies
     check = budget + 1 if deadline is None else min(budget + 1, (nodes | CLOCK_CHECK_MASK) + 1)
 
     def dfs(q: int, bads: int, dead: int) -> None:
         nonlocal nodes, stopped, open_bound, bound_prunes, symmetry_prunes
-        nonlocal incumbent, cap, best_value, best_leaf, trim, check
+        nonlocal incumbent, cap, best_leaf, check
         mark = 0  # 1 + the undo stack's length before this frame's first move
         while True:
             if stopped:
@@ -372,18 +372,17 @@ def _dfs(problem: _Problem, state: _Search) -> None:
                 value = L - dead
                 if first:
                     stopped = True
+                # every leaf reached is at the incumbent or above it
                 if value > incumbent:
                     incumbent = value
                     cap = L - incumbent - slack
-                blob = bytes(s)
-                if collect and value >= incumbent:
-                    collected.append((value, blob))
-                    if len(collected) > trim:
-                        collected[:] = [e for e in collected if e[0] >= incumbent]
-                        trim = max(COLLECT_TRIM, 2 * len(collected))
+                    best_leaf = None
+                    collected.clear()
                 # leaves arrive in branch order, so the first at a value is the least
-                if value > best_value:
-                    best_value, best_leaf = value, blob
+                if best_leaf is None:
+                    best_leaf = bytes(s)
+                if collect:
+                    collected.append(bytes(s))
                 if mark:
                     unwind(mark)
                 return
@@ -415,8 +414,7 @@ def _dfs(problem: _Problem, state: _Search) -> None:
     dfs(0, 0, 0)
     state.nodes, state.stopped, state.open_bound = nodes, stopped, open_bound
     state.bound_prunes, state.symmetry_prunes = bound_prunes, symmetry_prunes
-    state.incumbent = incumbent
-    state.best_value, state.best_leaf = best_value, best_leaf
+    state.incumbent, state.best_leaf = incumbent, best_leaf
 
 
 def _canonical_cells(blob: bytes, problem: _Problem) -> bytes:
@@ -470,18 +468,14 @@ def _solve_rows(problem: _Problem, words: Sequence[Word], cfg: SolveConfig, star
         if leaf is not None:
             incumbent, seed_leaf = seed.achieved, leaf
     deadline = start + cfg.time_budget if cfg.time_budget is not None else None
-    # strict pruning keeps every optimal leaf reachable for enumeration
-    state = _Search(incumbent=incumbent, strict=cfg.enumerate_witnesses,
-                    collect=cfg.enumerate_witnesses, node_budget=cfg.node_budget,
-                    deadline=deadline)
+    state = _Search(incumbent, cfg.node_budget, deadline)
     if cfg.enumerate_witnesses or ceiling is None or incumbent < ceiling:
-        _dfs(problem, state)
+        _dfs(problem, state, collect=cfg.enumerate_witnesses)
     complete = not state.stopped
-    if complete and not cfg.enumerate_witnesses and state.best_value < state.incumbent:
+    if complete and not cfg.enumerate_witnesses and state.best_leaf is None:
         # No leaf reached the seed's value; find the first leaf that does.
         # A budget may cut this pass, and then the seed leaf is the witness.
-        state.strict = state.first = True
-        _dfs(problem, state)
+        _dfs(problem, state, first=True)
     stats = SolveStats(nodes=state.nodes, bound_prunes=state.bound_prunes,
                        symmetry_prunes=state.symmetry_prunes,
                        elapsed=time.monotonic() - start)
@@ -492,10 +486,7 @@ def _solve_rows(problem: _Problem, words: Sequence[Word], cfg: SolveConfig, star
             raise AssertionError(f"lower {lower} exceeds the ceiling {ceiling}")
         upper = min(upper, ceiling)
     enumerated = cfg.enumerate_witnesses and complete
-    if enumerated:
-        blobs = [blob for value, blob in state.collected if value == lower]
-    else:
-        blobs = [state.best_leaf if state.best_value == lower else seed_leaf]
+    blobs = state.collected if enumerated else [state.best_leaf or seed_leaf]
     alphabet = Alphabet(problem.letters)
     witnesses = tuple(Grid(n=problem.n, d=problem.d, alphabet=alphabet, cells=cells)
                       for cells in sorted({_canonical_cells(b, problem) for b in blobs}))

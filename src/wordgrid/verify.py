@@ -13,14 +13,14 @@ import random
 from dataclasses import dataclass
 from typing import Callable
 
-from .bounds import exact_formula_d, f1_exact, f1_subadditivity_check, sandwich_2d, upper_bound_d
+from .bounds import (exact_formula_d, f1_exact, f1_subadditivity_check, product_grid, sandwich_2d,
+                     upper_bound_d)
 from .constructions import (
     _candidates,
     counterpoint_grid,
     cross_grid,
     flip_line_points,
     parity_grid,
-    product_grid,
     quad_grid,
     sample_counter_point,
     sample_odd_flip_set,

@@ -12,11 +12,12 @@ from wordgrid.bounds import (
     exact_formula_d,
     f1_exact,
     f1_subadditivity_check,
+    product_grid,
     sandwich_2d,
     upper_bound_2d,
     upper_bound_d,
 )
-from wordgrid.constructions import best_construction, product_grid
+from wordgrid.constructions import best_construction
 from wordgrid.core import Word
 from wordgrid.occurrence import count_segments_word
 

@@ -97,6 +97,19 @@ def test_construct_specific_methods(capsys, tmp_path):
     assert code == 1  # cross without --letter
 
 
+@pytest.mark.parametrize("extra", [["--method", "rows"], ["--method", "cross", "--letter", "M"],
+                                   ["--method", "quad", "--letters", "A,M"],
+                                   ["--method", "stripe"]],
+                         ids=["rows", "cross", "quad", "stripe"])
+def test_construct_2d_method_refuses_another_dimension(capsys, extra):
+    code, out, err = run(capsys, "construct", "--word", "AMM", *extra, "-d", "3")
+    assert (code, out) == (1, "")
+    assert "d=2" in err and "d=3" in err
+    for dims in ([], ["-d", "2"]):
+        code, out, _ = run(capsys, "construct", "--word", "AMM", *extra, *dims)
+        assert code == 0 and out.endswith("\n")
+
+
 def test_construct_counterpoint_is_uncertified(capsys, tmp_path):
     out_file = tmp_path / "c.wg1"
     code, out, _ = run(capsys, "construct", "--word", "AMM", "--method",
@@ -228,8 +241,17 @@ def test_estimate_grid_file_needs_no_dimension(capsys, tmp_path):
     code, out, _ = run(capsys, *args)
     assert code == 0
     assert out.startswith("fraction ")
-    code_d, out_d, _ = run(capsys, *args, "-d", "7")
+    code_d, out_d, _ = run(capsys, *args, "-d", "3")
     assert (code_d, out_d) == (code, out)
+
+
+def test_estimate_grid_file_refuses_another_dimension(capsys, tmp_path):
+    grid_file = tmp_path / "amm.wg1"
+    run(capsys, "construct", "--word", "AMM", "-d", "3", "--out", str(grid_file))
+    code, out, err = run(capsys, "estimate", "--word", "AMM", "--grid", str(grid_file),
+                         "-d", "7", "--samples", "300", "--seed", "5")
+    assert (code, out) == (1, "")
+    assert "d=3" in err and "d=7" in err
 
 
 def test_estimate_readme_example_is_pinned(capsys):

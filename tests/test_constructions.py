@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wordgrid.bounds import product_grid
 from wordgrid.constructions import (
     DENSE_CAP,
     ConstructionResult,
@@ -22,7 +23,6 @@ from wordgrid.constructions import (
     flip_line_points,
     is_counter_point,
     parity_grid,
-    product_grid,
     quad_grid,
     rows_grid,
     sample_counter_point,

@@ -229,8 +229,13 @@ def test_canonical_cells_matches_bytes_minimum(text, n, d):
         assert _canonical_cells(blob, problem) == want, (text, n, d, blob)
 
 
+SEARCH, WITNESS_PASS = {"collect": False}, {"first": True}
+
+
 @pytest.mark.parametrize("text, n, d, passes", [
-    ("ABC", 3, 3, 1), ("AAAMM", 5, 2, 2), ("AMAM", 4, 3, 1),
+    pytest.param("ABC", 3, 3, [SEARCH], id="ABC-3-3-1"),
+    pytest.param("AAAMM", 5, 2, [SEARCH, WITNESS_PASS], id="AAAMM-5-2-2"),
+    pytest.param("AMAM", 4, 3, [WITNESS_PASS], id="AMAM-4-3-1"),
 ])
 def test_witness_pass_only_when_no_leaf_reached_the_seed(monkeypatch, text, n, d, passes):
     # ABC 3^3 beats its beam seed in the search; AAAMM 5^2's beam seed holds
@@ -239,13 +244,13 @@ def test_witness_pass_only_when_no_leaf_reached_the_seed(monkeypatch, text, n, d
     calls = []
     dfs = solver_mod._dfs
 
-    def counting(problem, state):
-        calls.append(state.first)
-        dfs(problem, state)
+    def counting(problem, state, **mode):
+        calls.append(mode)
+        dfs(problem, state, **mode)
 
     monkeypatch.setattr(solver_mod, "_dfs", counting)
     solve(Word.from_string(text), n, d)
-    assert len(calls) == passes
+    assert calls == passes
 
 
 # ---------------------------------------------------------------- budgets
@@ -569,35 +574,32 @@ def _reference_gmaps(problem, horizon):
     return gmaps[np.sort(first)].tolist()
 
 
-def _reference_dfs(problem, state, leader, horizon):
+def _reference_dfs(problem, state, leader, horizon, collect=False, first=False):
     """`_dfs` before each node ran fewer bytecodes and before the incremental
     symmetry check: the state is read and written through attributes, every
     child is a call, the prefix is a list grown and shrunk, the dead count
     folds every probe shift, and every node of depth 2 to `horizon` asks
-    `leader` whether its prefix is a lex-leader. Collected leaves are
-    trimmed on every append past COLLECT_TRIM."""
+    `leader` whether its prefix is a lex-leader."""
     L, A, N = problem.L, problem.A, problem.N
     masks, shifts = problem.masks, problem.shifts
-    strict = state.strict
+    strict = collect or first
     budget = state.node_budget if state.node_budget is not None else sys.maxsize
     deadline = state.deadline
     s = []
     nodes = state.nodes
 
     def leaf(value):
-        if state.first:
+        if first:
             state.stopped = True
         if value > state.incumbent:
             state.incumbent = value
+            state.best_leaf = None
+            state.collected = []
         blob = bytes(s)
-        if state.collect and value >= state.incumbent:
-            state.collected.append((value, blob))
-            if len(state.collected) > solver_mod.COLLECT_TRIM:
-                inc = state.incumbent
-                state.collected[:] = [e for e in state.collected if e[0] >= inc]
-        if value > state.best_value:
-            state.best_value = value
+        if state.best_leaf is None:
             state.best_leaf = blob
+        if collect:
+            state.collected.append(blob)
 
     def dfs(q, bads, bound):
         nonlocal nodes
@@ -668,11 +670,17 @@ def _reference_beam_seed(problem):
 
 
 def _search_facts(state):
-    """Everything a pass leaves in its state that a solve reads, with the
-    collected leaves cut to those at the final incumbent (the only ones read)."""
+    """Everything a pass leaves in its state that a solve reads."""
     return (state.nodes, state.bound_prunes, state.symmetry_prunes, state.open_bound,
-            state.stopped, state.incumbent, state.best_value, state.best_leaf,
-            [e for e in state.collected if e[0] == state.incumbent])
+            state.stopped, state.incumbent, state.best_leaf, list(state.collected))
+
+
+def _leaf_value(problem, blob):
+    """Lines alive at a full assignment, recounted one step at a time."""
+    bads, live = 0, problem.L
+    for row, a in zip(problem.masks, blob):
+        bads, live = _step(problem, bads, row[a])
+    return live
 
 
 # one probe (AMA, AMMA), two probes (one word, or a set of two reversals) and
@@ -696,24 +704,29 @@ def _diff_problem(texts, n, d, symmetry):
 
 
 def _assert_dfs_matches(problem, reference):
-    """Fresh identical states, every strict/collect/first combination, from the
-    beam's value and from two below it (so leaves raise the incumbent); a
-    pass that completes is followed by the witness pass on the same state."""
+    """Fresh identical states in the passes a solve runs, from the beam's
+    value and from two below it (so leaves raise the incumbent): the search,
+    followed on the same state by the witness pass when it completes, and
+    the enumeration, whose leaves are recounted: all at the incumbent, in
+    branch order, the first of them the best leaf."""
     value, _ = _beam_seed(problem)
-    for incumbent, (budget, deadline), strict, collect, first in itertools.product(
-            (value, value - 2), DIFF_LIMITS, (False, True), (False, True), (False, True)):
+    for incumbent, (budget, deadline), collect in itertools.product(
+            (value, value - 2), DIFF_LIMITS, (False, True)):
         states = []
         for search in (_dfs, reference):
-            state = _Search(incumbent, strict, collect, budget, deadline)
-            state.first = first
-            search(problem, state)
+            state = _Search(incumbent, budget, deadline)
+            search(problem, state, collect=collect)
             facts = [_search_facts(state)]
-            if not state.stopped:
-                state.strict = state.first = True
-                search(problem, state)
+            if not collect and not state.stopped:
+                search(problem, state, first=True)
                 facts.append(_search_facts(state))
             states.append(facts)
-        assert states[0] == states[1], (incumbent, budget, deadline, strict, collect, first)
+        assert states[0] == states[1], (incumbent, budget, deadline, collect)
+        if collect:
+            leaves = state.collected
+            assert leaves == sorted(set(leaves))
+            assert all(_leaf_value(problem, blob) == state.incumbent for blob in leaves)
+            assert state.best_leaf == (leaves[0] if leaves else None)
 
 
 @pytest.mark.parametrize("texts, n, d, symmetry", DIFF_PROBLEMS)
@@ -743,7 +756,7 @@ def test_clock_cadence_matches_the_pre_rewrite_search(monkeypatch, start):
     got = []
     for search in (_dfs, _reference_search(problem, True)):
         monkeypatch.setattr(time, "monotonic", itertools.count().__next__)
-        state = _Search(value, strict=False, collect=False, node_budget=None, deadline=2.5)
+        state = _Search(value, node_budget=None, deadline=2.5)
         state.nodes = start
         search(problem, state)
         got.append(_search_facts(state))
@@ -751,35 +764,35 @@ def test_clock_cadence_matches_the_pre_rewrite_search(monkeypatch, start):
     assert got[0][0] == (start // 4096 + 4) * 4096
 
 
-class _CountingList(list):
-    """A list that counts slice assignments, the collected leaves' trims."""
-    trims = 0
-
-    def __setitem__(self, key, value):
-        if isinstance(key, slice):
-            self.trims += 1
-        super().__setitem__(key, value)
-
-
-def test_collect_trim_point_doubles_past_ties(monkeypatch):
-    # AM 2^4 has 74 optimal leaves once symmetry cuts; with the trim point at
-    # 2 and the incumbent already optimal, every leaf ties and no trim removes
-    # anything, so the trim point must grow instead of rescanning on each append
-    monkeypatch.setattr(solver_mod, "COLLECT_TRIM", 2)
-    problem = _diff_problem(("AM",), 2, 4, True)
-    state = _Search(64, strict=True, collect=True, node_budget=None, deadline=None)
-    state.collected = _CountingList()
-    _dfs(problem, state)
-    assert len(state.collected) == 74
-    assert state.collected.trims <= len(state.collected).bit_length()
-
-
 @pytest.mark.parametrize("text, n, d, symmetry", [
     ("AMM", 3, 3, True), ("AM", 2, 4, True), ("AMM", 3, 2, False), ("AAMM", 4, 2, True),
 ])
-def test_small_collect_trim_keeps_every_class(monkeypatch, text, n, d, symmetry):
+def test_enumeration_from_below_the_optimum_keeps_only_leaves_at_it(
+        monkeypatch, text, n, d, symmetry):
+    # started two below the beam's value, with no construction seed, the
+    # enumeration reaches leaves below the optimum before it raises the
+    # incumbent to it; those leaves must not survive into the classes
     cfg = SolveConfig(enumerate_witnesses=True, symmetry=symmetry)
-    want = solve(Word.from_string(text), n, d, cfg)
-    monkeypatch.setattr(solver_mod, "COLLECT_TRIM", 2)
-    got = solve(Word.from_string(text), n, d, cfg)
+    w = Word.from_string(text)
+    want = solve(w, n, d, cfg)
+    beam, dfs = solver_mod._beam_seed, solver_mod._dfs
+    passes = []
+
+    def lowered(problem):
+        value, leaf = beam(problem)
+        return value - 2, leaf
+
+    def recording(problem, state, **mode):
+        start = state.incumbent
+        dfs(problem, state, **mode)
+        passes.append((problem, start, state))
+
+    monkeypatch.setattr(solver_mod, "_beam_seed", lowered)
+    monkeypatch.setattr(solver_mod, "best_construction", lambda w, d: None)
+    monkeypatch.setattr(solver_mod, "_dfs", recording)
+    got = solve(w, n, d, cfg)
     assert (got.classes, got.canonical_text()) == (want.classes, want.canonical_text())
+    ((problem, start, state),) = passes
+    assert start < state.incumbent == got.lower
+    assert state.collected
+    assert all(_leaf_value(problem, blob) == got.lower for blob in state.collected)
