@@ -101,9 +101,7 @@ def cmd_segments(args: argparse.Namespace) -> int:
     total = count_segments(args.n, args.d, args.k)
     if args.list:
         for seg in enumerate_segments(args.n, args.d, args.k):
-            pts = ",".join(str(x) for x in seg.p)
-            vec = ",".join(str(x) for x in seg.v)
-            print(f"{pts} ; {vec} ; k={seg.k}")
+            print(f"{format_line(seg)} ; k={seg.k}")
         return 0
     print(f"total {total}")
     return 0

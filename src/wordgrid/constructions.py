@@ -106,8 +106,7 @@ class CounterpointParams:
 
 
 def is_counter_point(p: Point, n: int, d: int) -> bool:
-    params = CounterpointParams.for_grid(n, d)
-    return _classify(PointProfile.of(p, n), params)[0] == "counter-point"
+    return classify_point(p, n, d) == "counter-point"
 
 
 def classify_point(p: Point, n: int, d: int) -> str:
@@ -204,15 +203,10 @@ def sample_odd_flip_set(p: Point, n: int, rng) -> frozenset[int]:
     """Random odd-size set of boundary coordinates covering at least 0.49 of them."""
     boundary = [j for j, x in enumerate(p) if x in (1, n)]
     r = len(boundary)
-    s_min = None
-    for s in range(1, r + 1):
-        if s % 2 == 1 and Fraction(s) >= Fraction(49, 100) * r:
-            s_min = s
-            break
-    if s_min is None:
+    s_min = -(-49 * r // 100) | 1  # the least odd s >= 0.49 r: ceil, then up to odd
+    if s_min > r:
         raise ValueError("point has no odd flip-set size above the threshold")
-    sizes = list(range(s_min, r + 1, 2))
-    s = rng.choice(sizes)
+    s = rng.choice(range(s_min, r + 1, 2))
     return frozenset(rng.sample(boundary, s))
 
 

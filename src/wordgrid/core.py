@@ -257,10 +257,6 @@ class Grid:
         return self.cells is not None
 
     @classmethod
-    def from_cells(cls, n: int, d: int, alphabet: Alphabet, cells: bytes) -> "Grid":
-        return cls(n=n, d=d, alphabet=alphabet, cells=cells)
-
-    @classmethod
     def from_rows(cls, rows: list[str], alphabet: Alphabet | None = None) -> "Grid":
         """Dense d=2 grid from row strings (row i = coordinate 1 = i)."""
         n = len(rows)

@@ -36,6 +36,24 @@ TAIL_BLOCK = 256  # most codes in the tail block `_canonical_pairs` builds per c
 _UNIT_STEPS = frozenset((-1, 0, 1))
 
 
+def _check_pair(pair: CanonicalLine | Segment) -> None:
+    """Reject a (p; v) pair that is not canonical or whose weight is wrong."""
+    v = pair.v
+    if len(pair.p) != len(v):
+        raise ValueError("p and v must have the same dimension")
+    for x in v:  # x ends as the first nonzero coordinate
+        if x != 0:
+            break
+    else:
+        raise ValueError("direction must have a nonzero coordinate")
+    if x != 1:
+        raise ValueError("first nonzero direction coordinate must be +1")
+    if not _UNIT_STEPS.issuperset(v):
+        raise ValueError("direction coordinates must be in {-1, 0, +1}")
+    if pair.weight != len(v) - v.count(0):
+        raise ValueError("weight must equal the nonzero count of v")
+
+
 @dataclass(frozen=True)
 class CanonicalLine:
     """Canonical (p; v) pair of a full line; weight is the nonzero count of v."""
@@ -44,21 +62,7 @@ class CanonicalLine:
     v: Direction
     weight: int
 
-    def __post_init__(self) -> None:
-        v = self.v
-        if len(self.p) != len(v):
-            raise ValueError("p and v must have the same dimension")
-        for x in v:  # x ends as the first nonzero coordinate
-            if x != 0:
-                break
-        else:
-            raise ValueError("direction must have a nonzero coordinate")
-        if x != 1:
-            raise ValueError("first nonzero direction coordinate must be +1")
-        if not _UNIT_STEPS.issuperset(v):
-            raise ValueError("direction coordinates must be in {-1, 0, +1}")
-        if self.weight != len(v) - v.count(0):
-            raise ValueError("weight must equal the nonzero count of v")
+    __post_init__ = _check_pair
 
 
 @dataclass(frozen=True)
@@ -71,21 +75,9 @@ class Segment:
     weight: int
 
     def __post_init__(self) -> None:
-        v = self.v
-        if len(self.p) != len(v):
-            raise ValueError("p and v must have the same dimension")
-        x = 0
-        for x in v:  # x ends as the first nonzero coordinate, or 0
-            if x != 0:
-                break
-        if x != 1:
-            raise ValueError("first nonzero direction coordinate must be +1")
-        if not _UNIT_STEPS.issuperset(v):
-            raise ValueError("direction coordinates must be in {-1, 0, +1}")
+        _check_pair(self)
         if self.k < 2:
             raise ValueError("segments need k >= 2")
-        if self.weight != len(v) - v.count(0):
-            raise ValueError("weight must equal the nonzero count of v")
 
 
 def canonicalize(p: Point, v: Direction, n: int) -> CanonicalLine:
@@ -337,6 +329,6 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, weights
 
 
-def format_line(line: CanonicalLine) -> str:
+def format_line(line: CanonicalLine | Segment) -> str:
     """Render a canonical pair as `p1,...,pd ; v1,...,vd`."""
     return ",".join(map(str, line.p)) + " ; " + ",".join(map(str, line.v))

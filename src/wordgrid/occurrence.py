@@ -55,16 +55,13 @@ def _word_symbols(w: Word, grid: Grid) -> tuple[int, ...]:
 
 
 def line_contains(w: Word, grid: Grid, line: CanonicalLine) -> bool:
-    """True iff the line reads w forward or backward."""
-    if w.n != grid.n:
-        raise ValueError(f"word length {w.n} != grid side {grid.n}")
-    sym = _word_symbols(w, grid)
-    reading = tuple(grid.at(q) for q in line_points(line, grid.n))
-    return reading == sym or reading == sym[::-1]
+    """True iff the line reads w forward or backward; counted through `count_word`."""
+    return count_word(w, grid, lines=(line,)).total == 1
 
 
 def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
                   lines: Iterable[CanonicalLine], collect: bool) -> OccurrenceReport:
+    """Lines of the stream whose reading, point by point, is a probe."""
     per_weight: dict[int, int] = {r: 0 for r in range(1, grid.d + 1)}
     hits: list[CanonicalLine] = []
     total = 0
@@ -196,8 +193,9 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     reading depends only on its symbol counts, at step i each symbol counts
     toward the value its coordinate takes there, and the rule is called once
     per profile for the call. Other procedural grids are read point by point,
-    so they work in any dimension. Drawn lines are not oriented, so a reading
-    may run backward; the word is matched both ways.
+    the drawn lines counted as a stream through `count_word`, so they work in
+    any dimension. Drawn lines are not oriented, so a reading may run backward;
+    the word is matched both ways.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -205,7 +203,7 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
         raise ValueError(f"word length {w.n} != grid side {grid.n}")
     n, d = grid.n, grid.d
     if not (grid.dense or grid.permutation_invariant):
-        hits = sum(line_contains(w, grid, sample_line(n, d, rng)) for _ in range(samples))
+        hits = count_word(w, grid, lines=(sample_line(n, d, rng) for _ in range(samples))).total
         return hits / samples, hoeffding_radius(samples)
     sym = np.array(_word_symbols(w, grid))
     read = _dense_reader(grid) if grid.dense else _symmetric_reader(grid)

@@ -56,6 +56,16 @@ def test_segments_total(capsys):
     assert out == "total 72\n"
 
 
+def test_segments_listing(capsys):
+    code, out, _ = run(capsys, "segments", "-n", "3", "-d", "2", "-k", "2", "--list")
+    assert code == 0
+    assert out == ("1,1 ; 0,1 ; k=2\n1,2 ; 0,1 ; k=2\n2,1 ; 0,1 ; k=2\n2,2 ; 0,1 ; k=2\n"
+                   "3,1 ; 0,1 ; k=2\n3,2 ; 0,1 ; k=2\n1,1 ; 1,0 ; k=2\n1,2 ; 1,0 ; k=2\n"
+                   "1,3 ; 1,0 ; k=2\n1,1 ; 1,1 ; k=2\n1,2 ; 1,1 ; k=2\n1,2 ; 1,-1 ; k=2\n"
+                   "1,3 ; 1,-1 ; k=2\n2,1 ; 1,0 ; k=2\n2,2 ; 1,0 ; k=2\n2,3 ; 1,0 ; k=2\n"
+                   "2,1 ; 1,1 ; k=2\n2,2 ; 1,1 ; k=2\n2,2 ; 1,-1 ; k=2\n2,3 ; 1,-1 ; k=2\n")
+
+
 # ---------------------------------------------------------------- construct / count
 
 def test_construct_writes_wg1_and_count_reads_it_back(capsys, tmp_path):
@@ -197,6 +207,17 @@ def test_solve_word_set(capsys):
     code, out, _ = run(capsys, "solve", "--words", "AM,MA")
     assert code == 0
     assert out.startswith("optimum 4\n")
+
+
+@pytest.mark.parametrize("flag, value, field", [("--time-budget", "nan", "time"),
+                                                 ("--time-budget", "0", "time"),
+                                                 ("--node-budget", "0", "node")])
+def test_solve_refuses_a_budget_that_is_not_positive(capsys, flag, value, field):
+    # a NaN time budget would never expire: the search would run to its end
+    code, out, err = run(capsys, "solve", "--word", "ABCD", "-d", "3", flag, value)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {field} budget must be positive\n"
 
 
 def test_solve_needs_exactly_one_word_source(capsys):

@@ -377,6 +377,37 @@ def test_flip_lines_from_counter_points_read_the_word():
             assert reading in (w.symbols, w.symbols[::-1])
 
 
+def _reference_odd_flip_set(p, n, rng):
+    """The Fraction scan `sample_odd_flip_set` replaced with integer arithmetic."""
+    boundary = [j for j, x in enumerate(p) if x in (1, n)]
+    r = len(boundary)
+    s_min = None
+    for s in range(1, r + 1):
+        if s % 2 == 1 and Fraction(s) >= Fraction(49, 100) * r:
+            s_min = s
+            break
+    if s_min is None:
+        raise ValueError("point has no odd flip-set size above the threshold")
+    s = rng.choice(list(range(s_min, r + 1, 2)))
+    return frozenset(rng.sample(boundary, s))
+
+
+def test_odd_flip_set_matches_the_fraction_scan():
+    # r boundary coordinates, alternately 1 and n, then 3 interior ones, for every r up to 300
+    for r in range(301):
+        p = tuple(1 + 2 * (j % 2) if j < r else 2 for j in range(r + 3))
+        rng, ref_rng = random.Random(r), random.Random(r)
+        try:
+            want = _reference_odd_flip_set(p, 3, ref_rng)
+        except ValueError as exc:
+            assert r == 0
+            with pytest.raises(ValueError, match=str(exc)):
+                sample_odd_flip_set(p, 3, rng)
+        else:
+            assert sample_odd_flip_set(p, 3, rng) == want, r
+        assert rng.getstate() == ref_rng.getstate(), r
+
+
 def test_flip_line_rejects_interior_coordinates():
     with pytest.raises(ValueError):
         flip_line_points((2, 1, 3), frozenset({0, 1}), 3)

@@ -107,18 +107,10 @@ def _reference_line_check(p, v, weight):
 
 
 def _reference_segment_check(p, v, k, weight):
-    """The list-based validation that `Segment` replaced."""
-    if len(p) != len(v):
-        raise ValueError("p and v must have the same dimension")
-    nz = [x for x in v if x != 0]
-    if not nz or nz[0] != 1:
-        raise ValueError("first nonzero direction coordinate must be +1")
-    if any(x not in (-1, 0, 1) for x in v):
-        raise ValueError("direction coordinates must be in {-1, 0, +1}")
+    """A segment is checked as a line's pair is, and then for k >= 2."""
+    _reference_line_check(p, v, weight)
     if k < 2:
         raise ValueError("segments need k >= 2")
-    if weight != len(nz):
-        raise ValueError("weight must equal the nonzero count of v")
 
 
 def _verdict(make, *args):
@@ -147,7 +139,7 @@ def test_validation_matches_reference():
         seg = _verdict(Segment, p, v, k, weight)
         assert seg == _verdict(_reference_segment_check, p, v, k, weight), (p, v, k, weight)
         verdicts |= {("line", line), ("segment", seg)}
-    assert len(verdicts) == 6 + 6  # acceptance and every message of both classes occur
+    assert len(verdicts) == 6 + 7  # acceptance and every message of both classes occur
 
 
 # ---------------------------------------------------------------- enumeration
@@ -430,7 +422,7 @@ def test_segment_table_cache_evicts_oldest_past_byte_budget(monkeypatch):
 
 
 def test_segment_type_checks():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="direction must have a nonzero coordinate"):
         Segment((1, 1), (0, 0), 2, 0)
     with pytest.raises(ValueError):
         Segment((1, 3), (-1, 1), 2, 2)  # wrong orientation

@@ -1,8 +1,10 @@
-"""The package as a whole: its module import graph and README's Python example."""
+"""The package as a whole: its module import graph, README's Python example,
+and no definition that nothing names."""
 
 import ast
 import contextlib
 import io
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -58,3 +60,34 @@ def test_readme_quick_start_prints_what_its_comments_show():
         else:
             assert out.getvalue() == "", line
     assert checked == 3
+
+
+def _definitions(path):
+    """(name, first line, last line) of each function, class and module-level
+    constant the module defines; dunder names are called by Python itself."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nodes = [node for node in ast.walk(tree)
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    names = [(node.name, node) for node in nodes]
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [(name, node.lineno, node.end_lineno) for name, node in names
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def test_every_definition_is_named_outside_itself():
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
+               ROOT / "README.md"]
+    texts = {path: path.read_text(encoding="utf-8").splitlines() for path in sources}
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, first, last in _definitions(path):
+            word = re.compile(rf"\b{name}\b")
+            if not any(word.search(line) for other, lines in texts.items()
+                       for number, line in enumerate(lines, 1)
+                       if not (other == path and first <= number <= last)):
+                dead.append(f"{path.stem}.{name}")
+    assert dead == []

@@ -338,6 +338,11 @@ def test_config_validation():
         SolveConfig(node_budget=0)
     with pytest.raises(ValueError):
         SolveConfig(time_budget=-1.0)
+    # NaN compares false to everything, so `nan <= 0` would let it through
+    with pytest.raises(ValueError, match="node budget must be positive"):
+        SolveConfig(node_budget=float("nan"))
+    with pytest.raises(ValueError, match="time budget must be positive"):
+        SolveConfig(time_budget=float("nan"))
     with pytest.raises(ValueError):
         SolveConfig(workers=0)
 
