@@ -289,14 +289,26 @@ def count_segments(n: int, d: int, k: int) -> int:
 
 @_cached_table
 def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat point indices of every canonical length-k segment, plus weights.
+    """Flat point indices of every canonical length-k segment, grouped by weight.
 
-    Returns (idx, weights): idx has one row of k indices per segment in
-    enumeration order, weights the nonzero count of each direction. Lines are
-    the case k = n. The table grows one coordinate at a time: each row branches
-    on every symbol with `idx * n + coord`, rows whose first sign is '-' are
-    dropped as they appear and rows with no sign at the last coordinate, so the
-    kept rows stay in enumeration order.
+    Returns (idx, starts): idx has one row of k indices per segment, and rows
+    starts[r-1]:starts[r] are the segments of weight r (the nonzero count of
+    the direction), for r = 1..d, so starts[0] = 0 and starts[d] = len(idx).
+    Within a weight the rows keep enumeration order. Lines are the case k = n.
+    Grouped rows let a per-weight tally count each weight over one slice
+    instead of gathering each matched row's weight; no consumer of the table
+    depends on the order of its rows, and `occurrence` restores enumeration
+    order for the few rows it lists.
+
+    The table is built from the last coordinate to the first, so no sort is
+    needed. The codes over the last j coordinates are kept grouped by weight,
+    each group in encoding order, with the step of each code's first sign.
+    Prepending a coordinate gives weight w the numerals on the codes of weight
+    w, then the signs on the codes of weight w - 1, each symbol-major: the
+    prepended symbol leads the encoding order, so every group stays in it.
+    Codes with no sign or a leading '-' are kept until coordinate 1, where
+    numerals go only on codes led by '+' and '+' is the only sign. The last
+    step writes the table once, into its final place.
 
     idx is column-major (Fortran order), and so is the reading `cells[idx]`:
     each column, the i-th point of every segment, is contiguous. Matching
@@ -314,19 +326,38 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             f"{DEFAULT_LINE_CAP}; for full lines use estimate_fraction"
         )
     step, coord = _symbol_coords(n, k)
-    idx = np.zeros((1, k), dtype=np.int64)
-    first = np.zeros(1, dtype=np.int64)  # step of the first signed axis, 0 if none yet
-    weights = np.zeros(1, dtype=np.int8)
+    step = step.astype(np.int8)
+    coord = coord.T[:, :, None]  # coord[i, s]: symbol s's coordinate at point i
+    numeral = step == 0
+    # codes over the last j coordinates, by weight w: flat[w] holds their partial
+    # flat indices, one row per point, and lead[w] the step of each one's first sign
+    flat, lead = [np.zeros((k, 1), dtype=np.int64)], [np.zeros(1, dtype=np.int8)]
     for j in range(d):
-        lead = np.where(first[:, None] != 0, first[:, None], step)
-        keep = lead > 0 if j == d - 1 else lead >= 0
-        grown = np.empty((np.count_nonzero(keep), k), dtype=np.int64, order="F")
-        for i in range(k):  # column by column, so no (rows, symbols, k) block is held
-            grown[:, i] = (idx[:, i, None] * n + coord[:, i])[keep]
-        idx, first = grown, lead[keep]
-        weights = (weights[:, None] + (step != 0))[keep]
-    assert len(idx) == total
-    return idx, weights
+        last = j == d - 1  # prepending coordinate 1
+        # per new weight, the (symbols, codes, their leads) to join: numerals
+        # first, as they come first in the symbol order
+        pieces = [[] for _ in range(j + 2)]
+        for w in range(j + 1):
+            keep = lead[w] > 0 if last else slice(None)
+            pieces[w].append((numeral, flat[w][:, keep], lead[w][keep]))
+        for w in range(j + 1):
+            pieces[w + 1].append((step > 0 if last else ~numeral, flat[w], lead[w]))
+        sizes = [sum(np.count_nonzero(s) * f.shape[1] for s, f, _ in piece) for piece in pieces]
+        out = np.empty((k, sum(sizes)), dtype=np.int64)
+        flat, lead, at = [], [], 0
+        for piece in pieces:
+            begin, leads = at, []
+            for s, f, led in piece:
+                shape = (k, np.count_nonzero(s), f.shape[1])
+                rows = shape[1] * shape[2]
+                # symbol-major, since the prepended symbol leads the encoding order
+                np.add(coord[:, s] * n**j, f[:, None, :], out=out[:, at:at + rows].reshape(shape))
+                leads.append(np.where(numeral[s, None], led, step[s, None]).ravel())
+                at += rows
+            flat.append(out[:, begin:at])
+            lead.append(np.concatenate(leads))
+    assert out.shape[1] == total
+    return out.T, np.cumsum(sizes)
 
 
 def format_line(line: CanonicalLine | Segment) -> str:

@@ -4,8 +4,10 @@ A line contains a word when the forward or the reversed reading equals it; a
 line matching both ways still counts once. Dense grids are scanned through the
 cached column-major table `lines.segment_table`, and one kernel, `_match`,
 finds the matching rows for `count_word`, `count_word_set` (with or without
-`collect_matches`) and `count_segments_word`. Procedural grids take an
-explicit line stream or the sampling estimator.
+`collect_matches`) and `count_segments_word`. The table's rows are grouped by
+weight, so the per-weight tally counts one slice per weight, and only the
+listing of matched lines is sorted back into `enumerate_lines` order.
+Procedural grids take an explicit line stream or the sampling estimator.
 """
 
 from __future__ import annotations
@@ -104,20 +106,25 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
             "when full enumeration is infeasible"
         )
     n, d = grid.n, grid.d
-    idx, weights = segment_table(n, d, n)
+    idx, starts = segment_table(n, d, n)
     matched = _match(grid.cells, idx, probes)
-    rows = np.flatnonzero(matched)  # in table order, which is enumerate_lines order
-    row_weights = weights[rows]
-    tally = np.bincount(row_weights, minlength=d + 1)
-    per_weight = {r: int(tally[r]) for r in range(1, d + 1)}
+    # the table's rows are grouped by weight, so each weight is one slice
+    per_weight = {r: int(np.count_nonzero(matched[starts[r - 1]:starts[r]]))
+                  for r in range(1, d + 1)}
     matches = None
     if collect:
+        rows = np.flatnonzero(matched)
         # 1-based points of each matched line's first two cells; v is their step
         p = np.stack(np.unravel_index(idx[rows, 0], (n,) * d), axis=1) + 1
         v = np.stack(np.unravel_index(idx[rows, 1], (n,) * d), axis=1) + 1 - p
-        matches = tuple(CanonicalLine(tuple(a), tuple(b), r) for a, b, r
-                        in zip(p.tolist(), v.tolist(), row_weights.tolist()))
-    return OccurrenceReport(total=len(rows), per_weight=per_weight, matches=matches)
+        # enumerate_lines order is lexicographic in the symbol codes: numeral
+        # a is a - 1, '+' is n and '-' is n + 1; lexsort's last key leads
+        codes = np.where(v == 0, p - 1, np.where(v > 0, n, n + 1))
+        order = np.lexsort(codes.T[::-1])
+        matches = tuple(CanonicalLine(tuple(a), tuple(b), len(b) - b.count(0)) for a, b
+                        in zip(p[order].tolist(), v[order].tolist()))
+    return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight,
+                            matches=matches)
 
 
 def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,

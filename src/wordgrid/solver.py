@@ -94,12 +94,13 @@ class SolveConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # `not x > 0`, not `x <= 0`, so a NaN budget, which never runs out, is refused
+        # `not x > 0`, not `x <= 0`, so a NaN budget, which never runs out, is
+        # refused, and `not workers >= 1` refuses a NaN worker count the same way
         if self.node_budget is not None and not self.node_budget > 0:
             raise ValueError("node budget must be positive")
         if self.time_budget is not None and not self.time_budget > 0:
             raise ValueError("time budget must be positive")
-        if self.workers < 1:
+        if not self.workers >= 1:
             raise ValueError("worker count must be >= 1")
 
 

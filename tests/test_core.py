@@ -256,7 +256,7 @@ def test_cached_tables_of_every_kind_share_one_byte_budget(monkeypatch):
     calls = [  # bytes cached by each call in the comments
         lambda: core._profile_classes(30, 3),  # 118,920
         lambda: symmetry_cell_tables(3, 3),  # 5,184
-        lambda: segment_table(5, 4, 5),  # 36,408: the class map goes
+        lambda: segment_table(5, 4, 5),  # 35,560: the class map goes
         lambda: Grid.symmetric(9, 4, Alphabet(("A", "B")), lambda p: p[0] % 2).to_dense(),
         lambda: core._profile_classes(30, 3),  # the symmetry and segment tables go
         lambda: symmetry_cell_tables(2, 5),  # 491,520: over the budget alone, kept alone

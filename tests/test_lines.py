@@ -382,16 +382,22 @@ def test_segments_at_full_length_are_lines():
 
 
 def test_segment_table_matches_python_walk():
+    # rows are the enumeration stably grouped by weight; starts bound the groups
     cases = [(n, d, k) for n in range(2, 7) for d in range(1, 5) for k in range(2, n + 1)]
     cases += [(n, 5, n) for n in range(2, 7)]
     for n, d, k in cases:
-        idx, weights = segment_table(n, d, k)
+        idx, starts = segment_table(n, d, k)
         # the count kernel reads whole columns; a row-major table is several times slower
         assert idx.flags.f_contiguous and idx.dtype == np.int64, (n, d, k)
-        segs = list(enumerate_segments(n, d, k))
+        segs = sorted(enumerate_segments(n, d, k), key=lambda seg: seg.weight)
         want = [[point_index(q, n, d) for q in segment_points(seg, n)] for seg in segs]
         assert idx.tolist() == want, (n, d, k)
-        assert weights.tolist() == [seg.weight for seg in segs], (n, d, k)
+        assert starts[0] == 0 and starts[-1] == len(idx), (n, d, k)
+        sizes = [math.comb(d, r) * 2 ** (r - 1) * (n - k + 1) ** r * n ** (d - r)
+                 for r in range(1, d + 1)]
+        assert np.diff(starts).tolist() == sizes, (n, d, k)
+        if k == n:
+            assert sizes == list(count_lines(n, d)[0].values()), (n, d)
 
 
 def test_segment_table_cache_evicts_oldest_past_byte_budget(monkeypatch):

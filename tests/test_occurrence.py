@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from wordgrid.constructions import counterpoint_grid
-from wordgrid.core import Alphabet, Grid, Word, all_symmetries, apply_symmetry
+from wordgrid.core import Alphabet, Grid, Word, all_points, all_symmetries, apply_symmetry
 from wordgrid.lines import (
     DEFAULT_LINE_CAP,
     CanonicalLine,
@@ -166,6 +166,38 @@ def test_table_counts_match_line_stream():
                 assert stream.total >= 1
                 assert_same_report(count_word_set(words, g, collect_matches=True), stream)
                 assert_same_report(count_word_set(words, g), stream)
+
+
+@pytest.mark.parametrize("n, d", [(3, 5), (4, 4), (5, 3)])
+def test_collected_matches_keep_line_order_across_weights(n, d):
+    # the line table is grouped by weight, so the listing is rebuilt in
+    # enumerate_lines order; matches here interleave three or more weights
+    rng = random.Random(1000 * n + d)
+    parity = Grid(n=n, d=d, alphabet=Alphabet(("A", "M")),
+                  cells=bytes(sum(p) % 2 for p in all_points(n, d)))
+    lines = list(enumerate_lines(n, d))
+    for g in (parity, random_grid(rng, n, d), random_grid(rng, n, d, "AMX")):
+        # one word read by a line of each weight, so every weight matches
+        words = []
+        for r in range(1, d + 1):
+            line = rng.choice([line for line in lines if line.weight == r])
+            text = "".join(g.letter_at(q) for q in line_points(line, n))
+            words.append(Word.from_string(text, g.alphabet))
+        if g is parity:
+            words += [Word.from_string(("AM" * n)[:n], g.alphabet),
+                      Word.from_string("A" * n, g.alphabet)]
+        want = count_word_set(words, g, lines=lines, collect_matches=True)
+        assert sum(1 for r in want.per_weight.values() if r) >= 3
+        weights = [line.weight for line in want.matches]
+        assert weights != sorted(weights)  # the stream order is not the table's
+        got = count_word_set(words, g, collect_matches=True)
+        assert (got.total, got.per_weight, got.matches) == (want.total, want.per_weight,
+                                                             want.matches)
+        for w in words:
+            want = count_word(w, g, lines=lines, collect_matches=True)
+            got = count_word(w, g, collect_matches=True)
+            assert (got.total, got.per_weight, got.matches) == (want.total, want.per_weight,
+                                                                 want.matches)
 
 
 def test_segment_counts_match_segment_walk():

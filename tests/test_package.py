@@ -1,11 +1,13 @@
 """The package as a whole: its module import graph, README's Python example,
-and no definition that nothing names."""
+the names the package root re-exports, and no definition that nothing names."""
 
 import ast
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import wordgrid
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wordgrid"
@@ -60,6 +62,19 @@ def test_readme_quick_start_prints_what_its_comments_show():
         else:
             assert out.getvalue() == "", line
     assert checked == 3
+
+
+def test_every_public_function_and_class_is_re_exported():
+    # README: "Everything public is re-exported from the package root";
+    # verify and cli are command plumbing, not library modules
+    missing = []
+    for module in ("core", "lines", "occurrence", "constructions", "bounds", "solver"):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        missing += [f"{module}.{node.name}" for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and node.name not in wordgrid.__all__]
+    assert missing == []
+    assert all(hasattr(wordgrid, name) for name in wordgrid.__all__)
 
 
 def _definitions(path):

@@ -347,6 +347,12 @@ def test_config_validation():
         SolveConfig(workers=0)
 
 
+def test_nan_worker_count_is_refused():
+    # `nan < 1` is False too, so only `not workers >= 1` refuses it
+    with pytest.raises(ValueError, match="worker count must be >= 1"):
+        SolveConfig(workers=float("nan"))
+
+
 def test_cell_cap():
     with pytest.raises(ValueError):
         solve(Word.from_string("AMM"), 3, 5)  # 243 cells
