@@ -89,7 +89,8 @@ class Word:
     def from_string(cls, text: str, alphabet: Alphabet | None = None) -> "Word":
         """Build a word from a raw letter string, inferring the alphabet unless given."""
         if alphabet is None:
-            alphabet = infer_alphabet(text)
+            # an empty text has no letters to infer, so Word's length check reports it
+            alphabet = infer_alphabet(text or "A")
         return cls(alphabet, tuple(alphabet.index(ch) for ch in text))
 
     @property

@@ -297,8 +297,8 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     Within a weight the rows keep enumeration order. Lines are the case k = n.
     Grouped rows let a per-weight tally count each weight over one slice
     instead of gathering each matched row's weight; no consumer of the table
-    depends on the order of its rows, and `occurrence` restores enumeration
-    order for the few rows it lists.
+    depends on the order of its rows, and its decoder, `_table_lines`, turns
+    any rows of a line table back into lines in enumeration order.
 
     The table is built from the last coordinate to the first, so no sort is
     needed. The codes over the last j coordinates are kept grouped by weight,
@@ -358,6 +358,21 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             lead.append(np.concatenate(leads))
     assert out.shape[1] == total
     return out.T, np.cumsum(sizes)
+
+
+def _table_lines(rows: np.ndarray, n: int, d: int) -> tuple[CanonicalLine, ...]:
+    """The lines of some rows of `segment_table(n, d, n)`, in `enumerate_lines` order.
+
+    A row's first two cells give p and v. Encoding order is lexicographic in
+    each coordinate's row of `_segment_symbols(n, n)`: numeral a is row a - 1,
+    '+' row n and '-' row n + 1.
+    """
+    p = np.stack(np.unravel_index(rows[:, 0], (n,) * d), axis=1) + 1
+    v = np.stack(np.unravel_index(rows[:, 1], (n,) * d), axis=1) + 1 - p
+    codes = np.where(v == 0, p - 1, np.where(v > 0, n, n + 1))
+    order = np.lexsort(codes.T[::-1])  # lexsort's last key leads
+    return tuple(CanonicalLine(tuple(a), tuple(b), len(b) - b.count(0))
+                 for a, b in zip(p[order].tolist(), v[order].tolist()))
 
 
 def format_line(line: CanonicalLine | Segment) -> str:

@@ -1,13 +1,13 @@
 """Counting the lines and segments of a grid that read a given word.
 
 A line contains a word when the forward or the reversed reading equals it; a
-line matching both ways still counts once. Dense grids are scanned through the
-cached column-major table `lines.segment_table`, and one kernel, `_match`,
-finds the matching rows for `count_word`, `count_word_set` (with or without
-`collect_matches`) and `count_segments_word`. The table's rows are grouped by
-weight, so the per-weight tally counts one slice per weight, and only the
-listing of matched lines is sorted back into `enumerate_lines` order.
-Procedural grids take an explicit line stream or the sampling estimator.
+line matching both ways still counts once. `_probes` builds those readings,
+and one kernel, `_match`, finds the rows reading one: of the cached table
+`lines.segment_table` for `count_word`, `count_word_set` and
+`count_segments_word`, and of the lines `estimate_fraction` draws on dense
+and symmetric grids. The table's rows are grouped by weight, so each weight
+is tallied over one slice; `lines._table_lines` decodes the matched rows for
+`collect_matches`. Other procedural grids are read point by point.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Grid, Word
-from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, line_points, sample_line,
-                    segment_table)
+from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines, line_points,
+                    sample_line, segment_table)
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -61,7 +61,13 @@ def line_contains(w: Word, grid: Grid, line: CanonicalLine) -> bool:
     return count_word(w, grid, lines=(line,)).total == 1
 
 
-def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
+def _probes(symbol_rows: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The readings that contain a row: each row, then its reversal, in order
+    of first appearance and without repeats, so a palindrome gives one."""
+    return list(dict.fromkeys(r for row in symbol_rows for r in (row, row[::-1])))
+
+
+def _count_stream(probes: Sequence[tuple[int, ...]], grid: Grid,
                   lines: Iterable[CanonicalLine], collect: bool) -> OccurrenceReport:
     """Lines of the stream whose reading, point by point, is a probe."""
     per_weight: dict[int, int] = {r: 0 for r in range(1, grid.d + 1)}
@@ -78,12 +84,11 @@ def _count_stream(probes: set[tuple[int, ...]], grid: Grid,
                             matches=tuple(hits) if collect else None)
 
 
-def _match(cells: bytes, idx: np.ndarray, probes: Iterable[tuple[int, ...]]) -> np.ndarray:
-    """Rows of a `segment_table` whose reading of the cells equals any probe.
-
-    The reading is column-major, like idx, so each probe is compared one
-    contiguous column at a time.
-    """
+def _match(cells: bytes | np.ndarray, idx: np.ndarray,
+           probes: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Rows of idx (cell indices in reading order) whose reading of the uint8
+    cells is a probe. A column-major idx, like a `segment_table`, gives a
+    column-major reading, so each probe is compared one contiguous column at a time."""
     readings = np.frombuffer(cells, dtype=np.uint8)[idx]
     matched = np.zeros(len(readings), dtype=bool)
     for probe in probes:
@@ -97,7 +102,7 @@ def _match(cells: bytes, idx: np.ndarray, probes: Iterable[tuple[int, ...]]) -> 
 def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
                 lines: Iterable[CanonicalLine] | None, collect: bool) -> OccurrenceReport:
     """Lines reading any symbol row either way: the stream, or the whole grid."""
-    probes = {sym for s in symbol_rows for sym in (s, s[::-1])}
+    probes = _probes(symbol_rows)
     if lines is not None:
         return _count_stream(probes, grid, lines, collect)
     if not grid.dense:
@@ -111,18 +116,7 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
     # the table's rows are grouped by weight, so each weight is one slice
     per_weight = {r: int(np.count_nonzero(matched[starts[r - 1]:starts[r]]))
                   for r in range(1, d + 1)}
-    matches = None
-    if collect:
-        rows = np.flatnonzero(matched)
-        # 1-based points of each matched line's first two cells; v is their step
-        p = np.stack(np.unravel_index(idx[rows, 0], (n,) * d), axis=1) + 1
-        v = np.stack(np.unravel_index(idx[rows, 1], (n,) * d), axis=1) + 1 - p
-        # enumerate_lines order is lexicographic in the symbol codes: numeral
-        # a is a - 1, '+' is n and '-' is n + 1; lexsort's last key leads
-        codes = np.where(v == 0, p - 1, np.where(v > 0, n, n + 1))
-        order = np.lexsort(codes.T[::-1])
-        matches = tuple(CanonicalLine(tuple(a), tuple(b), len(b) - b.count(0)) for a, b
-                        in zip(p[order].tolist(), v[order].tolist()))
+    matches = _table_lines(idx[matched], n, d) if collect else None
     return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight,
                             matches=matches)
 
@@ -173,9 +167,8 @@ def count_segments_word(w: Word, grid: Grid) -> int:
         raise ValueError(f"word length {k} exceeds grid side {grid.n}")
     if not grid.dense:
         raise ValueError("segment counting needs a dense grid")
-    sym = _word_symbols(w, grid)
     idx, _ = segment_table(grid.n, grid.d, k)
-    return int(np.count_nonzero(_match(grid.cells, idx, {sym, sym[::-1]})))
+    return int(np.count_nonzero(_match(grid.cells, idx, _probes([_word_symbols(w, grid)]))))
 
 
 def hoeffding_radius(samples: int) -> float:
@@ -202,7 +195,8 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     per profile for the call. Other procedural grids are read point by point,
     the drawn lines counted as a stream through `count_word`, so they work in
     any dimension. Drawn lines are not oriented, so a reading may run backward;
-    the word is matched both ways.
+    each reader returns (cells, idx) and `_match` compares the readings with
+    the word's `_probes`, both ways, as it does for a line table.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
@@ -212,34 +206,34 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     if not (grid.dense or grid.permutation_invariant):
         hits = count_word(w, grid, lines=(sample_line(n, d, rng) for _ in range(samples))).total
         return hits / samples, hoeffding_radius(samples)
-    sym = np.array(_word_symbols(w, grid))
+    probes = _probes([_word_symbols(w, grid)])
     read = _dense_reader(grid) if grid.dense else _symmetric_reader(grid)
     per_chunk = max(1, DRAW_CHUNK // max(d, n * n))  # d draws, n profiles of n
     hits = 0
     for start in range(0, samples, per_chunk):
-        readings = read(_draw_line_codes(n, d, rng, min(per_chunk, samples - start)))
-        hits += int(np.count_nonzero((readings == sym).all(axis=1)
-                                     | (readings == sym[::-1]).all(axis=1)))
+        cells, idx = read(_draw_line_codes(n, d, rng, min(per_chunk, samples - start)))
+        hits += int(np.count_nonzero(_match(cells, idx, probes)))
     return hits / samples, hoeffding_radius(samples)
 
 
 def _dense_reader(grid: Grid):
-    """Line codes (m, d) -> letter indices (m, n) of a dense grid, by flat index."""
+    """Line codes (m, d) -> (cells, idx): the grid's cells, each line's flat indices."""
     n, d = grid.n, grid.d
-    cells = np.frombuffer(grid.cells, dtype=np.uint8)
     place = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
     step, coord = _symbol_coords(n, n)
     offsets = np.arange(n)
 
-    def read(codes: np.ndarray) -> np.ndarray:
+    def read(codes: np.ndarray) -> tuple[bytes, np.ndarray]:
         first = coord[codes, 0] @ place
         stride = step[codes] @ place
-        return cells[first[:, None] + stride[:, None] * offsets]
+        return grid.cells, first[:, None] + stride[:, None] * offsets
     return read
 
 
 def _symmetric_reader(grid: Grid):
-    """Line codes (m, d) -> letter indices (m, n) of a permutation-invariant grid.
+    """Line codes (m, d) -> (cells, idx) of a permutation-invariant grid:
+    cells holds one uint8 letter per distinct profile of the chunk, and
+    idx[j, i] is the position there of drawn line j's profile at step i.
 
     Each distinct profile of a chunk is looked up once, and the rule is called
     once per profile for the reader's life, on the sorted point.
@@ -251,7 +245,7 @@ def _symmetric_reader(grid: Grid):
     steps = np.arange(n)
     values = np.arange(1, n + 1)
 
-    def read(codes: np.ndarray) -> np.ndarray:
+    def read(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = len(codes)
         counts = np.bincount((codes + symbols * np.arange(m)[:, None]).ravel(),
                              minlength=m * symbols).reshape(m, symbols)
@@ -268,10 +262,10 @@ def _symmetric_reader(grid: Grid):
         inverse = np.empty(len(flat), dtype=np.int64)
         inverse[order] = np.cumsum(new) - 1
         distinct = ordered[new]
-        table = np.empty(len(distinct), dtype=np.int64)
+        table = np.empty(len(distinct), dtype=np.uint8)
         for j, key in enumerate(map(tuple, distinct.tolist())):
             if key not in letters:
                 letters[key] = rule(tuple(np.repeat(values, key).tolist()))
             table[j] = letters[key]
-        return table[inverse.reshape(m, n)]
+        return table, inverse.reshape(m, n)
     return read

@@ -66,9 +66,10 @@ import numpy as np
 
 from .bounds import upper_bound_2d, upper_bound_d
 from .constructions import ConstructionResult, best_construction
-from .core import Alphabet, Grid, Word, point_index, serialize_grid, symmetry_cell_tables
+from .core import (Alphabet, Grid, Word, infer_alphabet, point_index, serialize_grid,
+                   symmetry_cell_tables)
 from .lines import enumerate_lines, line_points, segment_table
-from .occurrence import count_word_set
+from .occurrence import _probes, count_word_set
 
 DEFAULT_CELL_CAP = 64
 SET_CELL_CAP = 25
@@ -157,20 +158,16 @@ class SolveResult:
 class _Problem:
     """Compiled search instance: masks, branch order, lex-leader schedule."""
 
-    def __init__(self, symbol_rows: Sequence[tuple[int, ...]], letters: tuple[str, ...],
+    def __init__(self, symbol_rows: Sequence[tuple[int, ...]], alphabet: Alphabet,
                  n: int, d: int, symmetry: bool):
         self.n, self.d = n, d
-        self.letters = letters
-        self.A = A = len(letters)
+        self.alphabet = alphabet
+        self.A = A = len(alphabet)
         self.N = N = n**d
         line_cells = segment_table(n, d, n)[0].tolist()
         self.L = len(line_cells)
 
-        probes: list[tuple[int, ...]] = []
-        for row in symbol_rows:
-            for pr in (row, row[::-1]):
-                if pr not in probes:
-                    probes.append(pr)
+        probes = _probes(symbol_rows)
         self.shifts = tuple(p * self.L for p in range(1, len(probes)))
 
         incident = np.bincount(np.ravel(line_cells), minlength=N).tolist()
@@ -246,15 +243,10 @@ class _Search:
         self.open_bound = -1
 
 
-def _search_letters(words: Sequence[Word]) -> tuple[tuple[str, ...], list[tuple[int, ...]]]:
-    """Distinct letters over all words (first-appearance order) and remapped rows."""
-    letters: list[str] = []
-    for w in words:
-        for ch in w.text:
-            if ch not in letters:
-                letters.append(ch)
-    rows = [tuple(letters.index(ch) for ch in w.text) for w in words]
-    return tuple(letters), rows
+def _search_letters(words: Sequence[Word]) -> tuple[Alphabet, list[tuple[int, ...]]]:
+    """One alphabet of all the words' letters (first-appearance order), each word's symbols."""
+    alphabet = infer_alphabet("".join(w.text for w in words))
+    return alphabet, [Word.from_string(w.text, alphabet).symbols for w in words]
 
 
 def _step(problem: _Problem, bads: int, m: int) -> tuple[int, int]:
@@ -440,7 +432,7 @@ def _leaf_of(problem: _Problem, grid: Grid) -> bytes | None:
     """A grid's letters in branch order, or None when it uses a letter the
     search does not branch on."""
     cells = grid.to_dense().cells
-    to_search = [problem.letters.index(ch) if ch in problem.letters else None
+    to_search = [problem.alphabet.index(ch) if ch in problem.alphabet else None
                  for ch in grid.alphabet.letters]
     if any(to_search[c] is None for c in set(cells)):
         return None
@@ -453,8 +445,8 @@ def _compile(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
         raise ValueError("word length must equal the grid side n")
     if n**d > cell_cap:
         raise ValueError(f"{n}^{d} cells exceed the search cap {cell_cap}")
-    letters, rows = _search_letters(words)
-    return _Problem(rows, letters, n, d, symmetry=cfg.symmetry)
+    alphabet, rows = _search_letters(words)
+    return _Problem(rows, alphabet, n, d, symmetry=cfg.symmetry)
 
 
 def _solve_rows(problem: _Problem, words: Sequence[Word], cfg: SolveConfig, start: float,
@@ -489,8 +481,7 @@ def _solve_rows(problem: _Problem, words: Sequence[Word], cfg: SolveConfig, star
         upper = min(upper, ceiling)
     enumerated = cfg.enumerate_witnesses and complete
     blobs = state.collected if enumerated else [state.best_leaf or seed_leaf]
-    alphabet = Alphabet(problem.letters)
-    witnesses = tuple(Grid(n=problem.n, d=problem.d, alphabet=alphabet, cells=cells)
+    witnesses = tuple(Grid(n=problem.n, d=problem.d, alphabet=problem.alphabet, cells=cells)
                       for cells in sorted({_canonical_cells(b, problem) for b in blobs}))
     if not witnesses:
         raise AssertionError(f"no leaf reaches the claimed optimum {lower}")
@@ -541,8 +532,8 @@ def solve_oracle(w: Word, n: int, d: int) -> int:
     """
     if w.n != n:
         raise ValueError("word length must equal the grid side n")
-    letters, (row,) = _search_letters([w])
-    A = len(letters)
+    alphabet, (row,) = _search_letters([w])
+    A = len(alphabet)
     N = n**d
     if A**N > ORACLE_STATE_CAP:
         raise ValueError(f"{A}^{N} grids exceed the oracle cap {ORACLE_STATE_CAP}")

@@ -54,9 +54,9 @@ class Check:
     run: Callable[[], CheckResult]
 
 
-def _sweep(check_id: str, expected: str, failures: list[str]) -> CheckResult:
+def _sweep(check_id: str, expected: str, failures: list[str], detail: str = "") -> CheckResult:
     got = expected if not failures else f"failed: {'; '.join(failures[:3])}"
-    return CheckResult(check_id, expected, got)
+    return CheckResult(check_id, expected, got, detail)
 
 
 def _optima(check_id: str, expected: str, cases: list[tuple[Word, int]]) -> CheckResult:
@@ -281,10 +281,8 @@ def check_high_dim_properties() -> CheckResult:
                 break
     frac, radius = estimate_fraction(w, counterpoint_grid(w, 12),
                                      samples=100_000, rng=random.Random(2718))
-    expected = "parity sides and flip lines hold; fraction measured"
-    got = expected if not failures else f"failed: {'; '.join(failures[:3])}"
-    return CheckResult("high-dim-properties", expected, got,
-                       detail=f"fraction {frac:.4f} +- {radius:.4f} at n=3 d=12")
+    return _sweep("high-dim-properties", "parity sides and flip lines hold; fraction measured",
+                  failures, detail=f"fraction {frac:.4f} +- {radius:.4f} at n=3 d=12")
 
 
 # ----------------------------------------------------------------- criterion 12

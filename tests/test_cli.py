@@ -220,6 +220,12 @@ def test_solve_refuses_a_budget_that_is_not_positive(capsys, flag, value, field)
     assert err == f"error: {field} budget must be positive\n"
 
 
+def test_solve_refuses_an_empty_word_by_its_length(capsys):
+    # the trailing comma gives an empty word
+    code, out, err = run(capsys, "solve", "--words", "AMM,")
+    assert (code, out, err) == (1, "", "error: words must have length >= 2\n")
+
+
 def test_solve_needs_exactly_one_word_source(capsys):
     code, _, err = run(capsys, "solve")
     assert code == 1

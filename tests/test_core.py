@@ -79,8 +79,10 @@ def test_word_from_string():
     assert w.text == "AMM"
     assert w.reversed_word().text == "MMA"
     assert infer_alphabet("MAM").letters == ("M", "A")
-    with pytest.raises(ValueError):
-        Word.from_string("A")
+    # an empty word has no letters, but its error names the length, not the alphabet
+    for short in ("A", ""):
+        with pytest.raises(ValueError, match=r"^words must have length >= 2$"):
+            Word.from_string(short)
 
 
 def test_word_stats_amm():

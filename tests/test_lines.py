@@ -400,6 +400,20 @@ def test_segment_table_matches_python_walk():
             assert sizes == list(count_lines(n, d)[0].values()), (n, d)
 
 
+@pytest.mark.parametrize("n, d", [(2, 4), (3, 3), (4, 3)])
+def test_table_lines_decode_rows_in_enumeration_order(n, d):
+    # the whole table comes back as the stream; a shuffled third of its rows
+    # comes back as the stream's lines among them, in the stream's order
+    idx, _ = segment_table(n, d, n)
+    stream = tuple(enumerate_lines(n, d))
+    assert lines._table_lines(idx, n, d) == stream
+    pick = np.random.default_rng(10 * n + d).permutation(len(idx))[:len(idx) // 3]
+    got = lines._table_lines(idx[pick], n, d)
+    chosen = set(got)
+    assert len(chosen) == len(pick)
+    assert got == tuple(line for line in stream if line in chosen)
+
+
 def test_segment_table_cache_evicts_oldest_past_byte_budget(monkeypatch):
     def nbytes(table):
         return table[0].nbytes + table[1].nbytes

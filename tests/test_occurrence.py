@@ -19,6 +19,7 @@ from wordgrid.lines import (
 )
 from wordgrid.occurrence import (
     _dense_reader,
+    _probes,
     _symmetric_reader,
     count_segments_word,
     count_word,
@@ -371,24 +372,36 @@ def test_estimate_fraction_parity_grid():
     assert abs(frac - 256 / 496) < radius
 
 
-@pytest.mark.parametrize("text, d", [("AMM", 4), ("AMAM", 3), ("AMM", 8)])
+@pytest.mark.parametrize("text, d", [("AMM", 4), ("AMAM", 3), ("AMM", 8), ("AMA", 4),
+                                     ("ABBA", 3)])
 def test_estimate_fraction_dense_matches_pointwise(text, d):
-    # dense grids read a drawn line by flat index; the reference wraps the same
-    # cells as a procedural grid, read point by point. The random grid (its
-    # alphabet in the other order) is not symmetric, so it catches a misplaced
-    # coordinate; the materialized counterpoint grid is the CLI's --grid case.
+    # dense grids read a drawn line by flat index and symmetric grids by
+    # profile class; the reference wraps the same letters as a procedural grid,
+    # read point by point. The random grid (its alphabet in the other order)
+    # is not symmetric, so it catches a misplaced coordinate; the materialized
+    # counterpoint grid is the CLI's --grid case, and the counterpoint grid
+    # itself the layered one. A palindrome leaves one probe to match.
     w = Word.from_string(text)
     n = w.n
-    grids = [random_grid(random.Random(f"{text} {d}"), n, d, letters="MA"),
-             counterpoint_grid(w, d).to_dense()]
+    flipped = "".join(w.alphabet.letters[::-1])
+    grids = [random_grid(random.Random(f"{text} {d}"), n, d, letters=flipped),
+             counterpoint_grid(w, d).to_dense(), counterpoint_grid(w, d)]
     for g in grids:
-        assert g.dense
+        assert g.dense or g.permutation_invariant
         ref = Grid.procedural(n, d, g.alphabet, g.at)
         for seed in (3, 4, 5):
             rng, ref_rng = random.Random(seed), random.Random(seed)
             got = estimate_fraction(w, g, 2_000, rng)
             assert got == estimate_fraction(w, ref, 2_000, ref_rng), seed
             assert rng.getstate() == ref_rng.getstate()
+
+
+def test_probes_are_each_row_then_its_reversal_without_repeats():
+    assert _probes([(0, 1, 1)]) == [(0, 1, 1), (1, 1, 0)]
+    assert _probes([(0, 1, 0)]) == [(0, 1, 0)]  # a palindrome reads one way
+    # a row already present as another's reversal keeps its first place
+    assert _probes([(0, 1, 1), (1, 1, 0), (2, 0, 1)]) == [(0, 1, 1), (1, 1, 0), (2, 0, 1),
+                                                          (1, 0, 2)]
 
 
 def walk_code(grid, code):
@@ -414,7 +427,9 @@ def test_readers_match_pointwise_walk_on_every_code(n):
         symmetric = Grid.symmetric(n, d, dense.alphabet, lambda p: classes[tuple(sorted(p))])
         for grid, reader in ((dense, _dense_reader), (symmetric, _symmetric_reader)):
             want = [walk_code(grid, code) for code in codes.tolist()]
-            assert reader(grid)(codes).tolist() == want, (n, d, reader.__name__)
+            cells, idx = reader(grid)(codes)
+            got = np.frombuffer(cells, dtype=np.uint8)[idx]
+            assert got.tolist() == want, (n, d, reader.__name__)
 
 
 def test_estimate_fraction_procedural_smoke():

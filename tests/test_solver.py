@@ -106,8 +106,8 @@ def _recount_live(texts, n, d, assigned):
 def test_packed_live_count_matches_recount(texts, n, d):
     # the packed state's bound against a recount from the line table, at every
     # depth of seeded random assignments along the branch order
-    letters, rows = _search_letters([Word.from_string(t) for t in texts])
-    problem = _Problem(rows, letters, n, d, symmetry=False)
+    alphabet, rows = _search_letters([Word.from_string(t) for t in texts])
+    problem = _Problem(rows, alphabet, n, d, symmetry=False)
     rng = random.Random(f"{texts} {n} {d}")
     for _ in range(12):
         bads, live, assigned = 0, problem.L, {}
@@ -115,7 +115,7 @@ def test_packed_live_count_matches_recount(texts, n, d):
         for depth, cell in enumerate(problem.order):
             a = rng.randrange(problem.A)
             bads, live = _step(problem, bads, problem.masks[depth][a])
-            assigned[cell] = letters[a]
+            assigned[cell] = alphabet.letters[a]
             assert live == _recount_live(texts, n, d, assigned), (depth, assigned)
 
 
@@ -188,8 +188,8 @@ def test_witness_is_first_optimal_leaf_in_branch_order():
     for text, n, d in _small_words():
         w = Word.from_string(text)
         r = solve(w, n, d)
-        letters, rows = _search_letters([w])
-        problem = _Problem(rows, letters, n, d, symmetry=False)
+        alphabet, rows = _search_letters([w])
+        problem = _Problem(rows, alphabet, n, d, symmetry=False)
         want = _canonical_cells(_first_leaf_reaching(problem, r.lower), problem)
         assert r.complete and r.witnesses[0].cells == want, (text, n, d)
 
@@ -197,8 +197,8 @@ def test_witness_is_first_optimal_leaf_in_branch_order():
 @pytest.mark.parametrize("text, n, d", [("AMM", 3, 3), ("AM", 2, 5)])
 def test_canonical_cells_is_least_image(text, n, d):
     # the least image over the group, each element's cell map built point by point
-    letters, rows = _search_letters([Word.from_string(text)])
-    problem = _Problem(rows, letters, n, d, symmetry=True)
+    alphabet, rows = _search_letters([Word.from_string(text)])
+    problem = _Problem(rows, alphabet, n, d, symmetry=True)
     tables = [[point_index(g.apply_point(p, n), n, d) for p in all_points(n, d)]
               for g in all_symmetries(d)]
     rng = random.Random(n * 10 + d)
@@ -216,8 +216,8 @@ def test_canonical_cells_is_least_image(text, n, d):
 def test_canonical_cells_matches_bytes_minimum(text, n, d):
     # the column-by-column minimum against the minimum over one bytes object
     # per image; blobs over fewer letters tie many images through many cells
-    letters, rows = _search_letters([Word.from_string(text)])
-    problem = _Problem(rows, letters, n, d, symmetry=True)
+    alphabet, rows = _search_letters([Word.from_string(text)])
+    problem = _Problem(rows, alphabet, n, d, symmetry=True)
     rng = random.Random(n * 10 + d)
     blobs = [bytes(problem.N), bytes([problem.A - 1]) * problem.N]
     for used in range(2, problem.A + 1):
@@ -410,6 +410,18 @@ def test_solve_set_permutations():
 def test_solve_set_singleton_matches_solve():
     w = Word.from_string("AMM")
     assert solve_set([w], 3, 2).optimum == solve(w, 3, 2).optimum
+
+
+@pytest.mark.parametrize("text", ["AMM", "ABC"])
+def test_solve_set_with_the_reversed_word_is_the_word_alone(text):
+    # a line reads w or its reversal, so adding the reversal adds no probe:
+    # the masks, the search and its tallies are those of the word alone
+    w = Word.from_string(text)
+    pair, alone = solve_set([w, w.reversed_word()], 3, 2), solve_set([w], 3, 2)
+    assert pair.canonical_text() == alone.canonical_text()
+    tallies = [(r.stats.nodes, r.stats.bound_prunes, r.stats.symmetry_prunes)
+               for r in (pair, alone)]
+    assert tallies[0] == tallies[1]
 
 
 def test_solve_set_two_constant_words():
@@ -710,8 +722,8 @@ DIFF_LIMITS = [(1, None), (2, None), (3, None), (50, None), (4096, None), (4097,
 
 
 def _diff_problem(texts, n, d, symmetry):
-    letters, rows = _search_letters([Word.from_string(t) for t in texts])
-    return _Problem(rows, letters, n, d, symmetry=symmetry)
+    alphabet, rows = _search_letters([Word.from_string(t) for t in texts])
+    return _Problem(rows, alphabet, n, d, symmetry=symmetry)
 
 
 def _assert_dfs_matches(problem, reference):
