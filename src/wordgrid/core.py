@@ -218,6 +218,13 @@ def all_points(n: int, d: int) -> Iterator[Point]:
     return itertools.product(range(1, n + 1), repeat=d)
 
 
+def _letter(x: int, alphabet: Alphabet) -> int:
+    """A rule's value x, checked to index a letter of the alphabet."""
+    if not 0 <= x < len(alphabet.letters):
+        raise ValueError("cell letter index out of alphabet range")
+    return x
+
+
 @dataclass(frozen=True)
 class Grid:
     """A function from [n]^d to letters: dense cell array or procedural rule.
@@ -282,7 +289,7 @@ class Grid:
         idx = point_index(p, self.n, self.d)  # checks the point on both paths
         if self.cells is not None:
             return self.cells[idx]
-        return self.rule(p)  # type: ignore[misc]
+        return _letter(self.rule(p), self.alphabet)  # type: ignore[misc]
 
     def letter_at(self, p: Point) -> str:
         return self.alphabet.letters[self.at(p)]
@@ -301,7 +308,8 @@ class Grid:
         A symmetric grid is filled per profile class (`_cells_by_profile`):
         the rule is called once per class, and the class of every cell comes
         from `_profile_classes(n, d)`, kept per (n, d) in the shared table cache.
-        Any other rule is called once per point.
+        Any other rule is called once per point. Each value the rule gives is
+        checked against the alphabet (`_letter`) before it becomes a cell.
         """
         if self.cells is not None:
             return self
@@ -309,9 +317,10 @@ class Grid:
         if cap is not None and size > cap:
             raise ValueError(f"grid has {size} cells, above the dense cap {cap}")
         if self.permutation_invariant:
-            cells = _cells_by_profile(self.n, self.d, self.rule)  # type: ignore[arg-type]
+            cells = _cells_by_profile(self.n, self.d, self.rule, self.alphabet)  # type: ignore[arg-type]
         else:
-            cells = bytes(self.rule(p) for p in all_points(self.n, self.d))  # type: ignore[misc]
+            cells = bytes(_letter(self.rule(p), self.alphabet)  # type: ignore[misc]
+                          for p in all_points(self.n, self.d))
         return Grid(n=self.n, d=self.d, alphabet=self.alphabet, cells=cells)
 
 
@@ -356,16 +365,18 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return reps, step, ids
 
 
-def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int]) -> bytes:
+def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int], alphabet: Alphabet) -> bytes:
     """Cells of a symmetric rule in flat-index order, one rule call per profile class.
 
     The rule is called on each class's sorted point from `_profile_classes(n, d)`,
-    read from the shared table cache or built into it; the last coordinate maps
+    read from the shared table cache or built into it, and each letter checked
+    against the alphabet before it is cast to uint8; the last coordinate maps
     straight to letters, `letters[step][ids]`, so no `(n^d, d)` array is ever built.
     """
     reps, step, ids = _profile_classes(n, d)
     points = zip(*reps.T.tolist())  # one tuple at a time, not a list of C(n+d-1, d) tuples
-    letters = np.fromiter(map(rule, points), dtype=np.uint8, count=len(reps))
+    letters = np.fromiter((_letter(x, alphabet) for x in map(rule, points)),
+                          dtype=np.uint8, count=len(reps))
     return letters[step][ids].tobytes()
 
 

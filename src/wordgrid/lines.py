@@ -12,6 +12,10 @@ is d values in {0..n+1}, each the index of its row in `_segment_symbols(n, n)`.
 The enumerator builds only the canonical codes, in lexicographic order, by
 joining each prefix to a prebuilt tail block of at most TAIL_BLOCK codes
 (or of one coordinate's symbols, when those alone are more).
+
+The `CanonicalLine` and `Segment` constructors check every pair (`_check_pair`);
+the enumerator checks each tail code and prefix once instead and builds its
+lines and segments from those checked parts without a per-object check.
 """
 
 from __future__ import annotations
@@ -36,11 +40,8 @@ TAIL_BLOCK = 256  # most codes in the tail block `_canonical_pairs` builds per c
 _UNIT_STEPS = frozenset((-1, 0, 1))
 
 
-def _check_pair(pair: CanonicalLine | Segment) -> None:
-    """Reject a (p; v) pair that is not canonical or whose weight is wrong."""
-    v = pair.v
-    if len(pair.p) != len(v):
-        raise ValueError("p and v must have the same dimension")
+def _check_sign(v: Direction) -> None:
+    """The sign rule: v has a nonzero coordinate and the first one is +1."""
     for x in v:  # x ends as the first nonzero coordinate
         if x != 0:
             break
@@ -48,10 +49,32 @@ def _check_pair(pair: CanonicalLine | Segment) -> None:
         raise ValueError("direction must have a nonzero coordinate")
     if x != 1:
         raise ValueError("first nonzero direction coordinate must be +1")
+
+
+def _check_steps(p: Point, v: Direction, weight: int) -> None:
+    """The check a whole pair and each code part of the stream share: p and v
+    have the same length, every step is in {-1, 0, +1}, and weight is the
+    nonzero count of v."""
+    if len(p) != len(v):
+        raise ValueError("p and v must have the same dimension")
     if not _UNIT_STEPS.issuperset(v):
         raise ValueError("direction coordinates must be in {-1, 0, +1}")
-    if pair.weight != len(v) - v.count(0):
+    if weight != len(v) - v.count(0):
         raise ValueError("weight must equal the nonzero count of v")
+
+
+def _check_pair(pair: CanonicalLine | Segment) -> None:
+    """Reject a (p; v) pair that is not canonical or whose weight is wrong."""
+    if len(pair.p) == len(pair.v):  # else the step check reports the lengths first
+        _check_sign(pair.v)
+    _check_steps(pair.p, pair.v, pair.weight)
+
+
+def _checked_lead(p: Point, v: Direction, weight: int) -> int:
+    """The step check on one code part of the stream, then the step of its
+    first sign, 0 if there is none."""
+    _check_steps(p, v, weight)
+    return next(filter(None, v), 0)
 
 
 @dataclass(frozen=True)
@@ -138,25 +161,29 @@ def _canonical_pairs(n: int, d: int, k: int) -> Iterator[tuple[Point, Direction,
     a prefix whose first sign is '+' takes all of it, a prefix with no sign
     only the tail codes whose first sign is '+', and a prefix whose first
     sign is '-' none.
+
+    Every tail code and every prefix goes through `_checked_lead` once, and
+    its lead decides the join, so each joined code is canonical by
+    construction at a cost of O(prefixes + tail codes), not O(segments).
     """
     symbols = _segment_symbols(n, k)
     m = 1
     while m < d and len(symbols) ** (m + 1) <= TAIL_BLOCK:
         m += 1
     tail = list(_codes(symbols, m))
-    plus_tail = [code for code in tail if code[3] == 1]
-    for hp, hv, hr, lead in _codes(symbols, d - m):
+    plus_tail = [code for code in tail if _checked_lead(*code) == 1]
+    for hp, hv, hr in _codes(symbols, d - m):
+        lead = _checked_lead(hp, hv, hr)
         if lead >= 0:
-            for p, v, r, _ in tail if lead else plus_tail:
+            for p, v, r in tail if lead else plus_tail:
                 yield hp + p, hv + v, hr + r
 
 
-def _codes(symbols: list[tuple[int, int]], m: int) -> Iterator[tuple[Point, Direction, int, int]]:
-    """(p, v, weight, lead) of every code over m coordinates, in encoding
-    order; lead is the step of the first sign, 0 if there is none."""
+def _codes(symbols: list[tuple[int, int]], m: int) -> Iterator[tuple[Point, Direction, int]]:
+    """(p, v, weight) of every code over m coordinates, in encoding order."""
     for code in itertools.product(symbols, repeat=m):
         p, v = zip(*code) if code else ((), ())
-        yield p, v, m - v.count(0), next(filter(None, v), 0)
+        yield p, v, m - v.count(0)
 
 
 def enumerate_lines(n: int, d: int, weight: int | None = None) -> Iterator[CanonicalLine]:
@@ -165,14 +192,22 @@ def enumerate_lines(n: int, d: int, weight: int | None = None) -> Iterator[Canon
     Lines are the segments of length n, so the stream is that of
     `enumerate_segments(n, d, n)`: lexicographic over encoded sequences with
     per-coordinate symbol order 1..n, '+', '-', and deterministic.
+
+    Each line is built from code parts `_canonical_pairs` checked once, by
+    `object.__new__` and an update of the instance dict (a frozen dataclass
+    refuses only attribute assignment): it is the object `CanonicalLine(p, v,
+    weight)` builds, and that constructor still checks every pair.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
     if weight is not None and not 1 <= weight <= d:
         raise ValueError(f"weight {weight} out of [1, d={d}]")
+    new = object.__new__
     for p, v, r in _canonical_pairs(n, d, n):
         if weight is None or r == weight:
-            yield CanonicalLine(p, v, r)
+            line = new(CanonicalLine)
+            line.__dict__.update(p=p, v=v, weight=r)
+            yield line
 
 
 def count_lines(n: int, d: int) -> tuple[dict[int, int], int]:
@@ -272,10 +307,17 @@ def _symbol_coords(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_segments(n: int, d: int, k: int) -> Iterator[Segment]:
-    """All canonical length-k segments of [n]^d, each exactly once."""
+    """All canonical length-k segments of [n]^d, each exactly once.
+
+    Built as `enumerate_lines` builds lines, from checked code parts without
+    `Segment.__init__`; `Segment(...)` still checks every pair.
+    """
     count_segments(n, d, k)  # rejects k outside [2, n] and d < 1
+    new = object.__new__
     for p, v, r in _canonical_pairs(n, d, k):
-        yield Segment(p, v, k=k, weight=r)
+        seg = new(Segment)
+        seg.__dict__.update(p=p, v=v, k=k, weight=r)
+        yield seg
 
 
 def count_segments(n: int, d: int, k: int) -> int:

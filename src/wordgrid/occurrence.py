@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word
+from .core import Grid, Word, _letter
 from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines, line_points,
                     sample_line, segment_table)
 
@@ -236,9 +236,10 @@ def _symmetric_reader(grid: Grid):
     idx[j, i] is the position there of drawn line j's profile at step i.
 
     Each distinct profile of a chunk is looked up once, and the rule is called
-    once per profile for the reader's life, on the sorted point.
+    once per profile for the reader's life, on the sorted point, its letter
+    checked against the alphabet then.
     """
-    n, rule = grid.n, grid.rule
+    n, rule, alphabet = grid.n, grid.rule, grid.alphabet
     letters: dict[tuple[int, ...], int] = {}  # profile -> letter
     _, coord = _symbol_coords(n, n)
     symbols = len(coord)
@@ -265,7 +266,7 @@ def _symmetric_reader(grid: Grid):
         table = np.empty(len(distinct), dtype=np.uint8)
         for j, key in enumerate(map(tuple, distinct.tolist())):
             if key not in letters:
-                letters[key] = rule(tuple(np.repeat(values, key).tolist()))
+                letters[key] = _letter(rule(tuple(np.repeat(values, key).tolist())), alphabet)
             table[j] = letters[key]
         return table, inverse.reshape(m, n)
     return read

@@ -38,8 +38,11 @@ def test_lines_tallies(capsys):
 def test_lines_listing(capsys):
     code, out, _ = run(capsys, "lines", "-n", "3", "-d", "2", "--list")
     assert code == 0
-    assert len(out.splitlines()) == 8
-    assert "1,1 ; 1,1" in out
+    assert out == ("1,1 ; 0,1\n2,1 ; 0,1\n3,1 ; 0,1\n1,1 ; 1,0\n1,2 ; 1,0\n1,3 ; 1,0\n"
+                   "1,1 ; 1,1\n1,3 ; 1,-1\n")
+    code, out, _ = run(capsys, "lines", "-n", "3", "-d", "2", "--weight", "2", "--list")
+    assert code == 0
+    assert out == "1,1 ; 1,1\n1,3 ; 1,-1\n"
 
 
 @pytest.mark.parametrize("extra", [["--weight", "5"], ["--weight", "0", "--list"]])

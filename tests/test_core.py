@@ -196,7 +196,8 @@ CLASS_MAP_SIZES = sorted({(n, d) for n in range(1, 65) for d in range(1, 13) if 
 @pytest.mark.parametrize("n,d", CLASS_MAP_SIZES)
 def test_cells_by_profile_matches_dict_reference(n, d):
     rule = _sorted_point_rule(5)
-    assert core._cells_by_profile(n, d, rule) == _reference_cells_by_profile(n, d, rule)
+    letters = Alphabet(tuple("ABCDE"))
+    assert core._cells_by_profile(n, d, rule, letters) == _reference_cells_by_profile(n, d, rule)
 
 
 @pytest.mark.parametrize("n,d", [(1, 5), (3, 4), (4, 1), (2, 9), (6, 3)])

@@ -1,5 +1,6 @@
 """Tests for line/segment enumeration against brute-force and closed forms."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -241,6 +242,89 @@ def test_weight_filter_is_the_filtered_stream():
         every = list(enumerate_lines(n, d))
         for r in range(1, d + 1):
             assert list(enumerate_lines(n, d, weight=r)) == [l for l in every if l.weight == r]
+
+
+def assert_built_by_the_constructor(streamed, built):
+    assert type(streamed) is type(built)
+    assert list(vars(streamed).items()) == list(vars(built).items())
+    assert streamed == built and hash(streamed) == hash(built) and repr(streamed) == repr(built)
+
+
+def assert_frozen(obj):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        obj.weight = 0
+
+
+def test_streamed_lines_are_the_checked_constructors_lines():
+    # the stream builds its lines without `__init__`; each must be the object
+    # `CanonicalLine` builds, through its check, from the same fields
+    for n in range(2, 7):
+        for d in range(1, 6):
+            for line in enumerate_lines(n, d):
+                assert_built_by_the_constructor(line, CanonicalLine(line.p, line.v, line.weight))
+    assert_frozen(line)
+
+
+def test_streamed_segments_are_the_checked_constructors_segments():
+    for n in range(2, 7):
+        for d in range(1, 4):
+            for k in range(2, n + 1):
+                for seg in enumerate_segments(n, d, k):
+                    assert_built_by_the_constructor(seg, Segment(seg.p, seg.v, seg.k, seg.weight))
+    assert_frozen(seg)
+
+
+def drain(stream):
+    """The objects a stream yields before it raises, and the error."""
+    got = []
+    with pytest.raises(ValueError) as err:
+        for obj in stream:
+            got.append(obj)
+    return got, str(err.value)
+
+
+def test_stream_checks_each_code_part_once(monkeypatch):
+    # (n, d, k) = (3, 4, 3): five symbols, a tail block over 3 coordinates, prefixes over 1
+    n, d, k = 3, 4, 3
+    calls = []
+    checked_lead = lines._checked_lead
+    monkeypatch.setattr(lines, "_checked_lead", lambda *part: calls.append(part) or checked_lead(*part))
+    assert len(list(enumerate_segments(n, d, k))) == count_segments(n, d, k) == 272
+    assert len(calls) == 5**3 + 5  # every tail code and every prefix, once each
+
+
+def test_stream_refuses_a_symbol_step_outside_the_unit_steps(monkeypatch):
+    symbols = lines._segment_symbols
+    monkeypatch.setattr(lines, "_segment_symbols", lambda n, k: symbols(n, k)[:-1] + [(n, 2)])
+    for stream in (enumerate_lines(3, 2), enumerate_segments(3, 2, 2), enumerate_lines(3, 4)):
+        assert drain(stream) == ([], "direction coordinates must be in {-1, 0, +1}")
+
+
+def corrupt_weight(monkeypatch, width, at):
+    """`_codes` with the weight of code `at` over `width` coordinates one too high."""
+    codes = lines._codes
+
+    def patched(symbols, m):
+        for i, (p, v, r) in enumerate(codes(symbols, m)):
+            yield p, v, r + (m == width and i == at)
+    monkeypatch.setattr(lines, "_codes", patched)
+
+
+def test_stream_refuses_a_tail_code_of_the_wrong_weight(monkeypatch):
+    corrupt_weight(monkeypatch, 3, 7)
+    for stream in (enumerate_lines(3, 4), enumerate_segments(3, 4, 3)):
+        assert drain(stream) == ([], "weight must equal the nonzero count of v")
+
+
+def test_stream_refuses_a_prefix_of_the_wrong_weight_before_joining_it(monkeypatch):
+    # the '+' prefix is the fourth of 1, 2, 3, '+', '-'; the three numeral
+    # prefixes before it each join the tail codes led by '+', and are good
+    corrupt_weight(monkeypatch, 1, 3)
+    got, err = drain(enumerate_lines(3, 4))
+    assert err == "weight must equal the nonzero count of v"
+    assert len(got) == 3 * count_lines(3, 3)[1]
+    for line in got:
+        assert_built_by_the_constructor(line, CanonicalLine(line.p, line.v, line.weight))
 
 
 # ---------------------------------------------------------------- sampling

@@ -58,6 +58,20 @@ def test_symmetric_grid_is_marked_and_keeps_its_rule():
         g.to_dense(cap=80)
 
 
+@pytest.mark.parametrize("letter", [5, 256, -1])
+@pytest.mark.parametrize("make", [Grid.procedural, Grid.symmetric])
+def test_rule_letters_outside_the_alphabet_are_refused_on_every_path(make, letter):
+    # on a symmetric grid `to_dense` reads `_cells_by_profile` and the estimator
+    # the profile reader; on any other rule grid both read point by point
+    g = make(3, 2, Alphabet(("A", "M")), lambda p: letter if p == (1, 1) else 0)
+    paths = [lambda: g.at((1, 1)), g.to_dense,
+             lambda: estimate_fraction(W("AMM"), g, 2000, random.Random(3))]
+    for path in paths:
+        with pytest.raises(ValueError, match="cell letter index out of alphabet range"):
+            path()
+    assert g.at((1, 2)) == 0
+
+
 @pytest.mark.parametrize("n", sorted(COUNTERPOINT_WORDS))
 def test_counterpoint_to_dense_matches_pointwise(n):
     for text in COUNTERPOINT_WORDS[n]:
