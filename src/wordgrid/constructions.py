@@ -12,11 +12,13 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import comb
+from math import ceil, comb, floor
 from string import ascii_uppercase
 from typing import Callable
 
-from .core import Alphabet, Grid, Point, Word, word_stats
+import numpy as np
+
+from .core import Alphabet, BatchRule, Grid, Point, Word, word_stats
 from .lines import CanonicalLine, count_lines, line_points
 from .occurrence import count_word
 
@@ -143,11 +145,12 @@ def counterpoint_grid(w: Word, d: int) -> Grid:
     serves. Points matching no rule get the word's first or last letter by
     the same parity, which can only add lines.
     """
-    return Grid.symmetric(w.n, d, w.alphabet, _counterpoint_rule(w, d))
+    return Grid.symmetric(w.n, d, w.alphabet, *_counterpoint_rules(w, d))
 
 
-def _counterpoint_rule(w: Word, d: int) -> Callable[[Point], int]:
-    """The letter of a point by its branch and the parity of its sigma."""
+def _counterpoint_rules(w: Word, d: int) -> tuple[Callable[[Point], int], BatchRule]:
+    """The letter of a point by its branch and the parity of its sigma, as a
+    point rule and as its batch form on profile count rows."""
     n = w.n
     if n < 3:
         raise ValueError("needs word length >= 3; length-2 words are covered by "
@@ -163,7 +166,23 @@ def _counterpoint_rule(w: Word, d: int) -> Callable[[Point], int]:
             return sym[i - 1] if odd else sym[n - i]
         return sym[0] if odd else sym[n - 1]
 
-    return rule
+    # A counter-point needs tau1 > c and a band index tau1 <= c, so only the
+    # band index moves a letter off the ends. The counts are integers, so
+    # tau1 <= c is tau1 <= floor(c) and tau_i >= k is tau_i >= ceil(k): exact
+    # int64 compares of counts at most 2d, with no product to overflow.
+    tau1_max, tau_min = floor(params.c), ceil(params.k)
+    half = (n + 1) // 2
+    letters = np.array(sym)
+
+    def batch(counts: np.ndarray) -> np.ndarray:
+        tau = counts[:, :half] + counts[:, ::-1][:, :half]  # tau[:, i - 1] = tau(i)
+        big = tau[:, 1:] >= tau_min  # the candidate indices 2..half
+        band = (tau[:, 0] <= tau1_max) & (np.count_nonzero(big, axis=1) == 1)
+        i = np.where(band, big.argmax(axis=1) + 2, 1)  # the ends read as index 1
+        odd = counts[:, : n // 2].sum(axis=1) % 2 == 1
+        return letters[np.where(odd, i - 1, n - i)]
+
+    return rule, batch
 
 
 def sigma_parity_check(line: CanonicalLine, n: int) -> bool:
@@ -327,7 +346,9 @@ def _parity_achieved(w: Word, d: int, value_set: frozenset[int]) -> int:
     Along a canonical line with u rising and m falling coordinates, the
     coordinate-sum statistic at step i is (fixed part) + u*[i in I] +
     m*[n-i+1 in I], so the whole reading depends only on (u, m, fixed parity).
-    Strata sizes come in closed form, making the count exact at any d.
+    Strata sizes come in closed form, making the count exact at any d. Only
+    the parities of the fixed part, u and m enter the reading, so its at most
+    eight readings are built once and looked up per stratum.
     """
     n = w.n
     sym = w.symbols
@@ -335,6 +356,12 @@ def _parity_achieved(w: Word, d: int, value_set: frozenset[int]) -> int:
     in_i = [0] * (n + 2)
     for i in value_set:
         in_i[i] = 1
+    reads_w = {}  # (fixed parity, u mod 2, m mod 2) -> whether the reading is w either way
+    for key in itertools.product((0, 1), repeat=3):
+        beta, u, m = key
+        reading = tuple(first if (beta + u * in_i[i] + m * in_i[n - i + 1]) % 2 == 0 else other
+                        for i in range(1, n + 1))
+        reads_w[key] = reading == sym or reading == sym[::-1]
     z = n - 2 * len(value_set)  # zero for antisymmetric words; kept for clarity
     total = 0
     for r in range(1, d + 1):
@@ -344,12 +371,7 @@ def _parity_achieved(w: Word, d: int, value_set: frozenset[int]) -> int:
         for u in range(1, r + 1):
             patterns = comb(d, r) * comb(r - 1, u - 1)
             for beta, strata in ((0, fixed_even), (1, fixed_odd)):
-                reading = tuple(
-                    first if (beta + u * in_i[i] + (r - u) * in_i[n - i + 1]) % 2 == 0
-                    else other
-                    for i in range(1, n + 1)
-                )
-                if reading == sym or reading == sym[::-1]:
+                if reads_w[beta, u % 2, (r - u) % 2]:
                     total += patterns * strata
     return total
 
@@ -362,20 +384,24 @@ def parity_grid(w: Word, d: int) -> ConstructionResult:
     if not (st.binary and st.antisymmetric):
         raise ValueError(f"{w.text!r} is not binary antisymmetric")
     n = w.n
-    grid = _symmetric_grid(w, d, _parity_rule(w))
+    grid = _symmetric_grid(w, d, _parity_rule(w), _parity_batch(w))
     guaranteed = ((n + 2) ** d - (n - 2) ** d) // 4
-    value_set = frozenset(i + 1 for i, s in enumerate(w.symbols) if s == w.symbols[0])
-    achieved = _parity_achieved(w, d, value_set)
+    achieved = _parity_achieved(w, d, _parity_letters(w)[2])
     return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
                               provenance="parity")
+
+
+def _parity_letters(w: Word) -> tuple[int, int, frozenset[int]]:
+    """The parity rule's two letters, first and other, and the first letter's index set."""
+    first = w.symbols[0]
+    other = next(s for s in w.symbols if s != first)
+    return first, other, frozenset(i + 1 for i, s in enumerate(w.symbols) if s == first)
 
 
 def _parity_rule(w: Word) -> Callable[[Point], int]:
     """The first letter where an even number of coordinates lie in the first
     letter's index set, the other letter elsewhere."""
-    first = w.symbols[0]
-    other = next(s for s in w.symbols if s != first)
-    value_set = frozenset(i + 1 for i, s in enumerate(w.symbols) if s == first)
+    first, other, value_set = _parity_letters(w)
 
     def rule(p: Point) -> int:
         hits = sum(1 for x in p if x in value_set)
@@ -384,9 +410,17 @@ def _parity_rule(w: Word) -> Callable[[Point], int]:
     return rule
 
 
-def _symmetric_grid(w: Word, d: int, rule: Callable[[Point], int]) -> Grid:
-    """The symmetric grid of a profile rule, materialized up to DENSE_CAP cells."""
-    grid = Grid.symmetric(w.n, d, w.alphabet, rule)
+def _parity_batch(w: Word) -> BatchRule:
+    """`_parity_rule` on profile count rows: the hits are the counts of the index set."""
+    first, other, value_set = _parity_letters(w)
+    columns = [i - 1 for i in sorted(value_set)]
+    return lambda counts: np.where(counts[:, columns].sum(axis=1) % 2 == 0, first, other)
+
+
+def _symmetric_grid(w: Word, d: int, rule: Callable[[Point], int], batch: BatchRule) -> Grid:
+    """The symmetric grid of a profile rule and its batch form, materialized up
+    to DENSE_CAP cells."""
+    grid = Grid.symmetric(w.n, d, w.alphabet, rule, batch)
     return grid.to_dense() if w.n**d <= DENSE_CAP else grid
 
 
@@ -405,7 +439,7 @@ def few_letter_word(k: int) -> Word:
 
 def _constant_result(w: Word, d: int) -> ConstructionResult:
     sym = w.symbols[0]
-    grid = _symmetric_grid(w, d, lambda p: sym)
+    grid = _symmetric_grid(w, d, lambda p: sym, lambda counts: np.full(len(counts), sym))
     total = count_lines(w.n, d)[1]
     return ConstructionResult(grid, guaranteed=total, achieved=total, provenance="constant")
 
@@ -430,7 +464,7 @@ def _candidates(w: Word, d: int) -> list[ConstructionResult]:
     elif st.binary and st.antisymmetric:
         results.append(parity_grid(w, d))
     if w.n >= 3:
-        grid = _symmetric_grid(w, d, _counterpoint_rule(w, d))
+        grid = _symmetric_grid(w, d, *_counterpoint_rules(w, d))
         achieved = count_word(w, grid).total if grid.dense else 0
         results.append(ConstructionResult(grid, guaranteed=0, achieved=achieved,
                                           provenance="counterpoint"))

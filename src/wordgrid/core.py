@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -20,7 +21,14 @@ import numpy as np
 
 Point = tuple[int, ...]
 
+# A symmetric rule's batch form: (m, n) profile count rows -> m letter indices.
+BatchRule = Callable[[np.ndarray], np.ndarray]
+
 MAX_ALPHABET = 26
+
+# Values per block of profile count rows that `_cells_by_profile` hands a batch
+# rule: n = 1000, d = 1 is 16 blocks of 64 rows, not one 1000 x 1000 int64 matrix.
+PROFILE_BLOCK = 2**14
 
 # Bytes of cached tables kept before the least recently used go. The census
 # segment tables, (3,8) to (8,4,k=4), take 11.3 MB together; one n=3 segment
@@ -219,10 +227,26 @@ def all_points(n: int, d: int) -> Iterator[Point]:
 
 
 def _letter(x: int, alphabet: Alphabet) -> int:
-    """A rule's value x, checked to index a letter of the alphabet."""
+    """A rule's value x, checked to be an integer that indexes a letter of the alphabet."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise ValueError(f"cell letter index must be an integer, got {x!r}") from None
     if not 0 <= x < len(alphabet.letters):
         raise ValueError("cell letter index out of alphabet range")
     return x
+
+
+def _batch_letters(batch: BatchRule, counts: np.ndarray, alphabet: Alphabet) -> np.ndarray:
+    """uint8 letters of profile count rows by a batch rule, checked as `_letter` checks one."""
+    letters = np.asarray(batch(counts))
+    if letters.shape != (len(counts),):
+        raise ValueError(f"batch rule gave shape {letters.shape} for {len(counts)} profiles")
+    if letters.dtype.kind not in "biu":  # bool too, as `_letter` takes True
+        raise ValueError(f"cell letter index must be an integer, got dtype {letters.dtype}")
+    if not 0 <= letters.min() <= letters.max() < len(alphabet.letters):
+        raise ValueError("cell letter index out of alphabet range")
+    return letters.astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -234,10 +258,15 @@ class Grid:
     A symmetric grid (`Grid.symmetric`) promises more: its rule gives every
     permutation of a point's coordinates the same letter, so the letter
     depends only on the point's profile, how many coordinates take each
-    value. `to_dense` and `occurrence.estimate_fraction` then call the rule
-    once per profile, on the sorted point, instead of once per point.
+    value. `to_dense` and `occurrence.estimate_fraction` then read the
+    letter once per profile instead of once per point. A symmetric grid may
+    carry its rule's batch form, `batch_rule`, which maps an (m, n) integer
+    array of profile count rows (row[x - 1] coordinates equal x) to m letter
+    indices; with it each of them makes one call per block of profiles, and
+    without it they call the rule once per profile, on the sorted point.
+    `rule` stays the reference: `at` reads it on every grid.
     Which cells share a profile depends only on (n, d), so `to_dense` reads it
-    from a map in the shared table cache and per call only calls the rule and gathers.
+    from a map in the shared table cache and per call only finds the letters and gathers.
     """
 
     n: int
@@ -246,6 +275,7 @@ class Grid:
     cells: bytes | None = None
     rule: Callable[[Point], int] | None = None
     permutation_invariant: bool = False
+    batch_rule: BatchRule | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
@@ -259,6 +289,8 @@ class Grid:
                 raise ValueError("cell letter index out of alphabet range")
             if self.permutation_invariant:
                 raise ValueError("only a procedural grid is marked symmetric")
+        if self.batch_rule is not None and not self.permutation_invariant:
+            raise ValueError("only a symmetric grid carries a batch rule")
 
     @property
     def dense(self) -> bool:
@@ -280,9 +312,12 @@ class Grid:
         return cls(n=n, d=d, alphabet=alphabet, rule=rule)
 
     @classmethod
-    def symmetric(cls, n: int, d: int, alphabet: Alphabet, rule: Callable[[Point], int]) -> "Grid":
-        """Procedural grid whose rule does not change when coordinates are permuted."""
-        return cls(n=n, d=d, alphabet=alphabet, rule=rule, permutation_invariant=True)
+    def symmetric(cls, n: int, d: int, alphabet: Alphabet, rule: Callable[[Point], int],
+                  batch_rule: BatchRule | None = None) -> "Grid":
+        """Procedural grid whose rule does not change when coordinates are permuted,
+        with the rule's batch form on profile count rows if it has one."""
+        return cls(n=n, d=d, alphabet=alphabet, rule=rule, permutation_invariant=True,
+                   batch_rule=batch_rule)
 
     def at(self, p: Point) -> int:
         """Letter index at 1-based point p."""
@@ -306,10 +341,12 @@ class Grid:
         """Materialize a procedural grid (identity on dense grids).
 
         A symmetric grid is filled per profile class (`_cells_by_profile`):
-        the rule is called once per class, and the class of every cell comes
-        from `_profile_classes(n, d)`, kept per (n, d) in the shared table cache.
-        Any other rule is called once per point. Each value the rule gives is
-        checked against the alphabet (`_letter`) before it becomes a cell.
+        its batch rule is called once per block of classes, or without one the
+        rule once per class, and the class of every cell comes from
+        `_profile_classes(n, d)`, kept per (n, d) in the shared table cache.
+        Any other rule is called once per point. Each letter is checked to be
+        an integer index into the alphabet before it becomes a cell. The dense
+        grid keeps no rule and so no batch rule.
         """
         if self.cells is not None:
             return self
@@ -317,7 +354,8 @@ class Grid:
         if cap is not None and size > cap:
             raise ValueError(f"grid has {size} cells, above the dense cap {cap}")
         if self.permutation_invariant:
-            cells = _cells_by_profile(self.n, self.d, self.rule, self.alphabet)  # type: ignore[arg-type]
+            cells = _cells_by_profile(self.n, self.d, self.rule, self.alphabet,  # type: ignore[arg-type]
+                                      self.batch_rule)
         else:
             cells = bytes(_letter(self.rule(p), self.alphabet)  # type: ignore[misc]
                           for p in all_points(self.n, self.d))
@@ -365,18 +403,32 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return reps, step, ids
 
 
-def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int], alphabet: Alphabet) -> bytes:
-    """Cells of a symmetric rule in flat-index order, one rule call per profile class.
+def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int], alphabet: Alphabet,
+                      batch_rule: BatchRule | None = None) -> bytes:
+    """Cells of a symmetric rule in flat-index order, from one letter per profile class.
 
-    The rule is called on each class's sorted point from `_profile_classes(n, d)`,
-    read from the shared table cache or built into it, and each letter checked
-    against the alphabet before it is cast to uint8; the last coordinate maps
-    straight to letters, `letters[step][ids]`, so no `(n^d, d)` array is ever built.
+    The classes are `_profile_classes(n, d)`, read from the shared table cache
+    or built into it. A batch rule is called on the classes' count rows, built
+    from the sorted points a block of at most PROFILE_BLOCK values at a time;
+    without one, the rule is called on each class's sorted point. Each letter
+    is checked against the alphabet before it is cast to uint8; the last
+    coordinate maps straight to letters, `letters[step][ids]`, so no
+    `(n^d, d)` array is ever built.
     """
     reps, step, ids = _profile_classes(n, d)
-    points = zip(*reps.T.tolist())  # one tuple at a time, not a list of C(n+d-1, d) tuples
-    letters = np.fromiter((_letter(x, alphabet) for x in map(rule, points)),
-                          dtype=np.uint8, count=len(reps))
+    if batch_rule is None:
+        points = zip(*reps.T.tolist())  # one tuple at a time, not a list of C(n+d-1, d) tuples
+        letters = np.fromiter((_letter(x, alphabet) for x in map(rule, points)),
+                              dtype=np.uint8, count=len(reps))
+    else:
+        letters = np.empty(len(reps), dtype=np.uint8)
+        rows = max(1, PROFILE_BLOCK // max(n, d))
+        for start in range(0, len(reps), rows):
+            block = reps[start:start + rows]
+            # row r's value x lands at r * n + x - 1, so one bincount counts every row
+            flat = (block + (n * np.arange(len(block)) - 1)[:, None]).ravel()
+            counts = np.bincount(flat, minlength=len(block) * n).reshape(len(block), n)
+            letters[start:start + len(block)] = _batch_letters(batch_rule, counts, alphabet)
     return letters[step][ids].tobytes()
 
 

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word, _letter
+from .core import Grid, Word, _batch_letters, _letter
 from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines, line_points,
                     sample_line, segment_table)
 
@@ -191,8 +191,9 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     adds (start-1)·n^(d-1-j) to the line's first flat index and step·n^(d-1-j)
     to its flat stride. A symmetric grid is read per profile class: a line's
     reading depends only on its symbol counts, at step i each symbol counts
-    toward the value its coordinate takes there, and the rule is called once
-    per profile for the call. Other procedural grids are read point by point,
+    toward the value its coordinate takes there, and the letters come from the
+    grid's batch rule once per chunk, or from the rule once per profile for
+    the call when it has none. Other procedural grids are read point by point,
     the drawn lines counted as a stream through `count_word`, so they work in
     any dimension. Drawn lines are not oriented, so a reading may run backward;
     each reader returns (cells, idx) and `_match` compares the readings with
@@ -231,13 +232,15 @@ def _dense_reader(grid: Grid):
 
 
 def _symmetric_reader(grid: Grid):
-    """Line codes (m, d) -> (cells, idx) of a permutation-invariant grid:
-    cells holds one uint8 letter per distinct profile of the chunk, and
-    idx[j, i] is the position there of drawn line j's profile at step i.
+    """Line codes (m, d) -> (cells, idx) of a permutation-invariant grid, read
+    from the (m, n, n) profile counts of the drawn lines at their n steps.
 
-    Each distinct profile of a chunk is looked up once, and the rule is called
-    once per profile for the reader's life, on the sorted point, its letter
-    checked against the alphabet then.
+    With a batch rule, cells holds the letter of every line's profile at every
+    step, from one batch call per chunk, and idx[j, i] = j * n + i. Without
+    one, cells holds one letter per distinct profile of the chunk and idx[j, i]
+    is the position there of line j's profile at step i; the rule is called
+    once per profile for the reader's life, on the sorted point. Each letter
+    is checked against the alphabet when it is read.
     """
     n, rule, alphabet = grid.n, grid.rule, grid.alphabet
     letters: dict[tuple[int, ...], int] = {}  # profile -> letter
@@ -254,6 +257,9 @@ def _symmetric_reader(grid: Grid):
         for s in range(symbols):
             # a symbol takes one value per step, so no index repeats in the add
             profiles[:, steps, coord[s]] += counts[:, s, None]
+        if grid.batch_rule is not None:
+            table = _batch_letters(grid.batch_rule, profiles.reshape(-1, n), alphabet)
+            return table, np.arange(m * n).reshape(m, n)
         # distinct rows by lexsort: np.unique(axis=0) sorts a void view, about
         # 6x slower, and a mixed-radix key passes 2^63 (41^12 at d=40, n=12)
         flat = profiles.reshape(-1, n)

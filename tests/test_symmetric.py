@@ -9,11 +9,14 @@ import random
 import tracemalloc
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 
 from wordgrid.constructions import (
     DENSE_CAP,
     _constant_result,
+    _counterpoint_rules,
+    _parity_batch,
     _parity_rule,
     counterpoint_grid,
     parity_grid,
@@ -56,6 +59,12 @@ def test_symmetric_grid_is_marked_and_keeps_its_rule():
         Grid(n=2, d=1, alphabet=Alphabet(("A",)), cells=bytes(2), permutation_invariant=True)
     with pytest.raises(ValueError, match="dense cap"):
         g.to_dense(cap=80)
+    batch = lambda counts: counts[:, 1::2].sum(axis=1) % 2  # noqa: E731
+    with_batch = Grid.symmetric(3, 4, Alphabet(("A", "M")), rule, batch)
+    assert with_batch.batch_rule is batch and with_batch.rule is rule
+    assert with_batch.to_dense().batch_rule is None
+    with pytest.raises(ValueError, match="only a symmetric grid carries a batch rule"):
+        Grid(n=3, d=4, alphabet=Alphabet(("A", "M")), rule=rule, batch_rule=batch)
 
 
 @pytest.mark.parametrize("letter", [5, 256, -1])
@@ -70,6 +79,93 @@ def test_rule_letters_outside_the_alphabet_are_refused_on_every_path(make, lette
         with pytest.raises(ValueError, match="cell letter index out of alphabet range"):
             path()
     assert g.at((1, 2)) == 0
+
+
+@pytest.mark.parametrize("make", [
+    Grid.procedural, Grid.symmetric,
+    # a batch rule giving 1.5 on the profile of (1, 1) and 0 elsewhere
+    lambda n, d, ab, rule: Grid.symmetric(n, d, ab, rule,
+                                          lambda counts: np.where(counts[:, 0] == 2, 1.5, 0)),
+])
+def test_rule_letters_that_are_not_integers_are_refused_on_every_path(make):
+    g = make(3, 2, Alphabet(("A", "M")), lambda p: 1.5 if p == (1, 1) else 0)
+    paths = [lambda: g.at((1, 1)), g.to_dense,
+             lambda: estimate_fraction(W("AMM"), g, 2000, random.Random(3))]
+    for path in paths:
+        with pytest.raises(ValueError, match="cell letter index must be an integer"):
+            path()
+    assert g.at((1, 2)) == 0
+
+
+@pytest.mark.parametrize("batch,message", [
+    (lambda counts: np.where(counts[:, 0] == 2, 5, 0), "out of alphabet range"),
+    (lambda counts: np.zeros(len(counts) + 1, dtype=int), "batch rule gave shape"),
+    (lambda counts: 0, "batch rule gave shape"),
+])
+def test_batch_letters_are_checked_like_rule_letters(batch, message):
+    g = Grid.symmetric(3, 2, Alphabet(("A", "M")), lambda p: 0, batch)
+    for path in (g.to_dense, lambda: estimate_fraction(W("AMM"), g, 2000, random.Random(3))):
+        with pytest.raises(ValueError, match=message):
+            path()
+
+
+def test_batch_rule_replaces_the_rule_calls():
+    w = W("AMMAM")
+    rule, batch = _counterpoint_rules(w, 6)
+    calls = []
+    g = Grid.symmetric(5, 6, w.alphabet, lambda p: calls.append(p) or rule(p), batch)
+    assert g.to_dense().cells == pointwise(g).to_dense().cells
+    calls.clear()
+    got = estimate_fraction(w, g, 3000, random.Random(6))
+    assert not calls
+    assert got == estimate_fraction(w, pointwise(g), 3000, random.Random(6))
+
+
+def profile_rows(n, d):
+    """Every profile class of [n]^d, enumerated apart from `core._profile_classes`,
+    in blocks of (sorted points, count rows)."""
+    classes = itertools.combinations_with_replacement(range(1, n + 1), d)
+    while block := list(itertools.islice(classes, max(1, 2**16 // n))):
+        counts = np.zeros((len(block), n), dtype=np.int64)
+        np.add.at(counts, (np.arange(len(block)).repeat(d), np.array(block).ravel() - 1), 1)
+        yield block, counts
+
+
+def assert_batch_is_the_rule(rule, batch, n, d):
+    for points, counts in profile_rows(n, d):
+        got = batch(counts)
+        assert np.issubdtype(got.dtype, np.integer), (n, d)
+        assert got.tolist() == [rule(p) for p in points], (n, d)
+
+
+def test_parity_batch_is_the_rule_on_every_profile_class():
+    # every word n <= 8 and the alternating words above, at every d of
+    # criterion 7 (n^d <= 10^6)
+    cases = [(w, n) for n in (2, 4, 6, 8) for w in antisymmetric_words(n)]
+    cases += [(W("AM" * (n // 2)), n) for n in (10, 12, 20, 100, 1000)]
+    for w, n in cases:
+        for d in dimensions(n, 10**6):
+            assert_batch_is_the_rule(_parity_rule(w), _parity_batch(w), n, d)
+
+
+@pytest.mark.parametrize("text", ["AMM", "ABC", "AMMA", "ABCA", "AMAMM", "AMA", "ABBA",
+                                  "AMMAM", "ABCDE", "ABCDEFG"])
+def test_counterpoint_batch_is_the_rule_on_every_profile_class(text):
+    w = W(text)
+    for d in dimensions(w.n, 10**6 * w.n):  # n^(d-1) <= 10^6
+        assert_batch_is_the_rule(*_counterpoint_rules(w, d), w.n, d)
+    if text == "AMM":
+        for d in (40, 80):
+            assert_batch_is_the_rule(*_counterpoint_rules(w, d), w.n, d)
+
+
+def test_construction_grids_carry_their_batch_rules():
+    grids = [counterpoint_grid(W("AMM"), 40), parity_grid(W("AMAM"), 9).grid,
+             _constant_result(W("AAA"), 11).grid]
+    for g in grids:
+        assert g.permutation_invariant and g.batch_rule is not None
+    const = grids[2]
+    assert_batch_is_the_rule(const.rule, const.batch_rule, 3, 11)
 
 
 @pytest.mark.parametrize("n", sorted(COUNTERPOINT_WORDS))
@@ -101,17 +197,19 @@ def test_constant_to_dense_matches_pointwise():
 
 def test_parity_grid_class_map_memory_is_bounded(monkeypatch):
     # n=100 d=2: 5,050 classes for 10,000 cells; a dict of sorted-point tuples
-    # per call peaked at 0.72 MB here, the cached numpy map at 0.33 MB cold
-    w = W("AM" * 50)
-    monkeypatch.setattr(core, "_tables", OrderedDict())
-    for _ in ("cold", "warm"):
-        tracemalloc.start()
-        try:
-            g = parity_grid(w, 2).grid
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert g.dense and peak < 500_000, peak
+    # per call peaked at 0.72 MB here, the cached numpy map at 0.33 MB cold.
+    # The batch rule reads count rows in blocks: unblocked, n=1000 d=1 would
+    # build a 1000 x 1000 int64 matrix and n=100 d=2 a 5050 x 100 one
+    for w, d in ((W("AM" * 50), 2), (W("AM" * 500), 1)):
+        monkeypatch.setattr(core, "_tables", OrderedDict())
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                g = parity_grid(w, d).grid
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert g.dense and peak < 500_000, (w.n, d, peak)
 
 
 @pytest.mark.parametrize("text,d,samples", [
