@@ -10,10 +10,10 @@ Lines are tracked as bits of one Python int per search state. Each probe (a
 reading of a word, forward or reversed) owns L bits, one per line, at offset
 p*L; a set bit means the assignments so far contradict that line's probe-p
 reading. A line is dead when its bit is set in every probe's segment, so one
-step is an OR of the branch's mask and a popcount of the dead lines, counted
-by one expression chosen from the probe count P: the state's own popcount
-for a palindrome (P = 1), that of the state ANDed with itself shifted by L for
-one word (P = 2), and for a set an AND with every shift L, 2L, ..., (P-1)L.
+step is an OR of the branch's mask and a popcount of the dead lines. For one
+or two probes that is one expression, the popcount of the state ANDed with
+itself shifted by sh: sh = 0 for a palindrome (P = 1), L for one word
+(P = 2). A set of P >= 3 probes ANDs every shift L, 2L, ..., (P-1)L.
 The bound (lines alive, L less the dead) is exact at leaves and monotone
 along any branch, so pruning against the incumbent is safe.
 
@@ -44,6 +44,11 @@ One depth-first search from the root visits the tree in branch order, so
 the outputs and the node and prune tallies are deterministic.
 `SolveConfig.workers` is validated but has no effect. Every node counts
 against the node budget, and the search stops at the first node past it.
+A node makes one stop test: its count against the next count at which the
+budget or the clock applies, -1 once the search has stopped. Bound prunes
+are not counted one by one: every expanded node tries every letter, so a
+pass's bound prunes follow from its expanded nodes and the nodes it
+entered, and only the nodes that are not expanded are counted.
 A solve with witness enumeration runs one pass, which prunes strictly
 (bound < incumbent, which can never cut a subtree holding an optimal leaf)
 and keeps every leaf at the incumbent. Without it, the search prunes ties
@@ -56,6 +61,7 @@ budgets and the tallies.
 
 from __future__ import annotations
 
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -83,10 +89,11 @@ CLOCK_CHECK_MASK = 0xFFF
 class SolveConfig:
     """Search knobs; defaults give an exact run.
 
-    A node budget is exact: a search stopped by it has visited `node_budget + 1`
-    nodes. The time budget runs from entry to `solve` or `solve_set`, setup
-    included, and is checked every CLOCK_CHECK_MASK + 1 nodes. `workers` must
-    be at least 1 and has no effect: every solve is one sequential search."""
+    A node budget is a whole number and exact: a search stopped by it has
+    visited `node_budget + 1` nodes. The time budget runs from entry to
+    `solve` or `solve_set`, setup included, and is checked every
+    CLOCK_CHECK_MASK + 1 nodes. `workers` must be a whole number at least 1
+    and has no effect: every solve is one sequential search."""
 
     node_budget: int | None = None
     time_budget: float | None = None
@@ -103,6 +110,13 @@ class SolveConfig:
             raise ValueError("time budget must be positive")
         if not self.workers >= 1:
             raise ValueError("worker count must be >= 1")
+        # a budget of 1.5 would stop the search at node 3, not at budget + 1
+        for name, value in (("node budget", self.node_budget), ("worker count", self.workers)):
+            if value is not None:
+                try:
+                    operator.index(value)
+                except TypeError:
+                    raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -111,8 +125,11 @@ class SolveStats:
 
     `nodes` and the two prune counts, and `elapsed` with them, cover every
     pass: the branch-and-bound search and the witness pass that looks up the
-    first optimal leaf. `elapsed` runs from entry to `solve` or `solve_set`,
-    so it also covers compilation and both seeds, the construction and the beam."""
+    first optimal leaf. `bound_prunes` counts the children cut by the bound,
+    those tried while a stopped search unwinds included; each pass derives
+    it as A * (expanded nodes) - (entries - 1), since an expanded node tries
+    all A letters. `elapsed` runs from entry to `solve` or `solve_set`, so
+    it also covers compilation and both seeds, the construction and the beam."""
 
     nodes: int
     bound_prunes: int
@@ -294,23 +311,38 @@ def _dfs(problem: _Problem, state: _Search, collect: bool = False, first: bool =
     only when there is none yet, so the list holds exactly the leaves at the
     incumbent, and the best leaf is the first leaf reached at it.
 
-    Each node is counted and tested against the node budget, and the clock is
-    read every CLOCK_CHECK_MASK + 1 nodes: one compare per node against the
-    next count at which either applies. A node carries its dead-line count,
-    L less its bound. A child is pruned when that count exceeds the cap
-    L - incumbent (less one when ties are pruned too), re-read after each
-    child since a leaf may raise the incumbent. A node's last letter is
-    entered by looping (tail descent), so only the earlier letters recurse.
+    Each node is counted and makes one compare against `check`: the next
+    count at which the node budget or the clock (read every
+    CLOCK_CHECK_MASK + 1 nodes) applies, or -1 once the pass has stopped, so
+    every entry after the stop takes the same cold path, raises the open
+    bound and returns. A node carries its dead-line count, L less its bound.
+    A child is pruned when that count exceeds the cap L - incumbent (less
+    one when ties are pruned too), re-read after each child since a leaf may
+    raise the incumbent. A node's last letter is entered by looping (tail
+    descent), so only the earlier letters recurse.
+
+    Bound prunes are not counted where they happen. Every expanded node tries
+    all A letters, and each try is either pruned or enters a node, so the
+    pass's bound prunes are A * (expanded nodes) - (entries - 1), the root
+    being the one entry no try made. Only what is not expanded is counted,
+    each on its own cold path: leaves, nodes cut by symmetry, the node that
+    meets a budget, and entries after the stop (the counter runs on past the
+    stop; the count at the stop is the pass's nodes).
+
     A node of depth q compares only the blocks waiting in buckets[q]: a
-    smaller image prunes it, a larger one drops the map, and a tie moves
-    the map to the bucket of its next block. Each move is pushed on one
-    undo stack, and a frame that moved maps takes its moves back when it
-    returns, so a frame that moves none does no undo work. The tallies,
-    the incumbent, the best leaf, the open bound and the stop flag are
+    smaller image prunes it, a larger one drops the map, and a tie moves the
+    map to the bucket of its next block. buckets[N] also holds a block that
+    always ties, so only nodes that compare blocks test for a leaf. Each
+    move is pushed on one undo stack, and a frame that moved maps takes its
+    moves back when it returns, so a frame that moves none does no undo
+    work. The tallies, the incumbent, the best leaf and the open bound are
     closure locals, written back to `state` on exit."""
     L, A, N = problem.L, problem.A, problem.N
-    masks, shifts = problem.masks, problem.shifts
+    shifts = problem.shifts
+    # children[q]: (letter, mask) for each letter at depth q, in branch order
+    children = [list(enumerate(row)) for row in problem.masks]
     buckets = [list(waiting) for waiting in problem.buckets]
+    buckets[N].append((len, len, 0, None))  # always ties: len(s) == len(s)
     undo: list[list[tuple]] = []  # the bucket each move appended to, in order
 
     def unwind(mark: int) -> None:
@@ -318,33 +350,34 @@ def _dfs(problem: _Problem, state: _Search, collect: bool = False, first: bool =
         while len(undo) >= mark:
             undo.pop().pop()
 
-    one, two = not shifts, len(shifts) == 1  # probe count 1 (palindrome) or 2 (one word)
+    # one dead-count expression for one probe (a palindrome, sh = 0) or two
+    few, sh = len(shifts) <= 1, shifts[0] if shifts else 0
     slack = 0 if collect or first else 1
     collected = state.collected
     budget = state.node_budget if state.node_budget is not None else sys.maxsize
     deadline = state.deadline
     last = A - 1
     s = [0] * N
-    nodes, stopped, open_bound = state.nodes, state.stopped, state.open_bound
-    bound_prunes, symmetry_prunes = state.bound_prunes, state.symmetry_prunes
-    incumbent = state.incumbent
+    nodes = start = state.nodes
+    stop_at = start if state.stopped else None  # the node count when the pass stopped
+    open_bound, incumbent, best_leaf = state.open_bound, state.incumbent, state.best_leaf
+    leaves = symmetry_prunes = met_budget = 0
     cap = L - incumbent - slack
-    best_leaf = state.best_leaf
-    # the next node count at which the budget or the clock applies
+    # the next node count at which the budget or the clock applies, -1 once stopped
     check = budget + 1 if deadline is None else min(budget + 1, (nodes | CLOCK_CHECK_MASK) + 1)
+    if state.stopped:
+        check = -1
 
     def dfs(q: int, bads: int, dead: int) -> None:
-        nonlocal nodes, stopped, open_bound, bound_prunes, symmetry_prunes
+        nonlocal nodes, stop_at, open_bound, leaves, symmetry_prunes, met_budget
         nonlocal incumbent, cap, best_leaf, check
         mark = 0  # 1 + the undo stack's length before this frame's first move
         while True:
-            if stopped:
-                open_bound = max(open_bound, L - dead)
-                return
             nodes += 1
             if nodes >= check:
-                if nodes > budget or time.monotonic() > deadline:
-                    stopped = True
+                if check < 0 or nodes > budget or time.monotonic() > deadline:
+                    if check >= 0:
+                        stop_at, check, met_budget = nodes, -1, 1
                     open_bound = max(open_bound, L - dead)
                     return
                 check = min(budget + 1, nodes + CLOCK_CHECK_MASK + 1)
@@ -362,38 +395,34 @@ def _dfs(problem: _Problem, state: _Search, collect: bool = False, first: bool =
                         symmetry_prunes += 1
                         unwind(mark)
                         return
-            if q == N:
-                value = L - dead
-                if first:
-                    stopped = True
-                # every leaf reached is at the incumbent or above it
-                if value > incumbent:
-                    incumbent = value
-                    cap = L - incumbent - slack
-                    best_leaf = None
-                    collected.clear()
-                # leaves arrive in branch order, so the first at a value is the least
-                if best_leaf is None:
-                    best_leaf = bytes(s)
-                if collect:
-                    collected.append(bytes(s))
-                if mark:
+                if q == N:
+                    leaves += 1
+                    value = L - dead
+                    if first:
+                        stop_at, check = nodes, -1
+                    # every leaf reached is at the incumbent or above it
+                    if value > incumbent:
+                        incumbent = value
+                        cap = L - incumbent - slack
+                        best_leaf = None
+                        collected.clear()
+                    # leaves arrive in branch order, so the first at a value is the least
+                    if best_leaf is None:
+                        best_leaf = bytes(s)
+                    if collect:
+                        collected.append(bytes(s))
                     unwind(mark)
-                return
-            mq = masks[q]
-            for a in range(A):
-                nb = bads | mq[a]
-                if one:
-                    dead = nb.bit_count()
-                elif two:
-                    dead = (nb & (nb >> L)).bit_count()
+                    return
+            for a, m in children[q]:
+                nb = bads | m
+                if few:
+                    dead = (nb & (nb >> sh)).bit_count()
                 else:
                     dead = nb
-                    for sh in shifts:
-                        dead &= nb >> sh
+                    for t in shifts:
+                        dead &= nb >> t
                     dead = dead.bit_count()
                 if dead > cap:
-                    bound_prunes += 1
                     continue
                 s[q] = a
                 if a == last:
@@ -406,8 +435,13 @@ def _dfs(problem: _Problem, state: _Search, collect: bool = False, first: bool =
             q, bads = q + 1, nb
 
     dfs(0, 0, 0)
-    state.nodes, state.stopped, state.open_bound = nodes, stopped, open_bound
-    state.bound_prunes, state.symmetry_prunes = bound_prunes, symmetry_prunes
+    entries = nodes - start
+    if stop_at is not None:
+        nodes = stop_at
+    expanded = nodes - start - leaves - symmetry_prunes - met_budget
+    state.bound_prunes += A * expanded - (entries - 1)
+    state.nodes, state.stopped, state.open_bound = nodes, stop_at is not None, open_bound
+    state.symmetry_prunes += symmetry_prunes
     state.incumbent, state.best_leaf = incumbent, best_leaf
 
 

@@ -353,6 +353,24 @@ def test_nan_worker_count_is_refused():
         SolveConfig(workers=float("nan"))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("node_budget", 1.5, "node budget must be an integer, not 1.5"),
+    ("node_budget", float("inf"), "node budget must be an integer, not inf"),
+    ("workers", 1.5, "worker count must be an integer, not 1.5"),
+])
+def test_non_integer_budget_or_worker_count_is_refused(field, value, message):
+    # a node budget of 1.5 was accepted and the cut search reported 3 nodes,
+    # not node_budget + 1
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        SolveConfig(**{field: value})
+
+
+def test_integer_like_budget_and_worker_count_are_accepted():
+    r = solve(Word.from_string("AMMA"), 4, 3,
+              SolveConfig(node_budget=np.int64(7), workers=np.int32(2)))
+    assert r.stats.nodes == 8
+
+
 def test_cell_cap():
     with pytest.raises(ValueError):
         solve(Word.from_string("AMM"), 3, 5)  # 243 cells
@@ -713,6 +731,7 @@ DIFF_PROBLEMS = [
     (("AMM",), 3, 2, False), (("ABC",), 3, 2, True), (("AAMM",), 4, 2, True),
     (("AM",), 2, 3, True), (("AMM",), 3, 3, True), (("ABCD", "ABDC"), 4, 2, True),
     (("AB", "BA"), 2, 2, True), (("AMM", "MAM", "MMA"), 3, 2, True),
+    (("ABCD",), 4, 2, True),
 ]
 # (node budget, deadline): budgets that stop at the root, one and two nodes
 # in, around the first clock read and partway through sibling loops; a spent
@@ -766,6 +785,44 @@ def test_dfs_matches_the_rescan_at_depth_12(monkeypatch, texts, n, d, symmetry):
     monkeypatch.setattr(solver_mod, "SYMMETRY_DEPTH", 12)
     problem = _diff_problem(texts, n, d, symmetry)
     _assert_dfs_matches(problem, _reference_search(problem, symmetry, 12))
+
+
+# Node budgets on ABCD 4^3, the benchmark's budget instance, whose stop node
+# is entered inside a four-letter sibling loop (1,152: letter 1 at depth 25,
+# two siblings left; 1,250: letter 0 at depth 28, three left) or by tail
+# descent (3,949 and 3,951: the last letter at depths 32 and 31). The bound
+# prunes the unwinding frames count after the stop are part of the tally.
+@pytest.mark.parametrize("budget", [1152, 1250, 3949, 3951])
+def test_abcd_4_3_budget_cuts_match_the_pre_rewrite_search(budget):
+    problem = _diff_problem(("ABCD",), 4, 3, True)
+    value, _ = _beam_seed(problem)
+    reference = _reference_search(problem, True)
+    for collect in (False, True):
+        facts = []
+        for search in (_dfs, reference):
+            state = _Search(value, budget, None)
+            search(problem, state, collect=collect)
+            facts.append(_search_facts(state))
+        assert facts[0] == facts[1], collect
+        assert facts[0][0] == budget + 1
+
+
+@pytest.mark.parametrize("texts, n, d", [(("AMM",), 3, 2), (("ABCD",), 4, 3)])
+@pytest.mark.parametrize("mode", [{}, {"collect": True}, {"first": True}])
+def test_dfs_entered_stopped_matches_the_pre_rewrite_search(texts, n, d, mode):
+    # a pass entered after the stop visits no node and counts nothing; only
+    # the root's bound, every line, is left open
+    problem = _diff_problem(texts, n, d, True)
+    value, _ = _beam_seed(problem)
+    facts = []
+    for search in (_dfs, _reference_search(problem, True)):
+        state = _Search(value, None, None)
+        state.nodes, state.bound_prunes, state.symmetry_prunes = 7, 5, 3
+        state.stopped = True
+        search(problem, state, **mode)
+        facts.append(_search_facts(state))
+    assert facts[0] == facts[1]
+    assert facts[0][:5] == (7, 5, 3, problem.L, True)
 
 
 @pytest.mark.parametrize("start", [0, 5000])
