@@ -340,7 +340,7 @@ def stripe_grid(w: Word) -> ConstructionResult:
 
 # ---------------------------------------------------------------- parity grid
 
-def _parity_achieved(w: Word, d: int, value_set: frozenset[int]) -> int:
+def _parity_achieved(w: Word, d: int) -> int:
     """Exact line count on the parity grid by stratifying lines.
 
     Along a canonical line with u rising and m falling coordinates, the
@@ -348,11 +348,12 @@ def _parity_achieved(w: Word, d: int, value_set: frozenset[int]) -> int:
     m*[n-i+1 in I], so the whole reading depends only on (u, m, fixed parity).
     Strata sizes come in closed form, making the count exact at any d. Only
     the parities of the fixed part, u and m enter the reading, so its at most
-    eight readings are built once and looked up per stratum.
+    eight readings are built once and looked up per stratum. The letters and
+    the index set I are the parity rule's, from `_parity_letters`.
     """
     n = w.n
     sym = w.symbols
-    first, other = sym[0], next(s for s in sym if s != sym[0])
+    first, other, value_set = _parity_letters(w)
     in_i = [0] * (n + 2)
     for i in value_set:
         in_i[i] = 1
@@ -386,7 +387,7 @@ def parity_grid(w: Word, d: int) -> ConstructionResult:
     n = w.n
     grid = _symmetric_grid(w, d, _parity_rule(w), _parity_batch(w))
     guaranteed = ((n + 2) ** d - (n - 2) ** d) // 4
-    achieved = _parity_achieved(w, d, _parity_letters(w)[2])
+    achieved = _parity_achieved(w, d)
     return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
                               provenance="parity")
 

@@ -27,7 +27,7 @@ BatchRule = Callable[[np.ndarray], np.ndarray]
 MAX_ALPHABET = 26
 
 # Values per block of profile count rows that `_cells_by_profile` hands a batch
-# rule: n = 1000, d = 1 is 16 blocks of 64 rows, not one 1000 x 1000 int64 matrix.
+# rule: n = 100, d = 2 is 31 blocks of 163 rows, not one 5050 x 100 int64 matrix.
 PROFILE_BLOCK = 2**14
 
 # Bytes of cached tables kept before the least recently used go. The census
@@ -258,12 +258,13 @@ class Grid:
     A symmetric grid (`Grid.symmetric`) promises more: its rule gives every
     permutation of a point's coordinates the same letter, so the letter
     depends only on the point's profile, how many coordinates take each
-    value. `to_dense` and `occurrence.estimate_fraction` then read the
-    letter once per profile instead of once per point. A symmetric grid may
-    carry its rule's batch form, `batch_rule`, which maps an (m, n) integer
-    array of profile count rows (row[x - 1] coordinates equal x) to m letter
-    indices; with it each of them makes one call per block of profiles, and
-    without it they call the rule once per profile, on the sorted point.
+    value. A symmetric grid is a rule grid with a `batch_rule`, the rule's
+    batch form: it maps an (m, n) integer array of profile count rows
+    (row[x - 1] coordinates equal x) to m letter indices. `to_dense` at
+    d >= 2 and `occurrence.estimate_fraction` read every symmetric grid
+    through it, one call per block of profiles; `to_dense` at d = 1, where
+    each point is its own profile, calls the rule once per cell. Given no
+    batch rule, `Grid.symmetric` derives one from the rule (`_rule_batch`).
     `rule` stays the reference: `at` reads it on every grid.
     Which cells share a profile depends only on (n, d), so `to_dense` reads it
     from a map in the shared table cache and per call only finds the letters and gathers.
@@ -274,7 +275,6 @@ class Grid:
     alphabet: Alphabet
     cells: bytes | None = None
     rule: Callable[[Point], int] | None = None
-    permutation_invariant: bool = False
     batch_rule: BatchRule | None = None
 
     def __post_init__(self) -> None:
@@ -287,14 +287,17 @@ class Grid:
                 raise ValueError(f"expected {self.n ** self.d} cells, got {len(self.cells)}")
             if self.cells.translate(None, bytes(range(len(self.alphabet)))):
                 raise ValueError("cell letter index out of alphabet range")
-            if self.permutation_invariant:
+            if self.batch_rule is not None:
                 raise ValueError("only a procedural grid is marked symmetric")
-        if self.batch_rule is not None and not self.permutation_invariant:
-            raise ValueError("only a symmetric grid carries a batch rule")
 
     @property
     def dense(self) -> bool:
         return self.cells is not None
+
+    @property
+    def permutation_invariant(self) -> bool:
+        """True on a symmetric grid, which is a rule grid with a batch rule."""
+        return self.batch_rule is not None
 
     @classmethod
     def from_rows(cls, rows: list[str], alphabet: Alphabet | None = None) -> "Grid":
@@ -315,9 +318,11 @@ class Grid:
     def symmetric(cls, n: int, d: int, alphabet: Alphabet, rule: Callable[[Point], int],
                   batch_rule: BatchRule | None = None) -> "Grid":
         """Procedural grid whose rule does not change when coordinates are permuted,
-        with the rule's batch form on profile count rows if it has one."""
-        return cls(n=n, d=d, alphabet=alphabet, rule=rule, permutation_invariant=True,
-                   batch_rule=batch_rule)
+        with the rule's batch form on profile count rows, derived from the rule
+        by `_rule_batch` when none is given."""
+        if batch_rule is None:
+            batch_rule = _rule_batch(rule, alphabet)
+        return cls(n=n, d=d, alphabet=alphabet, rule=rule, batch_rule=batch_rule)
 
     def at(self, p: Point) -> int:
         """Letter index at 1-based point p."""
@@ -340,22 +345,22 @@ class Grid:
     def to_dense(self, cap: int | None = None) -> "Grid":
         """Materialize a procedural grid (identity on dense grids).
 
-        A symmetric grid is filled per profile class (`_cells_by_profile`):
-        its batch rule is called once per block of classes, or without one the
-        rule once per class, and the class of every cell comes from
-        `_profile_classes(n, d)`, kept per (n, d) in the shared table cache.
-        Any other rule is called once per point. Each letter is checked to be
-        an integer index into the alphabet before it becomes a cell. The dense
-        grid keeps no rule and so no batch rule.
+        A symmetric grid at d >= 2 is filled per profile class
+        (`_cells_by_profile`): its batch rule is called once per block of
+        classes, and the class of every cell comes from `_profile_classes(n, d)`,
+        kept per (n, d) in the shared table cache. At d = 1 every point is its
+        own class, so there, as on any other rule grid, the rule is called once
+        per point. Each letter is checked to be an integer index into the
+        alphabet before it becomes a cell. A cap below n^d, or NaN, refuses
+        the grid. The dense grid keeps no rule and so no batch rule.
         """
         if self.cells is not None:
             return self
         size = self.n**self.d
-        if cap is not None and size > cap:
+        if cap is not None and not size <= cap:
             raise ValueError(f"grid has {size} cells, above the dense cap {cap}")
-        if self.permutation_invariant:
-            cells = _cells_by_profile(self.n, self.d, self.rule, self.alphabet,  # type: ignore[arg-type]
-                                      self.batch_rule)
+        if self.batch_rule is not None and self.d > 1:
+            cells = _cells_by_profile(self.n, self.d, self.batch_rule, self.alphabet)
         else:
             cells = bytes(_letter(self.rule(p), self.alphabet)  # type: ignore[misc]
                           for p in all_points(self.n, self.d))
@@ -403,33 +408,39 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return reps, step, ids
 
 
-def _cells_by_profile(n: int, d: int, rule: Callable[[Point], int], alphabet: Alphabet,
-                      batch_rule: BatchRule | None = None) -> bytes:
-    """Cells of a symmetric rule in flat-index order, from one letter per profile class.
+def _cells_by_profile(n: int, d: int, batch_rule: BatchRule, alphabet: Alphabet) -> bytes:
+    """Cells of a symmetric grid in flat-index order, from one letter per profile class.
 
     The classes are `_profile_classes(n, d)`, read from the shared table cache
-    or built into it. A batch rule is called on the classes' count rows, built
-    from the sorted points a block of at most PROFILE_BLOCK values at a time;
-    without one, the rule is called on each class's sorted point. Each letter
-    is checked against the alphabet before it is cast to uint8; the last
-    coordinate maps straight to letters, `letters[step][ids]`, so no
-    `(n^d, d)` array is ever built.
+    or built into it. The batch rule is called on the classes' count rows,
+    built from the sorted points a block of at most PROFILE_BLOCK values at a
+    time, and its letters are checked against the alphabet before they are
+    cast to uint8; the last coordinate maps straight to letters,
+    `letters[step][ids]`, so no `(n^d, d)` array is ever built.
     """
     reps, step, ids = _profile_classes(n, d)
-    if batch_rule is None:
-        points = zip(*reps.T.tolist())  # one tuple at a time, not a list of C(n+d-1, d) tuples
-        letters = np.fromiter((_letter(x, alphabet) for x in map(rule, points)),
-                              dtype=np.uint8, count=len(reps))
-    else:
-        letters = np.empty(len(reps), dtype=np.uint8)
-        rows = max(1, PROFILE_BLOCK // max(n, d))
-        for start in range(0, len(reps), rows):
-            block = reps[start:start + rows]
-            # row r's value x lands at r * n + x - 1, so one bincount counts every row
-            flat = (block + (n * np.arange(len(block)) - 1)[:, None]).ravel()
-            counts = np.bincount(flat, minlength=len(block) * n).reshape(len(block), n)
-            letters[start:start + len(block)] = _batch_letters(batch_rule, counts, alphabet)
+    letters = np.empty(len(reps), dtype=np.uint8)
+    rows = max(1, PROFILE_BLOCK // max(n, d))
+    for start in range(0, len(reps), rows):
+        block = reps[start:start + rows]
+        # row r's value x lands at r * n + x - 1, so one bincount counts every row
+        flat = (block + (n * np.arange(len(block)) - 1)[:, None]).ravel()
+        counts = np.bincount(flat, minlength=len(block) * n).reshape(len(block), n)
+        letters[start:start + len(block)] = _batch_letters(batch_rule, counts, alphabet)
     return letters[step][ids].tobytes()
+
+
+def _rule_batch(rule: Callable[[Point], int], alphabet: Alphabet) -> BatchRule:
+    """The batch form of a symmetric point rule: each call rebuilds the sorted
+    points of its count rows with one `np.repeat` and calls the rule once per
+    distinct point, each letter checked by `_letter`."""
+    def batch(counts: np.ndarray) -> np.ndarray:
+        m, n = counts.shape
+        values = np.repeat(np.tile(np.arange(1, n + 1), m), counts.ravel()).reshape(m, -1)
+        points = list(map(tuple, values.tolist()))
+        letters = {p: _letter(rule(p), alphabet) for p in dict.fromkeys(points)}
+        return np.fromiter(map(letters.__getitem__, points), dtype=np.uint8, count=m)
+    return batch
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ is tallied over one slice; `lines._table_lines` decodes the matched rows for
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word, _batch_letters, _letter
+from .core import Grid, Word, _batch_letters
 from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines, line_points,
                     sample_line, segment_table)
 
@@ -179,7 +180,8 @@ def hoeffding_radius(samples: int) -> float:
 def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, float]:
     """Empirical fraction of lines containing w, with a 99% Hoeffding radius.
 
-    Draws uniform lines exactly as repeated `lines.sample_line` calls do, so
+    `samples` must be an integer (`operator.index`), at least one. Draws
+    uniform lines exactly as repeated `lines.sample_line` calls do, so
     one seed gives one result and leaves one rng state on every path. The
     draws go through `rng.getrandbits`; for a `random.Random` the stream is
     the one `randrange` gives. Dense and symmetric grids draw and read the
@@ -192,13 +194,18 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     to its flat stride. A symmetric grid is read per profile class: a line's
     reading depends only on its symbol counts, at step i each symbol counts
     toward the value its coordinate takes there, and the letters come from the
-    grid's batch rule once per chunk, or from the rule once per profile for
-    the call when it has none. Other procedural grids are read point by point,
-    the drawn lines counted as a stream through `count_word`, so they work in
-    any dimension. Drawn lines are not oriented, so a reading may run backward;
-    each reader returns (cells, idx) and `_match` compares the readings with
-    the word's `_probes`, both ways, as it does for a line table.
+    grid's batch rule once per chunk (a batch rule derived from a point rule
+    calls it once per distinct profile of the chunk). Other procedural grids
+    are read point by point, the drawn lines counted as a stream through
+    `count_word`, so they work in any dimension. Drawn lines are not
+    oriented, so a reading may run backward; each reader returns (cells, idx)
+    and `_match` compares the readings with the word's `_probes`, both ways,
+    as it does for a line table.
     """
+    try:
+        samples = operator.index(samples)
+    except TypeError:
+        raise TypeError(f"sample count must be an integer, not {samples!r}") from None
     if samples < 1:
         raise ValueError("need at least one sample")
     if w.n != grid.n:
@@ -232,22 +239,16 @@ def _dense_reader(grid: Grid):
 
 
 def _symmetric_reader(grid: Grid):
-    """Line codes (m, d) -> (cells, idx) of a permutation-invariant grid, read
-    from the (m, n, n) profile counts of the drawn lines at their n steps.
-
-    With a batch rule, cells holds the letter of every line's profile at every
-    step, from one batch call per chunk, and idx[j, i] = j * n + i. Without
-    one, cells holds one letter per distinct profile of the chunk and idx[j, i]
-    is the position there of line j's profile at step i; the rule is called
-    once per profile for the reader's life, on the sorted point. Each letter
-    is checked against the alphabet when it is read.
+    """Line codes (m, d) -> (cells, idx) of a symmetric grid, read from the
+    (m, n, n) profile counts of the drawn lines at their n steps: cells holds
+    the letter of every line's profile at every step, from one batch rule
+    call per chunk, each letter checked against the alphabet, and
+    idx[j, i] = j * n + i.
     """
-    n, rule, alphabet = grid.n, grid.rule, grid.alphabet
-    letters: dict[tuple[int, ...], int] = {}  # profile -> letter
+    n, batch_rule, alphabet = grid.n, grid.batch_rule, grid.alphabet
     _, coord = _symbol_coords(n, n)
     symbols = len(coord)
     steps = np.arange(n)
-    values = np.arange(1, n + 1)
 
     def read(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = len(codes)
@@ -257,22 +258,7 @@ def _symmetric_reader(grid: Grid):
         for s in range(symbols):
             # a symbol takes one value per step, so no index repeats in the add
             profiles[:, steps, coord[s]] += counts[:, s, None]
-        if grid.batch_rule is not None:
-            table = _batch_letters(grid.batch_rule, profiles.reshape(-1, n), alphabet)
-            return table, np.arange(m * n).reshape(m, n)
-        # distinct rows by lexsort: np.unique(axis=0) sorts a void view, about
-        # 6x slower, and a mixed-radix key passes 2^63 (41^12 at d=40, n=12)
-        flat = profiles.reshape(-1, n)
-        order = np.lexsort(flat.T)
-        ordered = flat[order]
-        new = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)]
-        inverse = np.empty(len(flat), dtype=np.int64)
-        inverse[order] = np.cumsum(new) - 1
-        distinct = ordered[new]
-        table = np.empty(len(distinct), dtype=np.uint8)
-        for j, key in enumerate(map(tuple, distinct.tolist())):
-            if key not in letters:
-                letters[key] = _letter(rule(tuple(np.repeat(values, key).tolist())), alphabet)
-            table[j] = letters[key]
-        return table, inverse.reshape(m, n)
+        letters = _batch_letters(batch_rule, profiles.reshape(-1, n),  # type: ignore[arg-type]
+                                 alphabet)
+        return letters, np.arange(m * n).reshape(m, n)
     return read

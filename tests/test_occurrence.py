@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import numpy as np
 import pytest
@@ -394,6 +395,24 @@ def test_estimate_fraction_dense_matches_pointwise(text, d):
             got = estimate_fraction(w, g, 2_000, rng)
             assert got == estimate_fraction(w, ref, 2_000, ref_rng), seed
             assert rng.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("samples", [2.5, 1e3, float("nan")])
+def test_estimate_fraction_refuses_sample_counts_that_are_not_integers(samples):
+    # dense, symmetric and pointwise grids; NaN passes a `samples < 1` test
+    w = Word.from_string("AMM")
+    grids = [counterpoint_grid(w, 2).to_dense(), counterpoint_grid(w, 2),
+             Grid.procedural(3, 2, w.alphabet, lambda p: 0)]
+    message = re.escape(f"sample count must be an integer, not {samples!r}")
+    for g in grids:
+        with pytest.raises(TypeError, match=message):
+            estimate_fraction(w, g, samples, random.Random(1))
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="need at least one sample"):
+                estimate_fraction(w, g, bad, random.Random(1))
+        # an integer type other than int is an integer
+        assert estimate_fraction(w, g, np.int64(50), random.Random(1)) == estimate_fraction(
+            w, g, 50, random.Random(1))
 
 
 def test_probes_are_each_row_then_its_reversal_without_repeats():

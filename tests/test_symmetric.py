@@ -4,6 +4,7 @@ The reference wraps the same rule as a plain `Grid.procedural`, which
 `to_dense` and `estimate_fraction` read point by point.
 """
 
+import dataclasses
 import itertools
 import random
 import tracemalloc
@@ -21,7 +22,7 @@ from wordgrid.constructions import (
     counterpoint_grid,
     parity_grid,
 )
-from wordgrid import core
+from wordgrid import constructions, core
 from wordgrid.core import Alphabet, Grid, Word
 from wordgrid.occurrence import estimate_fraction
 
@@ -55,16 +56,33 @@ def test_symmetric_grid_is_marked_and_keeps_its_rule():
     assert g.at((1, 2, 3, 3)) == rule((1, 2, 3, 3))
     assert not Grid.procedural(3, 4, Alphabet(("A", "M")), rule).permutation_invariant
     assert not g.to_dense().permutation_invariant
-    with pytest.raises(ValueError, match="procedural"):
-        Grid(n=2, d=1, alphabet=Alphabet(("A",)), cells=bytes(2), permutation_invariant=True)
-    with pytest.raises(ValueError, match="dense cap"):
-        g.to_dense(cap=80)
     batch = lambda counts: counts[:, 1::2].sum(axis=1) % 2  # noqa: E731
+    with pytest.raises(ValueError, match="procedural"):
+        Grid(n=2, d=1, alphabet=Alphabet(("A",)), cells=bytes(2), batch_rule=batch)
+    for cap in (80, float("nan")):  # 81 cells; NaN is no cap
+        with pytest.raises(ValueError, match="above the dense cap"):
+            g.to_dense(cap=cap)
     with_batch = Grid.symmetric(3, 4, Alphabet(("A", "M")), rule, batch)
     assert with_batch.batch_rule is batch and with_batch.rule is rule
     assert with_batch.to_dense().batch_rule is None
-    with pytest.raises(ValueError, match="only a symmetric grid carries a batch rule"):
-        Grid(n=3, d=4, alphabet=Alphabet(("A", "M")), rule=rule, batch_rule=batch)
+    # a rule grid with a batch rule is a symmetric grid
+    direct = Grid(n=3, d=4, alphabet=Alphabet(("A", "M")), rule=rule, batch_rule=batch)
+    assert direct.permutation_invariant and direct == with_batch
+
+
+def test_derived_batch_rule_calls_the_rule_once_per_distinct_profile_per_call():
+    calls = []
+
+    def rule(p):
+        calls.append(p)
+        return sum(p) % 3
+
+    batch = Grid.symmetric(4, 3, Alphabet(("A", "B", "C")), rule).batch_rule
+    counts = np.array([[1, 0, 2, 0], [0, 0, 0, 3], [1, 0, 2, 0], [0, 3, 0, 0], [0, 0, 0, 3]])
+    for _ in ("first call", "second call"):
+        calls.clear()
+        assert batch(counts).tolist() == [1, 0, 1, 0, 0]
+        assert calls == [(1, 3, 3), (4, 4, 4), (2, 2, 2)]
 
 
 @pytest.mark.parametrize("letter", [5, 256, -1])
@@ -198,8 +216,8 @@ def test_constant_to_dense_matches_pointwise():
 def test_parity_grid_class_map_memory_is_bounded(monkeypatch):
     # n=100 d=2: 5,050 classes for 10,000 cells; a dict of sorted-point tuples
     # per call peaked at 0.72 MB here, the cached numpy map at 0.33 MB cold.
-    # The batch rule reads count rows in blocks: unblocked, n=1000 d=1 would
-    # build a 1000 x 1000 int64 matrix and n=100 d=2 a 5050 x 100 one
+    # The batch rule reads count rows in blocks: unblocked, n=100 d=2 would
+    # build a 5050 x 100 int64 matrix. At d = 1 the rule is read cell by cell
     for w, d in ((W("AM" * 50), 2), (W("AM" * 500), 1)):
         monkeypatch.setattr(core, "_tables", OrderedDict())
         for _ in ("cold", "warm"):
@@ -210,6 +228,38 @@ def test_parity_grid_class_map_memory_is_bounded(monkeypatch):
             finally:
                 tracemalloc.stop()
             assert g.dense and peak < 500_000, (w.n, d, peak)
+
+
+def spy(f, calls):
+    """f, recording each argument it is called with in `calls`."""
+    def spied(x):
+        calls.append(x)
+        return f(x)
+    return spied
+
+
+def test_one_dimensional_symmetric_to_dense_reads_the_rule_cell_by_cell(monkeypatch):
+    # at d = 1 every point is its own profile class: the rule is called once
+    # per cell, and no class map, count row or batch call is made; at
+    # n = 65,536 the count rows took 83 s
+    rule_calls, batch_calls = [], []
+    monkeypatch.setattr(core, "_tables", OrderedDict())
+    user = lambda p: p[0] % 3  # noqa: E731
+    g = Grid.symmetric(9, 1, Alphabet(("A", "B", "C")), spy(user, rule_calls))
+    g = dataclasses.replace(g, batch_rule=spy(g.batch_rule, batch_calls))
+    assert g.to_dense().cells == bytes(x % 3 for x in range(1, 10))
+    assert rule_calls == [(x,) for x in range(1, 10)]
+
+    rule_calls.clear()
+    rule, batch = constructions._parity_rule, constructions._parity_batch
+    monkeypatch.setattr(constructions, "_parity_rule", lambda w: spy(rule(w), rule_calls))
+    monkeypatch.setattr(constructions, "_parity_batch", lambda w: spy(batch(w), batch_calls))
+    w = W("AM" * 32768)
+    r = parity_grid(w, 1)
+    assert r.grid.dense and r.achieved == 1
+    assert rule_calls == [(x,) for x in range(1, w.n + 1)]
+    assert r.grid.cells == bytes(x % 2 for x in range(1, w.n + 1))  # M at odd x
+    assert not batch_calls and not core._tables
 
 
 @pytest.mark.parametrize("text,d,samples", [
