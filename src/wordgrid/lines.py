@@ -253,16 +253,21 @@ def _draw_line_code(n: int, d: int, rng) -> list[int]:
     raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
 
 
-def _draw_line_codes(n: int, d: int, rng, count: int) -> np.ndarray:
-    """`count` calls of `_draw_line_code` as the rows of one (count, d) array.
+def _draw_line_codes(n: int, d: int, rng, count: int, rows: int) -> Iterator[np.ndarray]:
+    """`count` calls of `_draw_line_code` as the rows of (rows, d) arrays, the
+    last one shorter when `rows` does not divide `count`.
 
-    The rows and the rng state left behind are those of the scalar calls.
-    On CPython `randrange(m)` keeps the top m.bit_length() bits of one
-    32-bit `getrandbits` word and redraws values >= m, and `getrandbits(32k)`
-    returns the next k words, the first one lowest. So the words are read in
-    rounds, each no longer than what the scalar calls would still consume:
-    (rows still needed)·d less the values already pending. Values >= n+2 are
-    dropped, the rest cut into rows of d, and rows with no sign rejected.
+    The arrays are one draw stream cut into pieces: concatenated, their rows
+    and the rng state left behind are those of the scalar calls. On CPython
+    `randrange(m)` keeps the top m.bit_length() bits of one 32-bit
+    `getrandbits` word and redraws values >= m, and `getrandbits(32k)` returns
+    the next k words, the first one lowest. So the words are read in rounds of
+    at most rows·d words, each no longer than what the scalar calls would
+    still consume: (rows still needed for the whole count)·d less the values
+    already pending. Values >= n+2 are dropped, the rest cut into rows of d,
+    and rows with no sign rejected. Accepted rows beyond one array, and the
+    values of an unfinished row, carry over into the next array. Values are
+    held in the smallest unsigned type that takes n+1 (uint8 up to n = 254).
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
@@ -270,24 +275,30 @@ def _draw_line_codes(n: int, d: int, rng, count: int) -> np.ndarray:
     if m.bit_length() > 32:
         raise ValueError(f"n = {n} is too large for one 32-bit word per draw")
     shift = 32 - m.bit_length()
-    accepted = [np.empty((0, d), dtype=np.int64)]
-    pending = np.empty(0, dtype=np.int64)  # the values of an unfinished row
+    dtype = np.min_scalar_type(n + 1)
+    held = np.empty((0, d), dtype=dtype)  # accepted rows not yet yielded
+    pending = np.empty(0, dtype=dtype)  # the values of an unfinished row
     got = rejected = 0  # rejected: rows without a sign since the last accepted
-    while got < count:
-        words = (count - got) * d - len(pending)
-        raw = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
-                            dtype="<u4") >> shift
-        values = np.concatenate((pending, raw[raw < m]))
-        full = len(values) - len(values) % d
-        rows, pending = values[:full].reshape(-1, d), values[full:]
-        keep = np.flatnonzero((rows >= n).any(axis=1))
-        gaps = np.diff(keep, prepend=-1 - rejected) - 1
-        rejected = len(rows) - 1 - keep[-1] if len(keep) else rejected + len(rows)
-        if max(gaps.max(initial=0), rejected) >= SAMPLE_CAP:
-            raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
-        accepted.append(rows[keep])
-        got += len(keep)
-    return np.concatenate(accepted)
+    for start in range(0, count, rows):
+        want = min(rows, count - start)
+        while len(held) < want:
+            words = min(rows * d, (count - got) * d - len(pending))
+            # one name for the raw words and the values, so that the words are
+            # not held while the reader has the array yielded last
+            values = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
+                                   dtype="<u4") >> shift
+            values = np.concatenate((pending, values[values < m].astype(dtype)))
+            full = len(values) - len(values) % d
+            block, pending = values[:full].reshape(-1, d), values[full:]
+            keep = np.flatnonzero((block >= n).any(axis=1))
+            gaps = np.diff(keep, prepend=-1 - rejected) - 1
+            rejected = len(block) - 1 - keep[-1] if len(keep) else rejected + len(block)
+            if max(gaps.max(initial=0), rejected) >= SAMPLE_CAP:
+                raise RuntimeError(f"no line accepted within {SAMPLE_CAP} draws")
+            held = np.concatenate((held, block[keep]))
+            got += len(keep)
+        yield held[:want]
+        held = held[want:]
 
 
 def _segment_symbols(n: int, k: int) -> list[tuple[int, int]]:

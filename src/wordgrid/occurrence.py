@@ -184,14 +184,17 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     uniform lines exactly as repeated `lines.sample_line` calls do, so
     one seed gives one result and leaves one rng state on every path. The
     draws go through `rng.getrandbits`; for a `random.Random` the stream is
-    the one `randrange` gives. Dense and symmetric grids draw and read the
-    lines in chunks whose buffers hold at most about DRAW_CHUNK values, so
-    memory does not grow with `samples`. A chunk holds at least one line, so
-    when n^2 > DRAW_CHUNK a symmetric grid's chunk is one line and its n x n
-    profile counts, and memory grows with n^2. A drawn value x at axis j is row x
-    of `lines._segment_symbols(n, n)`, a (start, step) symbol: a dense grid
-    adds (start-1)·n^(d-1-j) to the line's first flat index and step·n^(d-1-j)
-    to its flat stride. A symmetric grid is read per profile class: a line's
+    the one `randrange` gives. Dense and symmetric grids draw all `samples`
+    lines as one stream (`lines._draw_line_codes`) and read them in chunks
+    whose buffers hold at most about DRAW_CHUNK values, so memory does not
+    grow with `samples`; the chunks only batch the reads, and the draws run
+    on from one chunk into the next. A dense chunk holds each line's d draws
+    and n flat indices, a symmetric one also its n x n profile counts. A
+    chunk holds at least one line, so when n^2 > DRAW_CHUNK a symmetric
+    grid's chunk is one line, and memory grows with n^2. A drawn value x at
+    axis j is row x of `lines._segment_symbols(n, n)`, a (start, step)
+    symbol: a dense grid adds (start-1)·n^(d-1-j) to the line's first flat
+    index and step·n^(d-1-j) to its flat stride. A symmetric grid is read per profile class: a line's
     reading depends only on its symbol counts, at step i each symbol counts
     toward the value its coordinate takes there, and the letters come from the
     grid's batch rule once per chunk (a batch rule derived from a point rule
@@ -216,10 +219,11 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
         return hits / samples, hoeffding_radius(samples)
     probes = _probes([_word_symbols(w, grid)])
     read = _dense_reader(grid) if grid.dense else _symmetric_reader(grid)
-    per_chunk = max(1, DRAW_CHUNK // max(d, n * n))  # d draws, n profiles of n
+    # per line, d draws and n flat indices, or n profiles of n
+    per_chunk = max(1, DRAW_CHUNK // max(d, n if grid.dense else n * n))
     hits = 0
-    for start in range(0, samples, per_chunk):
-        cells, idx = read(_draw_line_codes(n, d, rng, min(per_chunk, samples - start)))
+    for codes in _draw_line_codes(n, d, rng, samples, per_chunk):
+        cells, idx = read(codes)
         hits += int(np.count_nonzero(_match(cells, idx, probes)))
     return hits / samples, hoeffding_radius(samples)
 

@@ -382,16 +382,27 @@ def scalar_codes(n, d, rng, count):
     return [lines._draw_line_code(n, d, rng) for _ in range(count)]
 
 
-@pytest.mark.parametrize("n", range(2, 8))  # n+2 is a power of two at n = 2 and 6
+def batched_codes(n, d, rng, count, rows):
+    """The arrays `_draw_line_codes` yields, checked for size and dtype, as one list of rows."""
+    arrays = list(lines._draw_line_codes(n, d, rng, count, rows))
+    assert [len(a) for a in arrays] == [min(rows, count - i) for i in range(0, count, rows)]
+    assert all(a.shape[1:] == (d,) and a.dtype == np.min_scalar_type(n + 1) for a in arrays)
+    return [row for a in arrays for row in a.tolist()]
+
+
+# n+2 is a power of two at n = 2, 6 and 254; values pass uint8 at n = 255
+@pytest.mark.parametrize("n", [*range(2, 8), 254, 255])
 def test_batched_draws_replay_the_scalar_draws(n):
-    for d in range(1, 13):
-        # the last count spans several estimator chunks of DRAW_CHUNK values
-        for count in (1, 7, 3 * DRAW_CHUNK // d + 5):
-            rng, ref = random.Random(f"{n} {d} {count}"), random.Random(f"{n} {d} {count}")
-            got = lines._draw_line_codes(n, d, rng, count)
-            assert got.shape == (count, d)
-            assert got.tolist() == scalar_codes(n, d, ref, count), (n, d, count)
-            assert rng.getstate() == ref.getstate(), (n, d, count)
+    for d in range(1, 13) if n < 8 else (5, 12):
+        for rows in (1, 3, DRAW_CHUNK // d):
+            # the last count spans several arrays; at DRAW_CHUNK // d rows, the
+            # estimator's chunks of DRAW_CHUNK values
+            for count in (1, 7, 3 * rows + 5):
+                key = f"{n} {d} {rows} {count}"
+                rng, ref = random.Random(key), random.Random(key)
+                got = batched_codes(n, d, rng, count, rows)
+                assert got == scalar_codes(n, d, ref, count), key
+                assert rng.getstate() == ref.getstate(), key
 
 
 class WordStream(random.Random):
@@ -414,21 +425,30 @@ def outcome(draw):
         return str(exc)
 
 
+SIGN = 3 << 29  # a word whose top three bits read 3, the sign '+' at n = 3
+
+
 @pytest.mark.parametrize("count", [1, 7, 1000])
 @pytest.mark.parametrize("zero_rows", [49, 50, None])  # None: zeros without end
 def test_batched_draws_give_up_like_the_scalar_draws(monkeypatch, count, zero_rows):
-    # a zero word is the numeral 1, so zero_rows leading rows have no sign
+    # a zero word is the numeral 1, so the zero_rows rows after the lead have no sign
     monkeypatch.setattr(lines, "SAMPLE_CAP", 50)
     n, d = 3, 4
-
-    def stream():
-        tail = random.Random(5)
-        zeros = itertools.repeat(0) if zero_rows is None else [0] * (zero_rows * d)
-        return itertools.chain(zeros, iter(lambda: tail.getrandbits(32), None))
-    want = outcome(lambda: scalar_codes(n, d, WordStream(stream()), count))
-    got = outcome(lambda: lines._draw_line_codes(n, d, WordStream(stream()), count).tolist())
-    assert got == want
-    assert (want == "no line accepted within 50 draws") == (zero_rows != 49)
+    for rows, lead in [
+        (1000, []),
+        # rows 1 and 3 fill the first array of two in the second round, and
+        # the sign-less run that starts in that round crosses into the next
+        (2, [SIGN, 0, 0, 0] + [0] * 4 + [SIGN, 0, 0, 0]),
+    ]:
+        def stream():
+            tail = random.Random(5)
+            zeros = itertools.repeat(0) if zero_rows is None else [0] * (zero_rows * d)
+            return itertools.chain(lead, zeros, iter(lambda: tail.getrandbits(32), None))
+        want = outcome(lambda: scalar_codes(n, d, WordStream(stream()), count))
+        got = outcome(lambda: batched_codes(n, d, WordStream(stream()), count, rows))
+        assert got == want, rows
+        reaches_run = count > lead.count(SIGN)
+        assert (want == "no line accepted within 50 draws") == (zero_rows != 49 and reaches_run)
 
 
 # ---------------------------------------------------------------- segments

@@ -1,4 +1,4 @@
-"""Property test: the batched line draws replay the scalar draws."""
+"""Property test: the batched line draws, in arrays of any size, replay the scalar draws."""
 
 import random
 
@@ -12,9 +12,11 @@ from wordgrid import lines  # noqa: E402
 
 @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
 @hypothesis.given(st.integers(2, 9), st.integers(1, 16), st.integers(1, 300),
-                  st.integers(0, 2**32))
-def test_batched_draws_replay_the_scalar_draws(n, d, count, seed):
+                  st.integers(1, 400), st.integers(0, 2**32))
+def test_batched_draws_replay_the_scalar_draws(n, d, count, rows, seed):
     rng, ref = random.Random(seed), random.Random(seed)
-    got = lines._draw_line_codes(n, d, rng, count)
-    assert got.tolist() == [lines._draw_line_code(n, d, ref) for _ in range(count)]
+    arrays = list(lines._draw_line_codes(n, d, rng, count, rows))
+    assert [len(a) for a in arrays] == [min(rows, count - i) for i in range(0, count, rows)]
+    got = [row for a in arrays for row in a.tolist()]
+    assert got == [lines._draw_line_code(n, d, ref) for _ in range(count)]
     assert rng.getstate() == ref.getstate()

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from wordgrid import occurrence
 from wordgrid.constructions import counterpoint_grid
 from wordgrid.core import Alphabet, Grid, Word, all_points, all_symmetries, apply_symmetry
 from wordgrid.lines import (
@@ -395,6 +396,46 @@ def test_estimate_fraction_dense_matches_pointwise(text, d):
             got = estimate_fraction(w, g, 2_000, rng)
             assert got == estimate_fraction(w, ref, 2_000, ref_rng), seed
             assert rng.getstate() == ref_rng.getstate()
+
+
+class CountingRandom(random.Random):
+    """A `random.Random` that counts its `getrandbits` calls; the stream is unchanged."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+def test_estimate_fraction_reads_one_draw_stream():
+    # one stream per estimate, not one per chunk: 270 calls at this seed when
+    # each of the 25 chunks of DRAW_CHUNK values ended its own stream
+    w = Word.from_string("AMM")
+    g = counterpoint_grid(w, 40)
+    rng, ref = CountingRandom(40), random.Random(40)
+    assert estimate_fraction(w, g, 10_000, rng) == estimate_fraction(w, g, 10_000, ref)
+    assert rng.getstate() == ref.getstate()
+    assert rng.calls <= 60, rng.calls
+
+
+def test_estimate_fraction_sizes_dense_chunks_by_n(monkeypatch):
+    # a dense chunk holds (lines, n) flat indices, so a 200 x 200 grid reads
+    # DRAW_CHUNK // 200 = 81 lines per chunk, not the one line an (n, n)
+    # profile buffer per line would allow
+    chunks = []
+
+    def spy(grid):
+        read = _dense_reader(grid)
+
+        def counted(codes):
+            chunks.append(len(codes))
+            return read(codes)
+        return counted
+    monkeypatch.setattr(occurrence, "_dense_reader", spy)
+    w = Word.from_string("A" * 100 + "M" * 100)
+    estimate_fraction(w, counterpoint_grid(w, 2).to_dense(), 2_000, random.Random(6))
+    assert len(chunks) == 25 and set(chunks[:-1]) == {81} and sum(chunks) == 2_000
 
 
 @pytest.mark.parametrize("samples", [2.5, 1e3, float("nan")])
