@@ -340,40 +340,44 @@ def stripe_grid(w: Word) -> ConstructionResult:
 
 # ---------------------------------------------------------------- parity grid
 
-def _parity_achieved(w: Word, d: int) -> int:
-    """Exact line count on the parity grid by stratifying lines.
+def _parity_achieved(n: int, d: int, value_set: frozenset[int]) -> int:
+    """Exact line count on the parity grid of a binary word of length n whose
+    first letter stands at the positions I = `value_set`, by stratifying lines.
 
     Along a canonical line with u rising and m falling coordinates, the
     coordinate-sum statistic at step i is (fixed part) + u*[i in I] +
     m*[n-i+1 in I], so the whole reading depends only on (u, m, fixed parity).
     Strata sizes come in closed form, making the count exact at any d. Only
-    the parities of the fixed part, u and m enter the reading, so its at most
-    eight readings are built once and looked up per stratum. The letters and
-    the index set I are the parity rule's, from `_parity_letters`.
+    the parities of the fixed part, u and m enter the reading, so a reading is
+    an n-bit mask, bit i-1 set where the other letter stands: the XOR of the
+    all-ones mask (odd fixed part), the mask of I (odd u) and the mask of I
+    mirrored (odd m). The word is the all-ones mask XOR the mask of I, so
+    each of the at most eight readings is compared with the word and its
+    reversal as masks. A weight r's strata are summed over the two parities
+    of u at once: the sum of C(r-1, u-1) over the u of one parity is
+    2^(r-2) for r >= 2, and 1 (u odd) or 0 (u even) at r = 1. The index set
+    I is the parity rule's, from `_parity_letters`.
     """
-    n = w.n
-    sym = w.symbols
-    first, other, value_set = _parity_letters(w)
-    in_i = [0] * (n + 2)
-    for i in value_set:
-        in_i[i] = 1
+    ones = (1 << n) - 1
+    rising = sum(1 << (i - 1) for i in value_set)
+    falling = sum(1 << (n - i) for i in value_set)
+    word, backward = ones ^ rising, ones ^ falling
     reads_w = {}  # (fixed parity, u mod 2, m mod 2) -> whether the reading is w either way
     for key in itertools.product((0, 1), repeat=3):
         beta, u, m = key
-        reading = tuple(first if (beta + u * in_i[i] + m * in_i[n - i + 1]) % 2 == 0 else other
-                        for i in range(1, n + 1))
-        reads_w[key] = reading == sym or reading == sym[::-1]
+        reads_w[key] = (ones * beta ^ rising * u ^ falling * m) in (word, backward)
     z = n - 2 * len(value_set)  # zero for antisymmetric words; kept for clarity
     total = 0
-    for r in range(1, d + 1):
-        fixed = n ** (d - r)
-        fixed_even = (fixed + (z ** (d - r))) // 2
-        fixed_odd = fixed - fixed_even
-        for u in range(1, r + 1):
-            patterns = comb(d, r) * comb(r - 1, u - 1)
-            for beta, strata in ((0, fixed_even), (1, fixed_odd)):
-                if reads_w[beta, u % 2, (r - u) % 2]:
-                    total += patterns * strata
+    fixed, z_power = 1, 1  # n^(d-r) and z^(d-r), from r = d down
+    for r in range(d, 0, -1):
+        fixed_even = (fixed + z_power) // 2
+        strata = (fixed_even, fixed - fixed_even)
+        for u in (1, 0):  # odd u, then even u
+            patterns = 1 << (r - 2) if r >= 2 else u
+            for beta in (0, 1):
+                if reads_w[beta, u, (r - u) % 2]:
+                    total += comb(d, r) * patterns * strata[beta]
+        fixed, z_power = fixed * n, z_power * z
     return total
 
 
@@ -385,9 +389,10 @@ def parity_grid(w: Word, d: int) -> ConstructionResult:
     if not (st.binary and st.antisymmetric):
         raise ValueError(f"{w.text!r} is not binary antisymmetric")
     n = w.n
-    grid = _symmetric_grid(w, d, _parity_rule(w), _parity_batch(w))
+    letters = _parity_letters(w)
+    grid = _symmetric_grid(w, d, _parity_rule(letters), _parity_batch(letters))
     guaranteed = ((n + 2) ** d - (n - 2) ** d) // 4
-    achieved = _parity_achieved(w, d)
+    achieved = _parity_achieved(n, d, letters[2])
     return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
                               provenance="parity")
 
@@ -399,10 +404,10 @@ def _parity_letters(w: Word) -> tuple[int, int, frozenset[int]]:
     return first, other, frozenset(i + 1 for i, s in enumerate(w.symbols) if s == first)
 
 
-def _parity_rule(w: Word) -> Callable[[Point], int]:
+def _parity_rule(letters: tuple[int, int, frozenset[int]]) -> Callable[[Point], int]:
     """The first letter where an even number of coordinates lie in the first
-    letter's index set, the other letter elsewhere."""
-    first, other, value_set = _parity_letters(w)
+    letter's index set, the other letter elsewhere; `letters` from `_parity_letters`."""
+    first, other, value_set = letters
 
     def rule(p: Point) -> int:
         hits = sum(1 for x in p if x in value_set)
@@ -411,9 +416,9 @@ def _parity_rule(w: Word) -> Callable[[Point], int]:
     return rule
 
 
-def _parity_batch(w: Word) -> BatchRule:
+def _parity_batch(letters: tuple[int, int, frozenset[int]]) -> BatchRule:
     """`_parity_rule` on profile count rows: the hits are the counts of the index set."""
-    first, other, value_set = _parity_letters(w)
+    first, other, value_set = letters
     columns = [i - 1 for i in sorted(value_set)]
     return lambda counts: np.where(counts[:, columns].sum(axis=1) % 2 == 0, first, other)
 

@@ -377,6 +377,13 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     class of every cell. Ids grow one coordinate at a time, as
     `lines.segment_table` grows its index.
 
+    The loop over coordinates starts from the largest (n, j < d) table already
+    in the shared table cache: its reps, and its ids advanced by its step, are
+    the loop's state after j coordinates, so building (n, d) after (n, d - 1)
+    costs one coordinate. With no smaller table cached it starts from j = 0.
+    The cache is only read, never asked to build a smaller table, so no call
+    nests inside another.
+
     A class of k coordinates is a multiset, and its id is its rank in the
     combinatorial number system: the sorted 0-based a_0 <= .. <= a_(k-1) ranks
     as sum_i C(a_i + i, i + 1), a bijection onto [0, C(n+k-1, k)), so no
@@ -386,11 +393,18 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """
     if math.comb(n + d - 1, d) > np.iinfo(np.int32).max:
         raise ValueError(f"[{n}]^{d} has more profile classes than int32 ids hold")
+    with _tables_lock:
+        start = max((key[2] for key in _tables
+                     if key[:2] == ("_profile_classes", n) and key[2] < d), default=0)
+        cached = _tables["_profile_classes", n, start][0] if start else None
+    if cached:
+        reps, step, ids = cached
+        reps, ids = reps - 1, step[ids].ravel()
+    else:
+        reps, ids = np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int32)
     table = [np.arange(n, dtype=np.int64)]
-    reps = np.zeros((1, 0), dtype=np.int32)
-    ids = np.zeros(1, dtype=np.int32)
-    for j in range(d):
-        if j:
+    for j in range(start, d):
+        while len(table) <= j:
             table.append(np.cumsum(table[-1]))
         # x inserted into a sorted row r lands as max(r[i-1], min(r[i], x)) at every i
         below = np.full((len(reps), 1, j + 1), -1, dtype=np.int32)

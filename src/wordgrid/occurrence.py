@@ -20,15 +20,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import Grid, Word, _batch_letters
-from .lines import (CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines, line_points,
-                    sample_line, segment_table)
+from .lines import (DRAW_CHUNK, CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines,
+                    line_points, sample_line, segment_table)
 
 HOEFFDING_CONFIDENCE = 0.99
-
-# Values per buffer in one chunk of the estimator. An AMM d=40 estimate
-# peaks at 0.4 MB under tracemalloc with 2**14 and at 4.7 MB with 2**18,
-# whatever the sample count; 2**16 is 10% faster there, 2**12 70% slower.
-DRAW_CHUNK = 2**14
 
 
 @dataclass(frozen=True)
@@ -191,10 +186,13 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     on from one chunk into the next. A dense chunk holds each line's d draws
     and n flat indices, a symmetric one also its n x n profile counts. A
     chunk holds at least one line, so when n^2 > DRAW_CHUNK a symmetric
-    grid's chunk is one line, and memory grows with n^2. A drawn value x at
-    axis j is row x of `lines._segment_symbols(n, n)`, a (start, step)
-    symbol: a dense grid adds (start-1)·n^(d-1-j) to the line's first flat
-    index and step·n^(d-1-j) to its flat stride. A symmetric grid is read per profile class: a line's
+    grid's chunk is one line, and memory grows with n^2; its draws still come
+    in rounds of about DRAW_CHUNK words, and each line's profiles take three
+    array operations, so such an estimate costs about one batch rule call
+    per line. A drawn value x at axis j is row x of
+    `lines._segment_symbols(n, n)`, a (start, step) symbol: a dense grid adds
+    (start-1)·n^(d-1-j) to the line's first flat index and step·n^(d-1-j) to
+    its flat stride. A symmetric grid is read per profile class: a line's
     reading depends only on its symbol counts, at step i each symbol counts
     toward the value its coordinate takes there, and the letters come from the
     grid's batch rule once per chunk (a batch rule derived from a point rule
@@ -247,21 +245,23 @@ def _symmetric_reader(grid: Grid):
     (m, n, n) profile counts of the drawn lines at their n steps: cells holds
     the letter of every line's profile at every step, from one batch rule
     call per chunk, each letter checked against the alphabet, and
-    idx[j, i] = j * n + i.
+    idx[j, i] = j * n + i. The profiles are a line's numeral counts repeated
+    over its n steps, plus its '+' count on the diagonal (value i at step i)
+    and its '-' count on the anti-diagonal (value n+1-i), three array
+    operations whatever n.
     """
     n, batch_rule, alphabet = grid.n, grid.batch_rule, grid.alphabet
-    _, coord = _symbol_coords(n, n)
-    symbols = len(coord)
     steps = np.arange(n)
 
     def read(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         m = len(codes)
-        counts = np.bincount((codes + symbols * np.arange(m)[:, None]).ravel(),
-                             minlength=m * symbols).reshape(m, symbols)
-        profiles = np.zeros((m, n, n), dtype=np.int64)  # (line, step, value)
-        for s in range(symbols):
-            # a symbol takes one value per step, so no index repeats in the add
-            profiles[:, steps, coord[s]] += counts[:, s, None]
+        counts = np.bincount((codes + (n + 2) * np.arange(m)[:, None]).ravel(),
+                             minlength=m * (n + 2)).reshape(m, n + 2)
+        # (line, step, value): the numerals at every step, '+' at value i and
+        # '-' at value n+1-i on step i
+        profiles = np.repeat(counts[:, None, :n], n, axis=1)
+        profiles[:, steps, steps] += counts[:, n, None]
+        profiles[:, steps, steps[::-1]] += counts[:, n + 1, None]
         letters = _batch_letters(batch_rule, profiles.reshape(-1, n),  # type: ignore[arg-type]
                                  alphabet)
         return letters, np.arange(m * n).reshape(m, n)

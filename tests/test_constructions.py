@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -16,6 +17,8 @@ from wordgrid.constructions import (
     _candidates,
     _classify,
     _constant_result,
+    _parity_achieved,
+    _parity_letters,
     classify_point,
     counterpoint_grid,
     cross_grid,
@@ -31,7 +34,7 @@ from wordgrid.constructions import (
     stripe_grid,
 )
 from wordgrid.core import Grid, Word, word_stats
-from wordgrid.lines import enumerate_lines
+from wordgrid.lines import count_lines, enumerate_lines
 from wordgrid.occurrence import count_segments_word, count_word
 
 W = Word.from_string
@@ -195,6 +198,50 @@ def test_parity_stratified_count_scales_to_huge_grids():
     r = parity_grid(W("AM"), 19)
     assert r.achieved == (4**19 - 0) // 4
     assert r.grid.cells is None
+
+
+def _reference_parity_achieved(w: Word, d: int) -> int:
+    """`_parity_achieved` as it was before its readings became masks: each of
+    the eight readings built position by position, each weight's strata
+    summed one u at a time."""
+    n = w.n
+    sym = w.symbols
+    first, other, value_set = _parity_letters(w)
+    in_i = [0] * (n + 2)
+    for i in value_set:
+        in_i[i] = 1
+    reads_w = {}
+    for key in itertools.product((0, 1), repeat=3):
+        beta, u, m = key
+        reading = tuple(first if (beta + u * in_i[i] + m * in_i[n - i + 1]) % 2 == 0 else other
+                        for i in range(1, n + 1))
+        reads_w[key] = reading == sym or reading == sym[::-1]
+    z = n - 2 * len(value_set)
+    total = 0
+    for r in range(1, d + 1):
+        fixed = n ** (d - r)
+        fixed_even = (fixed + (z ** (d - r))) // 2
+        fixed_odd = fixed - fixed_even
+        for u in range(1, r + 1):
+            patterns = comb(d, r) * comb(r - 1, u - 1)
+            for beta, strata in ((0, fixed_even), (1, fixed_odd)):
+                if reads_w[beta, u % 2, (r - u) % 2]:
+                    total += patterns * strata
+    return total
+
+
+def test_parity_count_matches_the_per_position_reference():
+    cases = [(w, d) for n in range(2, 11, 2) for w in antisymmetric_words(n)
+             for d in range(1, 13)]
+    cases += [(W("AM" * (n // 2)), d) for n in (12, 20, 100, 1000) for d in (1, 2, 3)]
+    for w, d in cases:
+        want = _reference_parity_achieved(w, d)
+        assert _parity_achieved(w.n, d, _parity_letters(w)[2]) == want, (w.text, d)
+        # a dense count too where the grid has at most 4,096 cells; (2, 10)
+        # to (2, 12) are left out, their line tables take 16 MB and more
+        if w.n**d <= 4096 and count_lines(w.n, d)[1] <= 2**18:
+            r = parity_grid(w, d)
+            assert r.achieved == count_word(w, r.grid.to_dense()).total == want, (w.text, d)
 
 
 def test_parity_grid_procedural_rule_is_two_coloring():

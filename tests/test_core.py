@@ -291,6 +291,83 @@ def test_profile_classes_refuse_ids_past_int32():
         core._profile_classes(65536, 2)
 
 
+def _fresh_profile_classes(n, d):
+    """`core._profile_classes`'s loop from j = 0, as it ran before it resumed
+    from a smaller cached table: the reference the resumed tables must equal."""
+    table = [np.arange(n, dtype=np.int64)]
+    reps = np.zeros((1, 0), dtype=np.int32)
+    ids = np.zeros(1, dtype=np.int32)
+    for j in range(d):
+        if j:
+            table.append(np.cumsum(table[-1]))
+        below = np.full((len(reps), 1, j + 1), -1, dtype=np.int32)
+        above = np.full((len(reps), 1, j + 1), n, dtype=np.int32)
+        below[:, 0, 1:] = above[:, 0, :j] = reps
+        x = np.arange(n, dtype=np.int32)[:, None]
+        grown = np.maximum(below, np.minimum(above, x)).reshape(-1, j + 1)
+        ranks = sum(t[col] for t, col in zip(table, grown.T))
+        step = ranks.astype(np.int32).reshape(len(reps), n)
+        reps = np.empty((math.comb(n + j, j + 1), j + 1), dtype=np.int32)
+        reps[ranks] = grown
+        if j < d - 1:
+            ids = step[ids].ravel()
+    reps += 1
+    return reps, step, ids
+
+
+# n <= 8 at d <= 8, (2, 16) and (256, 2): the dimensions built for each side
+RESUMED_SIZES = {n: range(1, 9) for n in range(1, 9)} | {2: range(1, 17), 256: range(1, 3)}
+
+
+@pytest.mark.parametrize("n", sorted(RESUMED_SIZES))
+def test_resumed_profile_classes_match_a_fresh_build(monkeypatch, n):
+    dims = list(RESUMED_SIZES[n])
+    want = {d: _fresh_profile_classes(n, d) for d in dims}
+
+    def check(d):
+        got = core._profile_classes(n, d)
+        for a, b in zip(got, want[d], strict=True):
+            assert a.dtype == np.int32 and not a.flags.writeable, (n, d)
+            assert np.array_equal(a, b), (n, d)
+
+    # rising d: each table resumes from the one before it
+    monkeypatch.setattr(core, "_tables", OrderedDict())
+    for d in dims:
+        check(d)
+    # falling d: the larger tables in the cache are never read
+    monkeypatch.setattr(core, "_tables", OrderedDict())
+    for d in reversed(dims):
+        check(d)
+    # a tiny budget keeps only the newest table: (n, d - 2) built after
+    # (n, d - 1) evicts it, so (n, d) resumes from (n, d - 2)
+    monkeypatch.setattr(core, "TABLE_CACHE_BYTES", 1)
+    for d in dims[2:]:
+        monkeypatch.setattr(core, "_tables", OrderedDict())
+        core._profile_classes(n, d - 1)
+        core._profile_classes(n, d - 2)
+        assert list(core._tables) == [("_profile_classes", n, d - 2)]
+        check(d)
+        assert list(core._tables) == [("_profile_classes", n, d)]
+
+
+def test_one_sided_grids_of_high_dimension_materialize(monkeypatch):
+    # a class map built by nested calls per dimension would pass the
+    # recursion limit here; cold, (1, 600) takes 0.3 s and (1, 3000) 7.7 s on
+    # a 2-CPU machine
+    monkeypatch.setattr(core, "_tables", OrderedDict())
+    one = Alphabet(("A",))
+    assert Grid.symmetric(1, 600, one, lambda p: 0).to_dense().cells == bytes(1)
+    # (1, 3000) resumed from a (1, 2999) table: one class, one prefix
+    tables = [np.ones((1, 2999), dtype=np.int32), np.zeros((1, 1), dtype=np.int32),
+              np.zeros(1, dtype=np.int32)]
+    for a in tables:
+        a.flags.writeable = False
+    core._tables["_profile_classes", 1, 2999] = tuple(tables), sum(a.nbytes for a in tables)
+    assert Grid.symmetric(1, 3000, one, lambda p: 0).to_dense().cells == bytes(1)
+    reps, step, ids = core._tables["_profile_classes", 1, 3000][0]
+    assert reps.tolist() == [[1] * 3000] and step.tolist() == [[0]] and ids.tolist() == [0]
+
+
 def test_word_stats_cache_is_bounded():
     assert word_stats.cache_info().maxsize is not None
     assert word_stats.cache_info().maxsize <= 4096

@@ -436,8 +436,9 @@ def test_batched_draws_give_up_like_the_scalar_draws(monkeypatch, count, zero_ro
     n, d = 3, 4
     for rows, lead in [
         (1000, []),
-        # rows 1 and 3 fill the first array of two in the second round, and
-        # the sign-less run that starts in that round crosses into the next
+        # rows 1 and 3, which hold a sign, fill the first array of two, and
+        # at count 7 the sign-less run after them crosses from the first
+        # round (7 rows) into the next (5 rows)
         (2, [SIGN, 0, 0, 0] + [0] * 4 + [SIGN, 0, 0, 0]),
     ]:
         def stream():

@@ -13,6 +13,7 @@ from wordgrid.core import Alphabet, Grid, Word, all_points, all_symmetries, appl
 from wordgrid.lines import (
     DEFAULT_LINE_CAP,
     CanonicalLine,
+    _draw_line_code,
     count_lines,
     enumerate_lines,
     enumerate_segments,
@@ -417,6 +418,19 @@ def test_estimate_fraction_reads_one_draw_stream():
     assert estimate_fraction(w, g, 10_000, rng) == estimate_fraction(w, g, 10_000, ref)
     assert rng.getstate() == ref.getstate()
     assert rng.calls <= 60, rng.calls
+
+
+def test_estimate_fraction_draws_one_line_chunks_in_long_rounds():
+    # n = 130: n^2 > DRAW_CHUNK, so each symmetric chunk is one line; rounds
+    # of one line's d words made 85,140 getrandbits calls at this seed
+    w = Word.from_string("A" * 65 + "M" * 65)
+    rng, ref = CountingRandom(7), random.Random(7)
+    got = estimate_fraction(w, counterpoint_grid(w, 3), 2_000, rng)
+    assert got == (0.986, hoeffding_radius(2_000))  # as tests/estimates.txt pins it
+    for _ in range(2_000):
+        _draw_line_code(130, 3, ref)
+    assert rng.getstate() == ref.getstate()
+    assert rng.calls <= 400, rng.calls
 
 
 def test_estimate_fraction_sizes_dense_chunks_by_n(monkeypatch):

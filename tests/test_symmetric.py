@@ -18,6 +18,7 @@ from wordgrid.constructions import (
     _constant_result,
     _counterpoint_rules,
     _parity_batch,
+    _parity_letters,
     _parity_rule,
     counterpoint_grid,
     parity_grid,
@@ -163,7 +164,8 @@ def test_parity_batch_is_the_rule_on_every_profile_class():
     cases += [(W("AM" * (n // 2)), n) for n in (10, 12, 20, 100, 1000)]
     for w, n in cases:
         for d in dimensions(n, 10**6):
-            assert_batch_is_the_rule(_parity_rule(w), _parity_batch(w), n, d)
+            letters = _parity_letters(w)
+            assert_batch_is_the_rule(_parity_rule(letters), _parity_batch(letters), n, d)
 
 
 @pytest.mark.parametrize("text", ["AMM", "ABC", "AMMA", "ABCA", "AMAMM", "AMA", "ABBA",
@@ -199,7 +201,8 @@ def test_counterpoint_to_dense_matches_pointwise(n):
 def test_parity_to_dense_matches_pointwise(n):
     for w in antisymmetric_words(n):
         for d in dimensions(n, DENSE_CAP):
-            want = Grid.procedural(n, d, w.alphabet, _parity_rule(w)).to_dense().cells
+            rule = _parity_rule(_parity_letters(w))
+            want = Grid.procedural(n, d, w.alphabet, rule).to_dense().cells
             assert parity_grid(w, d).grid.cells == want, (w.text, d)
 
 
@@ -252,8 +255,10 @@ def test_one_dimensional_symmetric_to_dense_reads_the_rule_cell_by_cell(monkeypa
 
     rule_calls.clear()
     rule, batch = constructions._parity_rule, constructions._parity_batch
-    monkeypatch.setattr(constructions, "_parity_rule", lambda w: spy(rule(w), rule_calls))
-    monkeypatch.setattr(constructions, "_parity_batch", lambda w: spy(batch(w), batch_calls))
+    monkeypatch.setattr(constructions, "_parity_rule",
+                        lambda letters: spy(rule(letters), rule_calls))
+    monkeypatch.setattr(constructions, "_parity_batch",
+                        lambda letters: spy(batch(letters), batch_calls))
     w = W("AM" * 32768)
     r = parity_grid(w, 1)
     assert r.grid.dense and r.achieved == 1

@@ -5,7 +5,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from wordgrid.constructions import _constant_result, _parity_rule, counterpoint_grid  # noqa: E402
+from wordgrid.constructions import (  # noqa: E402
+    _constant_result, _parity_letters, _parity_rule, counterpoint_grid)
 from wordgrid.core import Word  # noqa: E402
 
 
@@ -22,7 +23,7 @@ def rules_and_points(draw):
     elif kind == "parity":
         half = draw(st.lists(st.sampled_from("AM"), min_size=n // 2, max_size=n // 2))
         tail = ["M" if c == "A" else "A" for c in reversed(half)]
-        rule = _parity_rule(Word.from_string("".join(half + tail)))
+        rule = _parity_rule(_parity_letters(Word.from_string("".join(half + tail))))
     else:
         rule = _constant_result(Word.from_string("A" * n), 20).grid.rule  # procedural at 2^20
     point = draw(st.lists(st.integers(1, n), min_size=d, max_size=d))
