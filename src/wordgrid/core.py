@@ -387,9 +387,11 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     A class of k coordinates is a multiset, and its id is its rank in the
     combinatorial number system: the sorted 0-based a_0 <= .. <= a_(k-1) ranks
     as sum_i C(a_i + i, i + 1), a bijection onto [0, C(n+k-1, k)), so no
-    deduplication is needed. `table[i][a]` = C(a + i, i + 1) is `table[i-1]`
-    summed cumulatively (Pascal's rule). Every rank is below the class count,
-    which is checked to fit int32 first.
+    deduplication is needed. `pascal[i, a]` = C(a + i, i + 1) is row i - 1
+    summed cumulatively (Pascal's rule), so a coordinate ranks every grown row
+    with one gather of `pascal[i, a_i]` for all i at once, read column by
+    column so the sum runs over whole columns. Every rank is below
+    the class count, which is checked to fit int32 first.
     """
     if math.comb(n + d - 1, d) > np.iinfo(np.int32).max:
         raise ValueError(f"[{n}]^{d} has more profile classes than int32 ids hold")
@@ -402,17 +404,20 @@ def _profile_classes(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
         reps, ids = reps - 1, step[ids].ravel()
     else:
         reps, ids = np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int32)
-    table = [np.arange(n, dtype=np.int64)]
+    pascal = np.empty((d, n), dtype=np.int32)
+    pascal[0] = np.arange(n)
+    for i in range(1, d):
+        pascal[i] = np.cumsum(pascal[i - 1])
     for j in range(start, d):
-        while len(table) <= j:
-            table.append(np.cumsum(table[-1]))
         # x inserted into a sorted row r lands as max(r[i-1], min(r[i], x)) at every i
         below = np.full((len(reps), 1, j + 1), -1, dtype=np.int32)
         above = np.full((len(reps), 1, j + 1), n, dtype=np.int32)
         below[:, 0, 1:] = above[:, 0, :j] = reps
         x = np.arange(n, dtype=np.int32)[:, None]
         grown = np.maximum(below, np.minimum(above, x)).reshape(-1, j + 1)
-        ranks = sum(t[col] for t, col in zip(table, grown.T))
+        # one flat gather: column i of the grown rows reads row i of pascal
+        cols = np.ascontiguousarray(grown.T) + n * np.arange(j + 1)[:, None]
+        ranks = pascal.take(cols).sum(axis=0)
         step = ranks.astype(np.int32).reshape(len(reps), n)
         reps = np.empty((math.comb(n + j, j + 1), j + 1), dtype=np.int32)
         reps[ranks] = grown

@@ -84,8 +84,13 @@ def _match(cells: bytes | np.ndarray, idx: np.ndarray,
            probes: Sequence[tuple[int, ...]]) -> np.ndarray:
     """Rows of idx (cell indices in reading order) whose reading of the uint8
     cells is a probe. A column-major idx, like a `segment_table`, gives a
-    column-major reading, so each probe is compared one contiguous column at a time."""
+    column-major reading, so each probe is compared one contiguous column at a
+    time. With fewer rows than probe positions (a symmetric estimate's
+    one-line chunks) that is mostly call overhead, and whole rows are
+    compared instead."""
     readings = np.frombuffer(cells, dtype=np.uint8)[idx]
+    if len(readings) < readings.shape[1]:
+        return (readings[:, None, :] == np.array(probes)).all(axis=2).any(axis=1)
     matched = np.zeros(len(readings), dtype=bool)
     for probe in probes:
         hit = readings[:, 0] == probe[0]

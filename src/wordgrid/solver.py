@@ -15,7 +15,9 @@ or two probes that is one expression, the popcount of the state ANDed with
 itself shifted by sh: sh = 0 for a palindrome (P = 1), L for one word
 (P = 2). A set of P >= 3 probes ANDs every shift L, 2L, ..., (P-1)L.
 The bound (lines alive, L less the dead) is exact at leaves and monotone
-along any branch, so pruning against the incumbent is safe.
+along any branch, so pruning against the incumbent is safe. Every mask comes
+from one numpy bit table indexed [depth, letter, probe, line], filled by one
+scatter of the line table's cell depths against the probes.
 
 Symmetry breaking (lex-leader, as in Crawford, Ginsberg, Luks and Roy,
 KR 1996): with `SolveConfig.symmetry`, a node is pruned when some symmetry
@@ -33,10 +35,12 @@ budget-cut result do.
 
 The search starts from the best grid the package can certify without it:
 the beam seed, or for `solve` the best construction when that grid uses only
-the search letters and reaches more lines. When that seed already meets the
-proven ceiling (`upper_bound_2d` at d = 2, `upper_bound_d` otherwise), the
-optimum is known, and without witness enumeration the branch-and-bound is
-skipped. A seed is a claim until a recount backs it: every witness is
+the search letters and reaches more lines. The beam steps all its states of
+a depth at once as byte arrays of the same table and keeps those with the
+fewest dead lines, ties going to the least assignment. When that seed
+already meets the proven ceiling (`upper_bound_2d` at d = 2,
+`upper_bound_d` otherwise), the optimum is known, and without witness
+enumeration the branch-and-bound is skipped. A seed is a claim until a recount backs it: every witness is
 recounted, so a seed no grid reaches raises instead of returning a wrong
 witness.
 
@@ -173,7 +177,14 @@ class SolveResult:
 
 
 class _Problem:
-    """Compiled search instance: masks, branch order, lex-leader schedule."""
+    """Compiled search instance: masks, branch order, lex-leader schedule.
+
+    The masks come from one bit table, `bits[depth, a, p, li]`, set when
+    letter a at the cell branched on at that depth contradicts line li's
+    probe-p reading. The beam reads it as `words[depth, a, p]`, the L line
+    bits as little-endian bytes, and the search as `masks[depth][a]`, one
+    Python int with bit p*L + li. Cells on most lines come first in the
+    branch order, ties by cell index."""
 
     def __init__(self, symbol_rows: Sequence[tuple[int, ...]], alphabet: Alphabet,
                  n: int, d: int, symmetry: bool):
@@ -181,28 +192,26 @@ class _Problem:
         self.alphabet = alphabet
         self.A = A = len(alphabet)
         self.N = N = n**d
-        line_cells = segment_table(n, d, n)[0].tolist()
-        self.L = len(line_cells)
+        line_cells = segment_table(n, d, n)[0]
+        self.L = L = len(line_cells)
 
-        probes = _probes(symbol_rows)
-        self.shifts = tuple(p * self.L for p in range(1, len(probes)))
+        probes = np.array(_probes(symbol_rows))
+        P = len(probes)
+        self.shifts = tuple(p * L for p in range(1, P))
 
-        incident = np.bincount(np.ravel(line_cells), minlength=N).tolist()
-        self.order = sorted(range(N), key=lambda c: (-incident[c], c))
-        pos_of = np.argsort(self.order)  # depth of each cell
+        incident = np.bincount(line_cells.ravel(), minlength=N)
+        order = np.argsort(-incident, kind="stable")
+        self.order = order.tolist()
+        pos_of = np.argsort(order)  # depth of each cell
 
-        # masks[depth][a]: bit p*L + li is set when letter a at the cell
-        # branched on at that depth contradicts line li's probe-p reading
-        masks = [[0] * A for _ in range(N)]
-        for li, cells in enumerate(line_cells):
-            for t, c in enumerate(cells):
-                at_depth = masks[pos_of[c]]
-                for p, pr in enumerate(probes):
-                    bit = 1 << (p * self.L + li)
-                    for a in range(A):
-                        if a != pr[t]:
-                            at_depth[a] |= bit
-        self.masks = masks
+        bits = np.zeros((N, A, P, L), dtype=bool)
+        # line li's t-th cell, at depth pos_of[line_cells[li, t]], is
+        # contradicted by letter a in probe p when a != probes[p, t]
+        bits[pos_of[line_cells], :, :, np.arange(L)[:, None]] = \
+            probes.T[:, None, :] != np.arange(A)[:, None]
+        self.words = np.packbits(bits, axis=-1, bitorder="little")
+        packed = np.packbits(bits.reshape(N, A, P * L), axis=-1, bitorder="little")
+        self.masks = [[int.from_bytes(m.tobytes(), "little") for m in row] for row in packed]
 
         # The lex-leader schedule. images[k, i] is the depth of the image of
         # depth i's cell under the k-th non-identity symmetry. Position i of
@@ -266,38 +275,42 @@ def _search_letters(words: Sequence[Word]) -> tuple[Alphabet, list[tuple[int, ..
     return alphabet, [Word.from_string(w.text, alphabet).symbols for w in words]
 
 
-def _step(problem: _Problem, bads: int, m: int) -> tuple[int, int]:
-    """One assignment: OR its packed mask into the state, count live lines.
-
-    ANDing the state with itself shifted by each probe offset leaves, in the
-    low L bits, the lines contradicted in every probe, and nothing above them.
-    A palindrome has a single probe and no shift."""
-    c = bads | m
-    dead = c
-    for sh in problem.shifts:
-        dead &= c >> sh
-    return c, problem.L - dead.bit_count()
-
-
 def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
     """Deterministic beam of BEAM_WIDTH over the branch order; returns (value, assignment).
 
     Each level keeps the children with the fewest dead lines, ties going to
-    the least assignment: two stable sorts, by assignment, then by dead count."""
-    L = problem.L
-    letter = [bytes((a,)) for a in range(problem.A)]
-    states: list[tuple[int, int, bytes]] = [(0, 0, b"")]
-    for row in problem.masks:
-        nxt: list[tuple[int, int, bytes]] = []
-        for _, bads, s in states:
-            for a, m in enumerate(row):
-                nb, live = _step(problem, bads, m)
-                nxt.append((L - live, nb, s + letter[a]))
-        nxt.sort(key=itemgetter(2))
-        nxt.sort(key=itemgetter(0))
-        states = nxt[:BEAM_WIDTH]
-    dead, _, s = states[0]  # fewest dead lines, then least assignment
-    return L - dead, s
+    the least assignment. A level steps all its states at once on
+    `problem.words` bytes: each letter's words are ORed into every state,
+    the probe segments ANDed, and the dead lines counted through a byte
+    popcount table (numpy 1.24 has no `bitwise_count`). A child's assignment
+    orders as (its parent's, its letter), so each kept state carries its
+    rank among the kept assignments, the children sort on (dead lines,
+    parent's rank * A + letter), and the winner's assignment is read back
+    through the kept indices."""
+    A, L = problem.A, problem.L
+    P = problem.words.shape[2]
+    popcount = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
+    states = np.zeros((1,) + problem.words.shape[2:], dtype=np.uint8)  # (state, probe, byte)
+    rank = np.zeros(1, dtype=np.intp)
+    letters = np.arange(A)
+    kept = []  # per depth, the kept children as parent * A + letter
+    for row in problem.words:
+        children = states[:, None] | row  # (state, letter, probe, byte)
+        contradicted = children[:, :, 0]  # in every probe
+        for p in range(1, P):
+            contradicted = contradicted & children[:, :, p]
+        dead = popcount.take(contradicted).sum(axis=2).ravel()
+        key = (rank[:, None] * A + letters).ravel()
+        keep = np.lexsort((key, dead))[:BEAM_WIDTH]
+        states = children.reshape((-1,) + states.shape[1:])[keep]
+        rank = np.argsort(np.argsort(key[keep]))
+        kept.append(keep)
+    # state 0 has the fewest dead lines, then the least assignment
+    value, s, i = L - int(dead[keep[0]]), [], 0
+    for keep in reversed(kept):
+        i, a = divmod(int(keep[i]), A)
+        s.append(a)
+    return value, bytes(reversed(s))
 
 
 def _dfs(problem: _Problem, state: _Search, collect: bool = False, first: bool = False) -> None:

@@ -22,6 +22,7 @@ from wordgrid.lines import (
 )
 from wordgrid.occurrence import (
     _dense_reader,
+    _match,
     _probes,
     _symmetric_reader,
     count_segments_word,
@@ -407,6 +408,25 @@ class CountingRandom(random.Random):
     def getrandbits(self, k):
         self.calls += 1
         return super().getrandbits(k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 130])
+def test_match_reads_short_and_tall_chunks_alike(n):
+    # fewer rows than probe positions compares whole rows, more compares
+    # columns; both are the rows whose reading is a probe, planted or not
+    rng = random.Random(n)
+    cells = bytes(range(3)) + bytes(rng.randrange(3) for _ in range(4 * n))
+    for rows in (0, 1, n - 1, n, n + 1, 3 * n):
+        idx = np.array([[rng.randrange(4 * n) for _ in range(n)] for _ in range(rows)],
+                       dtype=np.int64).reshape(rows, n)
+        row = tuple(rng.randrange(2) for _ in range(n))
+        for probes in (_probes([row]), _probes([row, tuple(cells[:n])])):
+            hits = set(rng.sample(range(rows), rows // 2))
+            for r in hits:  # plant a probe in half the rows
+                idx[r] = [cells.index(a) for a in probes[0]]
+            want = [tuple(cells[i] for i in r) in probes for r in idx.tolist()]
+            got = _match(cells, np.asfortranarray(idx), probes)
+            assert got.dtype == bool and got.tolist() == want, (rows, probes)
 
 
 def test_estimate_fraction_reads_one_draw_stream():

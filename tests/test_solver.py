@@ -16,10 +16,10 @@ from wordgrid.constructions import ConstructionResult, best_construction
 from wordgrid.core import (Alphabet, Grid, Word, all_points, all_symmetries, point_index,
                            symmetry_cell_tables)
 from wordgrid.lines import segment_table
-from wordgrid.occurrence import count_word, count_word_set
+from wordgrid.occurrence import _probes, count_word, count_word_set
 from wordgrid.solver import (BEAM_WIDTH, CLOCK_CHECK_MASK, SYMMETRY_DEPTH, SolveConfig,
                              _beam_seed, _canonical_cells, _dfs, _Problem, _Search,
-                             _search_letters, _step, solve, solve_oracle, solve_set)
+                             _search_letters, solve, solve_oracle, solve_set)
 
 BINARY = Alphabet(("A", "M"))
 
@@ -90,6 +90,19 @@ def test_oracle_guards():
 
 
 # ---------------------------------------------------------------- packed live count
+
+def _step(problem, bads, m):
+    """One assignment: OR its packed mask into the state, count live lines.
+
+    ANDing the state with itself shifted by each probe offset leaves, in the
+    low L bits, the lines contradicted in every probe, and nothing above them.
+    A palindrome has a single probe and no shift."""
+    c = bads | m
+    dead = c
+    for sh in problem.shifts:
+        dead &= c >> sh
+    return c, problem.L - dead.bit_count()
+
 
 def _recount_live(texts, n, d, assigned):
     """Lines some reading of some word agrees with on every assigned cell."""
@@ -695,6 +708,29 @@ def _reference_search(problem, symmetry, horizon=SYMMETRY_DEPTH):
     return functools.partial(_reference_dfs, leader=leader, horizon=horizon)
 
 
+def _reference_masks(texts, n, d):
+    """`_Problem`'s (masks, order, L, shifts) before its bit table: one bit
+    ORed in per line, cell, probe and contradicting letter."""
+    alphabet, symbol_rows = _search_letters([Word.from_string(t) for t in texts])
+    A, N = len(alphabet), n**d
+    line_cells = segment_table(n, d, n)[0].tolist()
+    L = len(line_cells)
+    probes = _probes(symbol_rows)
+    incident = np.bincount(np.ravel(line_cells), minlength=N).tolist()
+    order = sorted(range(N), key=lambda c: (-incident[c], c))
+    pos_of = np.argsort(order)
+    masks = [[0] * A for _ in range(N)]
+    for li, cells in enumerate(line_cells):
+        for t, c in enumerate(cells):
+            at_depth = masks[pos_of[c]]
+            for p, pr in enumerate(probes):
+                bit = 1 << (p * L + li)
+                for a in range(A):
+                    if a != pr[t]:
+                        at_depth[a] |= bit
+    return masks, order, L, tuple(p * L for p in range(1, len(probes)))
+
+
 def _reference_beam_seed(problem):
     """`_beam_seed` before the rewrite: tuple assignments, one (-live, s) sort key."""
     states = [(problem.L, 0, ())]
@@ -769,6 +805,31 @@ def _assert_dfs_matches(problem, reference):
             assert leaves == sorted(set(leaves))
             assert all(_leaf_value(problem, blob) == state.incumbent for blob in leaves)
             assert state.best_leaf == (leaves[0] if leaves else None)
+
+
+# the exact-search panel of the benchmark and the CI step "Solver tallies"
+PANEL_PROBLEMS = [(("ABC",), 3, 3), (("AMAM",), 4, 3), (("AMMA",), 4, 3), (("AMM",), 3, 3),
+                  (("AAAMM",), 5, 2), (("ABCD", "ABDC"), 4, 2), (("ABCD",), 4, 3)]
+
+
+@pytest.mark.parametrize("texts, n, d", [
+    *dict.fromkeys((texts, n, d) for texts, n, d, _ in DIFF_PROBLEMS),
+    (("AM",), 2, 6), (("AAA",), 3, 2), (("ABC", "BCA"), 3, 2), (("ABCD",), 4, 3),
+])
+def test_masks_match_the_per_line_loop(texts, n, d):
+    # the scattered bit table packs to the loop's ints, order, L and shifts:
+    # one probe (AMA, AAA), two, three (AMM, MAM, MMA) and four (ABC, BCA)
+    problem = _diff_problem(texts, n, d, False)
+    got = (problem.masks, problem.order, problem.L, problem.shifts)
+    assert got == _reference_masks(texts, n, d)
+
+
+@pytest.mark.parametrize("texts, n, d", [
+    *(((text,), n, d) for text, n, d in _small_words() if n <= 4 and d == 2), *PANEL_PROBLEMS,
+])
+def test_beam_matches_the_sorted_beam(texts, n, d):
+    problem = _diff_problem(texts, n, d, False)
+    assert _beam_seed(problem) == _reference_beam_seed(problem)
 
 
 @pytest.mark.parametrize("texts, n, d, symmetry", DIFF_PROBLEMS)
