@@ -89,11 +89,16 @@ def cmd_lines(args: argparse.Namespace) -> int:
         for line in enumerate_lines(args.n, args.d, weight=args.weight):
             print(format_line(line))
         return 0
-    for weight in sorted(per_weight):
-        if args.weight is None or weight == args.weight:
-            print(f"weight {weight}: {per_weight[weight]}")
+    tallies = {f"weight {w}:": c for w, c in per_weight.items() if args.weight in (None, w)}
     if args.weight is None:
-        print(f"total {total}")
+        tallies["total"] = total
+    out = []  # every tally is formatted before any is printed, so a refusal prints none
+    for label, value in tallies.items():
+        try:
+            out.append(f"{label} {value}")
+        except ValueError:  # more decimal digits than the interpreter converts
+            raise ValueError(f"{label.rstrip(':')} has too many digits to print") from None
+    print("\n".join(out))
     return 0
 
 

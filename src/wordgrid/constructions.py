@@ -74,37 +74,32 @@ class PointProfile:
 
 @dataclass(frozen=True)
 class CounterpointParams:
-    """Exact rational thresholds classifying points of the layered grid."""
+    """The layered grid's thresholds at (n, d): c = 3.9d/(n+2) and k = 2.3d/(n+2)."""
 
     n: int
     d: int
-    c: Fraction
-    k: Fraction
-    upper_mult: Fraction = Fraction(11, 10)
-    band_lo: Fraction = Fraction(99, 100)
-    band_hi: Fraction = Fraction(101, 100)
 
     @classmethod
     def for_grid(cls, n: int, d: int) -> "CounterpointParams":
-        if n < 3 or d < 1:
-            raise ValueError("layered classification needs n >= 3 and d >= 1")
-        return cls(n=n, d=d, c=Fraction(39 * d, 10 * (n + 2)), k=Fraction(23 * d, 10 * (n + 2)))
+        return cls(n, d)
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("layered classification needs n >= 3")
-        if not self.c > self.k > 0:
-            raise ValueError("thresholds must satisfy c > k > 0")
+        if self.n < 3 or self.d < 1:
+            raise ValueError("layered classification needs n >= 3 and d >= 1")
+
+    @property
+    def c(self) -> Fraction:
+        return Fraction(39 * self.d, 10 * (self.n + 2))
+
+    @property
+    def k(self) -> Fraction:
+        return Fraction(23 * self.d, 10 * (self.n + 2))
 
     @cached_property
-    def _integer_thresholds(self) -> tuple[int, ...]:
-        """Numerator and denominator of c, c * upper_mult, k, band_lo and band_hi.
-
-        A Fraction's denominator is positive, so `_classify` compares these
-        cross-multiplied integers exactly as it would compare the fractions.
-        """
-        fracs = (self.c, self.c * self.upper_mult, self.k, self.band_lo, self.band_hi)
-        return tuple(x for f in fracs for x in (f.numerator, f.denominator))
+    def bounds(self) -> tuple[int, int, int]:
+        """floor(c), ceil(1.1c) and ceil(k): for integer counts, tau1 > c is tau1 > floor(c),
+        tau1 < 1.1c is tau1 < ceil(1.1c) and tau_i >= k is tau_i >= ceil(k)."""
+        return floor(self.c), ceil(self.c * Fraction(11, 10)), ceil(self.k)
 
 
 def is_counter_point(p: Point, n: int, d: int) -> bool:
@@ -119,19 +114,18 @@ def classify_point(p: Point, n: int, d: int) -> str:
 
 def _classify(prof: PointProfile, params: CounterpointParams) -> tuple[str, int | None]:
     n, d = params.n, params.d
-    cn, cd, tn, td, kn, kd, lo_n, lo_d, hi_n, hi_d = params._integer_thresholds
+    tau1_max, cap, tau_min = params.bounds
     pi = prof.pi
     tau1 = pi[0] + pi[-1]  # prof.tau(1); pi[-i] is pi[prof.n - i]
-    if cn < tau1 * cd and tau1 * td < tn:
-        # band_lo * (d - tau1) / (n - 2) <= pi_i <= band_hi * (d - tau1) / (n - 2)
-        lo, hi = lo_n * (d - tau1), hi_n * (d - tau1)
-        lo_scale, hi_scale = lo_d * (n - 2), hi_d * (n - 2)
-        if all(lo <= x * lo_scale and x * hi_scale <= hi for x in pi[1 : n - 1]):
+    if tau1_max < tau1 < cap:
+        # 0.99 (d - tau1) / (n - 2) <= pi_i <= 1.01 (d - tau1) / (n - 2)
+        lo, hi, scale = 99 * (d - tau1), 101 * (d - tau1), 100 * (n - 2)
+        if all(lo <= x * scale <= hi for x in pi[1 : n - 1]):
             return "counter-point", None
-    if tau1 * cd <= cn:
+    if tau1 <= tau1_max:
         # tau is mirror-symmetric, so scanning past the middle adds nothing;
         # at the middle index both word sides agree, making parity irrelevant
-        cands = [i for i in range(2, (n + 1) // 2 + 1) if (pi[i - 1] + pi[-i]) * kd >= kn]
+        cands = [i for i in range(2, (n + 1) // 2 + 1) if pi[i - 1] + pi[-i] >= tau_min]
         if len(cands) == 1:
             return "band-index", cands[0]
     return "arbitrary", None
@@ -166,11 +160,9 @@ def _counterpoint_rules(w: Word, d: int) -> tuple[Callable[[Point], int], BatchR
             return sym[i - 1] if odd else sym[n - i]
         return sym[0] if odd else sym[n - 1]
 
-    # A counter-point needs tau1 > c and a band index tau1 <= c, so only the
-    # band index moves a letter off the ends. The counts are integers, so
-    # tau1 <= c is tau1 <= floor(c) and tau_i >= k is tau_i >= ceil(k): exact
-    # int64 compares of counts at most 2d, with no product to overflow.
-    tau1_max, tau_min = floor(params.c), ceil(params.k)
+    # A counter-point needs tau1 > c and a band index tau1 <= c, so only the band
+    # index moves a letter off the ends; counts are at most 2d, exact in int64.
+    tau1_max, _, tau_min = params.bounds
     half = (n + 1) // 2
     letters = np.array(sym)
 
@@ -203,10 +195,11 @@ def sigma_parity_check(line: CanonicalLine, n: int) -> bool:
 def sample_counter_point(n: int, d: int, rng) -> Point:
     """One uniform-ish counter-point, built boundary-first then band-checked."""
     params = CounterpointParams.for_grid(n, d)
-    r_lo, r_hi = params.c, params.c * params.upper_mult
-    rs = [r for r in range(int(r_lo) + 1, int(r_hi) + 1) if r_lo < r < r_hi]
+    tau1_max, cap, _ = params.bounds
+    rs = range(tau1_max + 1, cap)  # the integers in (c, 1.1c)
     if not rs:
-        raise ValueError(f"no integer boundary count lies in ({r_lo}, {r_hi}) at d={d}")
+        raise ValueError(f"no integer boundary count lies in "
+                         f"({params.c}, {params.c * Fraction(11, 10)}) at d={d}")
     for _ in range(COUNTER_POINT_TRIES):
         r = rng.choice(rs)
         p = [rng.randrange(2, n) for _ in range(d)]

@@ -26,9 +26,13 @@ BatchRule = Callable[[np.ndarray], np.ndarray]
 
 MAX_ALPHABET = 26
 
-# Values per block of profile count rows that `_cells_by_profile` hands a batch
-# rule: n = 100, d = 2 is 31 blocks of 163 rows, not one 5050 x 100 int64 matrix.
-PROFILE_BLOCK = 2**14
+# Values per batch buffer: the profile counts per batch rule call in
+# `_cells_by_profile` (n = 100, d = 2 is 31 blocks of 163 rows, not one
+# 5050 x 100 int64 matrix), the values per estimator chunk, and the least words
+# per round of `lines._draw_line_codes`. An AMM d=40 estimate peaks at 0.4 MB
+# under tracemalloc with 2**14 and at 4.7 MB with 2**18, whatever the sample
+# count; 2**16 is 10% faster there, 2**12 70% slower.
+BATCH_VALUES = 2**14
 
 # Bytes of cached tables kept before the least recently used go. The census
 # segment tables, (3,8) to (8,4,k=4), take 11.3 MB together; one n=3 segment
@@ -432,14 +436,14 @@ def _cells_by_profile(n: int, d: int, batch_rule: BatchRule, alphabet: Alphabet)
 
     The classes are `_profile_classes(n, d)`, read from the shared table cache
     or built into it. The batch rule is called on the classes' count rows,
-    built from the sorted points a block of at most PROFILE_BLOCK values at a
+    built from the sorted points a block of at most BATCH_VALUES values at a
     time, and its letters are checked against the alphabet before they are
     cast to uint8; the last coordinate maps straight to letters,
     `letters[step][ids]`, so no `(n^d, d)` array is ever built.
     """
     reps, step, ids = _profile_classes(n, d)
     letters = np.empty(len(reps), dtype=np.uint8)
-    rows = max(1, PROFILE_BLOCK // max(n, d))
+    rows = max(1, BATCH_VALUES // max(n, d))
     for start in range(0, len(reps), rows):
         block = reps[start:start + rows]
         # row r's value x lands at r * n + x - 1, so one bincount counts every row

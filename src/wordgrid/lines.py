@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
 from typing import Iterator
 
 import numpy as np
 
-from .core import Point, _cached_table
+from .core import BATCH_VALUES, Point, _cached_table
 
 Direction = tuple[int, ...]
 
@@ -36,12 +35,6 @@ SAMPLE_CAP = 10**6
 DEFAULT_LINE_CAP = 5_000_000
 
 TAIL_BLOCK = 256  # most codes in the tail block `_canonical_pairs` builds per call
-
-# Values per buffer in one chunk of the estimator, and the least words per
-# round of `_draw_line_codes`. An AMM d=40 estimate peaks at 0.4 MB under
-# tracemalloc with 2**14 and at 4.7 MB with 2**18, whatever the sample count;
-# 2**16 is 10% faster there, 2**12 70% slower.
-DRAW_CHUNK = 2**14
 
 _UNIT_STEPS = frozenset((-1, 0, 1))
 
@@ -220,11 +213,14 @@ def count_lines(n: int, d: int) -> tuple[dict[int, int], int]:
     """Closed-form line tally per weight r and in total.
 
     Weight r contributes C(d,r) * 2^(r-1) * n^(d-r); the total telescopes to
-    ((n+2)^d - n^d) / 2.
+    ((n+2)^d - n^d) / 2. C(d,r) comes from C(d,r-1) by one exact division.
     """
     if n < 2 or d < 1:
         raise ValueError("need n >= 2 and d >= 1")
-    per_weight = {r: comb(d, r) * 2 ** (r - 1) * n ** (d - r) for r in range(1, d + 1)}
+    per_weight, binom = {}, 1
+    for r in range(1, d + 1):
+        binom = binom * (d - r + 1) // r
+        per_weight[r] = binom * 2 ** (r - 1) * n ** (d - r)
     total = ((n + 2) ** d - n**d) // 2
     assert sum(per_weight.values()) == total
     return per_weight, total
@@ -268,11 +264,11 @@ def _draw_line_codes(n: int, d: int, rng, count: int, rows: int) -> Iterator[np.
     `randrange(m)` keeps the top m.bit_length() bits of one 32-bit
     `getrandbits` word and redraws values >= m, and `getrandbits(32k)` returns
     the next k words, the first one lowest. So the words are read in rounds of
-    at most max(rows·d, DRAW_CHUNK) words, each no longer than what the scalar
+    at most max(rows·d, BATCH_VALUES) words, each no longer than what the scalar
     calls would still consume: (rows still needed for the whole count)·d less
     the values already pending. A round is not cut to one array, so arrays of
-    one row (a symmetric estimate with n^2 > DRAW_CHUNK) still read about
-    DRAW_CHUNK words per `getrandbits` call. Values >= n+2 are dropped, the
+    one row (a symmetric estimate with n^2 > BATCH_VALUES) still read about
+    BATCH_VALUES words per `getrandbits` call. Values >= n+2 are dropped, the
     rest cut into rows of d, and rows with no sign rejected. Accepted rows
     beyond one array, and the values of an unfinished row, carry over into the
     next array. Values are held in the smallest unsigned type that takes n+1
@@ -291,7 +287,7 @@ def _draw_line_codes(n: int, d: int, rng, count: int, rows: int) -> Iterator[np.
     for start in range(0, count, rows):
         want = min(rows, count - start)
         while len(held) < want:
-            words = min(max(rows * d, DRAW_CHUNK), (count - got) * d - len(pending))
+            words = min(max(rows * d, BATCH_VALUES), (count - got) * d - len(pending))
             # one name for the raw words and the values, so that the words are
             # not held while the reader has the array yielded last
             values = np.frombuffer(rng.getrandbits(32 * words).to_bytes(4 * words, "little"),
@@ -324,6 +320,20 @@ def _symbol_coords(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     step and coord[s, i] its 0-based coordinate at the i-th point."""
     start, step = np.array(_segment_symbols(n, k)).T
     return step, start[:, None] - 1 + step[:, None] * np.arange(k)
+
+
+def _line_profiles(codes: np.ndarray, n: int) -> np.ndarray:
+    """The (m, n, n) profiles of the lines with codes (m, d): [j, i, x-1] counts
+    line j's coordinates equal to x at its i-th point. They are its numeral
+    counts at every point, its '+' count added at value i and its '-' count
+    at value n+1-i: three array operations whatever n."""
+    m, steps = len(codes), np.arange(n)
+    counts = np.bincount((codes + (n + 2) * np.arange(m)[:, None]).ravel(),
+                         minlength=m * (n + 2)).reshape(m, n + 2)
+    profiles = np.repeat(counts[:, None, :n], n, axis=1)
+    profiles[:, steps, steps] += counts[:, n, None]
+    profiles[:, steps, steps[::-1]] += counts[:, n + 1, None]
+    return profiles
 
 
 def enumerate_segments(n: int, d: int, k: int) -> Iterator[Segment]:

@@ -19,9 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import Grid, Word, _batch_letters
-from .lines import (DRAW_CHUNK, CanonicalLine, _draw_line_codes, _symbol_coords, _table_lines,
-                    line_points, sample_line, segment_table)
+from .core import BATCH_VALUES, Grid, Word, _batch_letters
+from .lines import (CanonicalLine, _draw_line_codes, _line_profiles, _symbol_coords,
+                    _table_lines, line_points, sample_line, segment_table)
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -186,13 +186,13 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     draws go through `rng.getrandbits`; for a `random.Random` the stream is
     the one `randrange` gives. Dense and symmetric grids draw all `samples`
     lines as one stream (`lines._draw_line_codes`) and read them in chunks
-    whose buffers hold at most about DRAW_CHUNK values, so memory does not
+    whose buffers hold at most about BATCH_VALUES values, so memory does not
     grow with `samples`; the chunks only batch the reads, and the draws run
     on from one chunk into the next. A dense chunk holds each line's d draws
     and n flat indices, a symmetric one also its n x n profile counts. A
-    chunk holds at least one line, so when n^2 > DRAW_CHUNK a symmetric
+    chunk holds at least one line, so when n^2 > BATCH_VALUES a symmetric
     grid's chunk is one line, and memory grows with n^2; its draws still come
-    in rounds of about DRAW_CHUNK words, and each line's profiles take three
+    in rounds of about BATCH_VALUES words, and each line's profiles take three
     array operations, so such an estimate costs about one batch rule call
     per line. A drawn value x at axis j is row x of
     `lines._segment_symbols(n, n)`, a (start, step) symbol: a dense grid adds
@@ -223,7 +223,7 @@ def estimate_fraction(w: Word, grid: Grid, samples: int, rng) -> tuple[float, fl
     probes = _probes([_word_symbols(w, grid)])
     read = _dense_reader(grid) if grid.dense else _symmetric_reader(grid)
     # per line, d draws and n flat indices, or n profiles of n
-    per_chunk = max(1, DRAW_CHUNK // max(d, n if grid.dense else n * n))
+    per_chunk = max(1, BATCH_VALUES // max(d, n if grid.dense else n * n))
     hits = 0
     for codes in _draw_line_codes(n, d, rng, samples, per_chunk):
         cells, idx = read(codes)
@@ -246,28 +246,14 @@ def _dense_reader(grid: Grid):
 
 
 def _symmetric_reader(grid: Grid):
-    """Line codes (m, d) -> (cells, idx) of a symmetric grid, read from the
-    (m, n, n) profile counts of the drawn lines at their n steps: cells holds
-    the letter of every line's profile at every step, from one batch rule
-    call per chunk, each letter checked against the alphabet, and
-    idx[j, i] = j * n + i. The profiles are a line's numeral counts repeated
-    over its n steps, plus its '+' count on the diagonal (value i at step i)
-    and its '-' count on the anti-diagonal (value n+1-i), three array
-    operations whatever n.
-    """
+    """Line codes (m, d) -> (cells, idx) of a symmetric grid: cells holds the
+    letter of every line's profile at every step (`lines._line_profiles`), from
+    one batch rule call per chunk, each letter checked against the alphabet,
+    and idx[j, i] = j * n + i."""
     n, batch_rule, alphabet = grid.n, grid.batch_rule, grid.alphabet
-    steps = np.arange(n)
 
     def read(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        m = len(codes)
-        counts = np.bincount((codes + (n + 2) * np.arange(m)[:, None]).ravel(),
-                             minlength=m * (n + 2)).reshape(m, n + 2)
-        # (line, step, value): the numerals at every step, '+' at value i and
-        # '-' at value n+1-i on step i
-        profiles = np.repeat(counts[:, None, :n], n, axis=1)
-        profiles[:, steps, steps] += counts[:, n, None]
-        profiles[:, steps, steps[::-1]] += counts[:, n + 1, None]
-        letters = _batch_letters(batch_rule, profiles.reshape(-1, n),  # type: ignore[arg-type]
-                                 alphabet)
-        return letters, np.arange(m * n).reshape(m, n)
+        profiles = _line_profiles(codes, n).reshape(-1, n)
+        letters = _batch_letters(batch_rule, profiles, alphabet)  # type: ignore[arg-type]
+        return letters, np.arange(len(codes) * n).reshape(-1, n)
     return read

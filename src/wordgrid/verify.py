@@ -182,10 +182,10 @@ def check_parity_meets_ceiling() -> CheckResult:
 
 # ------------------------------------------------------------------ criterion 8
 
-def construction_catalog(seed: int = 88, size: int = 50) -> list[Word]:
-    rng = random.Random(seed)
+def construction_catalog() -> list[Word]:
+    rng = random.Random(88)
     return [W("".join(rng.choice("AMB") for _ in range(rng.randint(2, 7))))
-            for _ in range(size)]
+            for _ in range(50)]
 
 
 def check_construction_certificates() -> CheckResult:

@@ -53,6 +53,19 @@ def test_lines_weight_outside_dimension_exits_1(capsys, extra):
     assert "weight" in err
 
 
+@pytest.mark.parametrize("argv", [["lines", "-n", "2", "-d", "9000"],
+                                  ["segments", "-n", "3", "-d", "9000", "-k", "2"],
+                                  ["bounds", "--word", "AMM", "-d", "9000"]])
+def test_tally_too_long_to_print_exits_1_before_any_output(capsys, argv):
+    # the lines tallies run past 4,300 digits from weight 1273 on
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    if argv[0] == "lines":
+        assert err == "error: weight 1273 has too many digits to print\n"
+
+
 def test_segments_total(capsys):
     code, out, _ = run(capsys, "segments", "-n", "5", "-d", "2", "-k", "2")
     assert code == 0

@@ -285,7 +285,6 @@ def test_product_grid_stacks_optimal_rows():
 # ---------------------------------------------------------------- layered grid
 
 def test_counterpoint_params_are_exact_rationals():
-    from fractions import Fraction
     p = CounterpointParams.for_grid(3, 40)
     assert p.c == Fraction(39 * 40, 50)
     assert p.k == Fraction(23 * 40, 50)
@@ -298,12 +297,13 @@ def test_counterpoint_rejects_short_words():
 
 
 def _classify_fraction(prof, params):
-    """The Fraction arithmetic `_classify` replaced with cross-multiplied integers."""
+    """`_classify` in the construction's Fraction constants: c < tau1 < 1.1c,
+    the band 0.99 to 1.01 times (d - tau1)/(n - 2), tau1 <= c and tau_i >= k."""
     n, d = params.n, params.d
     tau1 = prof.tau(1)
-    if params.c < tau1 < params.c * params.upper_mult:
-        lo = params.band_lo * (d - tau1) / (n - 2)
-        hi = params.band_hi * (d - tau1) / (n - 2)
+    if params.c < tau1 < params.c * Fraction(11, 10):
+        lo = Fraction(99, 100) * (d - tau1) / (n - 2)
+        hi = Fraction(101, 100) * (d - tau1) / (n - 2)
         if all(lo <= prof.pi[i - 1] <= hi for i in range(2, n)):
             return "counter-point", None
     if tau1 <= params.c:
@@ -351,30 +351,9 @@ def test_integer_classify_matches_fraction_reference_on_sampled_profiles(d):
     assert "arbitrary" in branches and len(branches) >= 2
 
 
-def test_integer_classify_matches_fraction_reference_on_custom_thresholds():
-    # thresholds whose denominators differ from the defaults', a negative band_lo,
-    # and a band whose ends profiles meet exactly: at n=4 d=12 tau1 = 4 puts the
-    # band at [2, 6], so (2, 2, 6, 2) lies on both ends
-    for params in (CounterpointParams(n=5, d=9, c=Fraction(7, 3), k=Fraction(5, 7),
-                                      upper_mult=Fraction(13, 6), band_lo=Fraction(-1, 4),
-                                      band_hi=Fraction(9, 8)),
-                   CounterpointParams(n=4, d=10, c=Fraction(4), k=Fraction(3, 2),
-                                      upper_mult=Fraction(7, 4), band_lo=Fraction(2, 3),
-                                      band_hi=Fraction(3, 2)),
-                   CounterpointParams(n=4, d=12, c=Fraction(3), k=Fraction(1),
-                                      upper_mult=Fraction(3), band_lo=Fraction(1, 2),
-                                      band_hi=Fraction(3, 2))):
-        branches = set()
-        for prof in _profiles(params.n, params.d):
-            got = _classify(prof, params)
-            assert got == _classify_fraction(prof, params), (prof, params)
-            branches.add(got[0])
-        assert branches == {"counter-point", "band-index", "arbitrary"}, params
-
-
 def test_counterpoint_params_need_three_values():
     with pytest.raises(ValueError, match="n >= 3"):
-        CounterpointParams(n=2, d=4, c=Fraction(2), k=Fraction(1))
+        CounterpointParams(2, 4)
 
 
 def test_classification_is_total_and_deterministic():
@@ -405,8 +384,37 @@ def test_sampled_counter_points_classify_as_such():
             assert classify_point(p, 3, d) == "counter-point"
 
 
+def test_boundary_counts_match_the_fraction_filtered_list():
+    # sample_counter_point draws from range(floor(c) + 1, ceil(1.1c)); the
+    # reference keeps the integers strictly between c and 1.1c as Fractions
+    for n in range(3, 13):
+        for d in range(1, 401):
+            params = CounterpointParams.for_grid(n, d)
+            lo, hi = params.c, params.c * Fraction(11, 10)
+            want = [r for r in range(int(lo) + 1, int(hi) + 1) if lo < r < hi]
+            tau1_max, cap, _ = params.bounds
+            assert list(range(tau1_max + 1, cap)) == want, (n, d)
+
+
+def test_sampled_counter_points_are_pinned():
+    # the points a seeded run returned before the thresholds became integer
+    # bounds, and the rng state it left
+    rng = random.Random(3303)
+    pinned = {
+        (3, 12): ["111131322111", "221113113131"],
+        (3, 40): ["3233311223311212311133313133313131123121",
+                  "1211233121113121331313121111312313311333"],
+        (5, 30): ["431521355141114253134151212155", "115552213553413141253412551541"],
+        (4, 20): ["14311414432142112311", "41411241344232443144"],
+    }
+    for (n, d), want in pinned.items():
+        got = ["".join(map(str, sample_counter_point(n, d, rng))) for _ in want]
+        assert got == want, (n, d)
+    assert rng.random() == 0.373152650407815
+
+
 def test_sampling_fails_when_no_boundary_count_fits():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(39/50, 429/500\) at d=1"):
         sample_counter_point(3, 1, random.Random(0))
 
 

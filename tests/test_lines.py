@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from wordgrid import core, lines
-from wordgrid.core import all_points, point_index
+from wordgrid.core import BATCH_VALUES, all_points, point_index
 from wordgrid.lines import (
     CanonicalLine,
     Segment,
@@ -26,7 +26,6 @@ from wordgrid.lines import (
     segment_points,
     segment_table,
 )
-from wordgrid.occurrence import DRAW_CHUNK
 
 
 def brute_line_sets(n, d):
@@ -191,6 +190,15 @@ def test_count_lines_values():
     assert per_weight[1] == 3 * 16
     with pytest.raises(ValueError):
         count_lines(1, 2)
+
+
+def test_count_lines_matches_the_binomial_formula():
+    # count_lines carries C(d, r) from weight to weight; the reference takes
+    # math.comb per weight
+    for n in range(2, 8):
+        for d in (*range(1, 40), 300):
+            want = {r: math.comb(d, r) * 2 ** (r - 1) * n ** (d - r) for r in range(1, d + 1)}
+            assert count_lines(n, d)[0] == want, (n, d)
 
 
 def test_weight_filter():
@@ -394,9 +402,9 @@ def batched_codes(n, d, rng, count, rows):
 @pytest.mark.parametrize("n", [*range(2, 8), 254, 255])
 def test_batched_draws_replay_the_scalar_draws(n):
     for d in range(1, 13) if n < 8 else (5, 12):
-        for rows in (1, 3, DRAW_CHUNK // d):
-            # the last count spans several arrays; at DRAW_CHUNK // d rows, the
-            # estimator's chunks of DRAW_CHUNK values
+        for rows in (1, 3, BATCH_VALUES // d):
+            # the last count spans several arrays; at BATCH_VALUES // d rows, the
+            # estimator's chunks of BATCH_VALUES values
             for count in (1, 7, 3 * rows + 5):
                 key = f"{n} {d} {rows} {count}"
                 rng, ref = random.Random(key), random.Random(key)

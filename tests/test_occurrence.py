@@ -431,7 +431,7 @@ def test_match_reads_short_and_tall_chunks_alike(n):
 
 def test_estimate_fraction_reads_one_draw_stream():
     # one stream per estimate, not one per chunk: 270 calls at this seed when
-    # each of the 25 chunks of DRAW_CHUNK values ended its own stream
+    # each of the 25 chunks of BATCH_VALUES values ended its own stream
     w = Word.from_string("AMM")
     g = counterpoint_grid(w, 40)
     rng, ref = CountingRandom(40), random.Random(40)
@@ -441,7 +441,7 @@ def test_estimate_fraction_reads_one_draw_stream():
 
 
 def test_estimate_fraction_draws_one_line_chunks_in_long_rounds():
-    # n = 130: n^2 > DRAW_CHUNK, so each symmetric chunk is one line; rounds
+    # n = 130: n^2 > BATCH_VALUES, so each symmetric chunk is one line; rounds
     # of one line's d words made 85,140 getrandbits calls at this seed
     w = Word.from_string("A" * 65 + "M" * 65)
     rng, ref = CountingRandom(7), random.Random(7)
@@ -455,7 +455,7 @@ def test_estimate_fraction_draws_one_line_chunks_in_long_rounds():
 
 def test_estimate_fraction_sizes_dense_chunks_by_n(monkeypatch):
     # a dense chunk holds (lines, n) flat indices, so a 200 x 200 grid reads
-    # DRAW_CHUNK // 200 = 81 lines per chunk, not the one line an (n, n)
+    # BATCH_VALUES // 200 = 81 lines per chunk, not the one line an (n, n)
     # profile buffer per line would allow
     chunks = []
 
