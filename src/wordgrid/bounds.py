@@ -170,9 +170,6 @@ def f1_subadditivity_check(w: Word, n: int) -> bool:
 
 def product_grid(w: Word, n: int) -> Grid:
     """Stack an optimal single-row witness for w in every row of an n x n grid."""
-    k = w.n
-    if k > n:
-        raise ValueError(f"word length {k} exceeds the side {n}")
     row = f1_exact(w, n).witness
     alphabet = w.alphabet
     cells = bytes(alphabet.index(ch) for _ in range(n) for ch in row)

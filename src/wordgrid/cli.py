@@ -68,6 +68,19 @@ def _emit(header: list[str], grid: Grid, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _print_rows(rows: list[tuple]) -> None:
+    """Print each row's parts joined by spaces, all formatted before any is
+    printed, so a number with more digits than the interpreter converts to
+    text prints nothing and is refused by its row's label, the first part."""
+    out = []
+    for label, *rest in rows:
+        try:
+            out.append(" ".join(map(str, (label, *rest))))
+        except ValueError:  # more decimal digits than the interpreter converts
+            raise ValueError(f"{label.rstrip(':')} has too many digits to print") from None
+    print("\n".join(out))
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     w = Word.from_string(args.word)
     grid = _load_grid(args.grid)
@@ -89,16 +102,10 @@ def cmd_lines(args: argparse.Namespace) -> int:
         for line in enumerate_lines(args.n, args.d, weight=args.weight):
             print(format_line(line))
         return 0
-    tallies = {f"weight {w}:": c for w, c in per_weight.items() if args.weight in (None, w)}
+    rows = [(f"weight {w}:", c) for w, c in per_weight.items() if args.weight in (None, w)]
     if args.weight is None:
-        tallies["total"] = total
-    out = []  # every tally is formatted before any is printed, so a refusal prints none
-    for label, value in tallies.items():
-        try:
-            out.append(f"{label} {value}")
-        except ValueError:  # more decimal digits than the interpreter converts
-            raise ValueError(f"{label.rstrip(':')} has too many digits to print") from None
-    print("\n".join(out))
+        rows.append(("total", total))
+    _print_rows(rows)
     return 0
 
 
@@ -108,7 +115,7 @@ def cmd_segments(args: argparse.Namespace) -> int:
         for seg in enumerate_segments(args.n, args.d, args.k):
             print(f"{format_line(seg)} ; k={seg.k}")
         return 0
-    print(f"total {total}")
+    _print_rows([("total", total)])
     return 0
 
 
@@ -145,14 +152,10 @@ def cmd_construct(args: argparse.Namespace) -> int:
 def cmd_bounds(args: argparse.Namespace) -> int:
     w = Word.from_string(args.word)
     report = bracket(w, args.d)
-    for rule, value in report.applied:
-        print(f"rule {rule}: {value}")
-    print(f"lower {report.lower}")
-    print(f"upper {report.upper}")
-    if report.exact is not None:
-        print(f"exact {report.exact[0]} ({report.exact[1]})")
-    else:
-        print("exact unknown")
+    exact = ("exact", "unknown") if report.exact is None else \
+        ("exact", report.exact[0], f"({report.exact[1]})")
+    _print_rows([*((f"rule {rule}:", value) for rule, value in report.applied),
+                 ("lower", report.lower), ("upper", report.upper), exact])
     return 0
 
 

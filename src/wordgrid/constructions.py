@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, comb, floor
+from math import ceil, floor
 from string import ascii_uppercase
 from typing import Callable
 
@@ -197,9 +197,14 @@ def sample_counter_point(n: int, d: int, rng) -> Point:
     params = CounterpointParams.for_grid(n, d)
     tau1_max, cap, _ = params.bounds
     rs = range(tau1_max + 1, cap)  # the integers in (c, 1.1c)
-    if not rs:
-        raise ValueError(f"no integer boundary count lies in "
-                         f"({params.c}, {params.c * Fraction(11, 10)}) at d={d}")
+    # r admits a counter-point when m = n - 2 interior counts within 1% of (d - r)/m
+    # sum to d - r; the draws still take r from all of rs, so no seeded draw moves
+    m = n - 2
+    if not any(m * -(-99 * (d - r) // (100 * m)) <= d - r <= m * (101 * (d - r) // (100 * m))
+               for r in rs):
+        raise ValueError(f"no integer boundary count in ({params.c}, "
+                         f"{params.c * Fraction(11, 10)}) at d={d} admits interior counts "
+                         f"in the 1% band")
     for _ in range(COUNTER_POINT_TRIES):
         r = rng.choice(rs)
         p = [rng.randrange(2, n) for _ in range(d)]
@@ -361,7 +366,7 @@ def _parity_achieved(n: int, d: int, value_set: frozenset[int]) -> int:
         reads_w[key] = (ones * beta ^ rising * u ^ falling * m) in (word, backward)
     z = n - 2 * len(value_set)  # zero for antisymmetric words; kept for clarity
     total = 0
-    fixed, z_power = 1, 1  # n^(d-r) and z^(d-r), from r = d down
+    fixed, z_power, binom = 1, 1, 1  # n^(d-r), z^(d-r) and C(d, r), from r = d down
     for r in range(d, 0, -1):
         fixed_even = (fixed + z_power) // 2
         strata = (fixed_even, fixed - fixed_even)
@@ -369,8 +374,8 @@ def _parity_achieved(n: int, d: int, value_set: frozenset[int]) -> int:
             patterns = 1 << (r - 2) if r >= 2 else u
             for beta in (0, 1):
                 if reads_w[beta, u, (r - u) % 2]:
-                    total += comb(d, r) * patterns * strata[beta]
-        fixed, z_power = fixed * n, z_power * z
+                    total += binom * patterns * strata[beta]
+        fixed, z_power, binom = fixed * n, z_power * z, binom * r // (d - r + 1)
     return total
 
 

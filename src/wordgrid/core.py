@@ -360,9 +360,9 @@ class Grid:
         """
         if self.cells is not None:
             return self
-        size = self.n**self.d
-        if cap is not None and not size <= cap:
-            raise ValueError(f"grid has {size} cells, above the dense cap {cap}")
+        if cap is not None and not self.n**self.d <= cap:
+            raise ValueError(f"grid has {_power_text(self.n, self.d)} cells, "
+                             f"above the dense cap {cap}")
         if self.batch_rule is not None and self.d > 1:
             cells = _cells_by_profile(self.n, self.d, self.batch_rule, self.alphabet)
         else:

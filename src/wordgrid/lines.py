@@ -106,23 +106,17 @@ def canonicalize(p: Point, v: Direction, n: int) -> CanonicalLine:
     """Canonical pair of the full line through (p, v); both orientations agree."""
     if n < 2:
         raise ValueError("lines need n >= 2")
-    if len(p) != len(v):
-        raise ValueError("p and v must have the same dimension")
-    if all(x == 0 for x in v):
-        raise ValueError("direction must be nonzero")
-    for i in range(n):
-        for pj, vj in zip(p, v):
-            x = pj + i * vj
-            if not 1 <= x <= n:
-                raise ValueError(f"line ({p}; {v}) leaves [1, {n}]^{len(p)} at step {i + 1}")
-    return _oriented(p, v, n)
+    line = _oriented(p, v, n)  # CanonicalLine checks the pair
+    line_points(line, n)  # and this that the line stays in [1, n]^d
+    return line
 
 
 def _oriented(p: Point, v: Direction, n: int) -> CanonicalLine:
     """The line p, p+v, ..., p+(n-1)v walked from whichever end makes its
     first nonzero step +1."""
-    if next(x for x in v if x != 0) == -1:
-        p = tuple(pj + (n - 1) * vj for pj, vj in zip(p, v))
+    if next(filter(None, v), 0) == -1:
+        # zip stops at the shorter, so p keeps its tail and CanonicalLine sees any mismatch
+        p = tuple(pj + (n - 1) * vj for pj, vj in zip(p, v)) + p[len(v):]
         v = tuple(-vj for vj in v)
     return CanonicalLine(p, v, weight=len(v) - v.count(0))
 
@@ -274,8 +268,6 @@ def _draw_line_codes(n: int, d: int, rng, count: int, rows: int) -> Iterator[np.
     next array. Values are held in the smallest unsigned type that takes n+1
     (uint8 up to n = 254).
     """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
     m = n + 2
     if m.bit_length() > 32:
         raise ValueError(f"n = {n} is too large for one 32-bit word per draw")

@@ -100,12 +100,31 @@ def _match(cells: bytes | np.ndarray, idx: np.ndarray,
     return matched
 
 
-def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
-                lines: Iterable[CanonicalLine] | None, collect: bool) -> OccurrenceReport:
-    """Lines reading any symbol row either way: the stream, or the whole grid."""
-    probes = _probes(symbol_rows)
+def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,
+               collect_matches: bool = False) -> OccurrenceReport:
+    """f(w, G): the number of lines of the grid containing w.
+
+    Dense grids are counted over all lines via the line table; an explicit
+    `lines` stream restricts the count to those lines (and works on procedural
+    grids). Counting a partition of the stream and summing gives the full
+    count. A dense grid with more lines than `lines.DEFAULT_LINE_CAP` is refused.
+    """
+    return count_word_set([w], grid, lines, collect_matches)
+
+
+def count_word_set(words: Iterable[Word], grid: Grid,
+                   lines: Iterable[CanonicalLine] | None = None,
+                   collect_matches: bool = False) -> OccurrenceReport:
+    """f(W, G): lines containing any word of W; a line counts once."""
+    word_list = list(words)
+    if not word_list:
+        raise ValueError("word set must be nonempty")
+    for w in word_list:
+        if w.n != grid.n:
+            raise ValueError(f"word length {w.n} != grid side {grid.n}")
+    probes = _probes([_word_symbols(w, grid) for w in word_list])
     if lines is not None:
-        return _count_stream(probes, grid, lines, collect)
+        return _count_stream(probes, grid, lines, collect_matches)
     if not grid.dense:
         raise ValueError(
             "procedural grid needs an explicit line stream; use estimate_fraction "
@@ -117,36 +136,9 @@ def _count_rows(symbol_rows: Sequence[tuple[int, ...]], grid: Grid,
     # the table's rows are grouped by weight, so each weight is one slice
     per_weight = {r: int(np.count_nonzero(matched[starts[r - 1]:starts[r]]))
                   for r in range(1, d + 1)}
-    matches = _table_lines(idx[matched], n, d) if collect else None
+    matches = _table_lines(idx[matched], n, d) if collect_matches else None
     return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight,
                             matches=matches)
-
-
-def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,
-               collect_matches: bool = False) -> OccurrenceReport:
-    """f(w, G): the number of lines of the grid containing w.
-
-    Dense grids are counted over all lines via the line table; an explicit
-    `lines` stream restricts the count to those lines (and works on procedural
-    grids). Counting a partition of the stream and summing gives the full
-    count. A dense grid with more lines than `lines.DEFAULT_LINE_CAP` is refused.
-    """
-    if w.n != grid.n:
-        raise ValueError(f"word length {w.n} != grid side {grid.n}")
-    return _count_rows([_word_symbols(w, grid)], grid, lines, collect_matches)
-
-
-def count_word_set(words: Iterable[Word], grid: Grid,
-                   lines: Iterable[CanonicalLine] | None = None,
-                   collect_matches: bool = False) -> OccurrenceReport:
-    """f(W, G): lines containing any word of W; a line counts once."""
-    word_list = list(words)
-    if not word_list:
-        raise ValueError("word set must be nonempty")
-    if any(w.n != grid.n for w in word_list):
-        raise ValueError("all words must have length equal to the grid side")
-    rows = [_word_symbols(w, grid) for w in word_list]
-    return _count_rows(rows, grid, lines, collect_matches)
 
 
 def is_diagonal_latin(grid: Grid) -> bool:
@@ -163,12 +155,9 @@ def is_diagonal_latin(grid: Grid) -> bool:
 
 def count_segments_word(w: Word, grid: Grid) -> int:
     """Length-k occurrences: segments of the grid reading w forward or backward."""
-    k = w.n
-    if k > grid.n:
-        raise ValueError(f"word length {k} exceeds grid side {grid.n}")
     if not grid.dense:
         raise ValueError("segment counting needs a dense grid")
-    idx, _ = segment_table(grid.n, grid.d, k)
+    idx, _ = segment_table(grid.n, grid.d, w.n)
     return int(np.count_nonzero(_match(grid.cells, idx, _probes([_word_symbols(w, grid)]))))
 
 

@@ -76,8 +76,7 @@ import numpy as np
 
 from .bounds import upper_bound_2d, upper_bound_d
 from .constructions import ConstructionResult, best_construction
-from .core import (Alphabet, Grid, Word, infer_alphabet, point_index, serialize_grid,
-                   symmetry_cell_tables)
+from .core import Grid, Word, infer_alphabet, point_index, serialize_grid, symmetry_cell_tables
 from .lines import enumerate_lines, line_points, segment_table
 from .occurrence import _probes, count_word_set
 
@@ -179,23 +178,29 @@ class SolveResult:
 class _Problem:
     """Compiled search instance: masks, branch order, lex-leader schedule.
 
-    The masks come from one bit table, `bits[depth, a, p, li]`, set when
-    letter a at the cell branched on at that depth contradicts line li's
-    probe-p reading. The beam reads it as `words[depth, a, p]`, the L line
-    bits as little-endian bytes, and the search as `masks[depth][a]`, one
-    Python int with bit p*L + li. Cells on most lines come first in the
-    branch order, ties by cell index."""
+    The words must have length n and the grid at most `cell_cap` cells; the
+    search letters are theirs, in order of first appearance. The masks come
+    from one bit table, `bits[depth, a, p, li]`, set when letter a at the
+    cell branched on at that depth contradicts line li's probe-p reading.
+    The beam reads it as `words[depth, a, p]`, the L line bits as
+    little-endian bytes, and the search as `masks[depth][a]`, one Python int
+    with bit p*L + li. Cells on most lines come first in the branch order,
+    ties by cell index."""
 
-    def __init__(self, symbol_rows: Sequence[tuple[int, ...]], alphabet: Alphabet,
-                 n: int, d: int, symmetry: bool):
+    def __init__(self, words: Sequence[Word], n: int, d: int, symmetry: bool,
+                 cell_cap: int = DEFAULT_CELL_CAP):
+        if any(w.n != n for w in words):
+            raise ValueError("word length must equal the grid side n")
+        if n**d > cell_cap:
+            raise ValueError(f"{n}^{d} cells exceed the search cap {cell_cap}")
         self.n, self.d = n, d
-        self.alphabet = alphabet
+        self.alphabet = alphabet = infer_alphabet("".join(w.text for w in words))
         self.A = A = len(alphabet)
         self.N = N = n**d
         line_cells = segment_table(n, d, n)[0]
         self.L = L = len(line_cells)
 
-        probes = np.array(_probes(symbol_rows))
+        probes = np.array(_probes(Word.from_string(w.text, alphabet).symbols for w in words))
         P = len(probes)
         self.shifts = tuple(p * L for p in range(1, P))
 
@@ -267,12 +272,6 @@ class _Search:
         self.best_leaf: bytes | None = None
         self.collected: list[bytes] = []
         self.open_bound = -1
-
-
-def _search_letters(words: Sequence[Word]) -> tuple[Alphabet, list[tuple[int, ...]]]:
-    """One alphabet of all the words' letters (first-appearance order), each word's symbols."""
-    alphabet = infer_alphabet("".join(w.text for w in words))
-    return alphabet, [Word.from_string(w.text, alphabet).symbols for w in words]
 
 
 def _beam_seed(problem: _Problem) -> tuple[int, bytes]:
@@ -486,16 +485,6 @@ def _leaf_of(problem: _Problem, grid: Grid) -> bytes | None:
     return bytes(to_search[cells[c]] for c in problem.order)
 
 
-def _compile(words: Sequence[Word], n: int, d: int, cfg: SolveConfig,
-             cell_cap: int) -> _Problem:
-    if any(w.n != n for w in words):
-        raise ValueError("word length must equal the grid side n")
-    if n**d > cell_cap:
-        raise ValueError(f"{n}^{d} cells exceed the search cap {cell_cap}")
-    alphabet, rows = _search_letters(words)
-    return _Problem(rows, alphabet, n, d, symmetry=cfg.symmetry)
-
-
 def _solve_rows(problem: _Problem, words: Sequence[Word], cfg: SolveConfig, start: float,
                 seed: ConstructionResult | None = None,
                 ceiling: int | None = None) -> SolveResult:
@@ -551,7 +540,7 @@ def solve(w: Word, n: int, d: int, cfg: SolveConfig = SolveConfig()) -> SolveRes
     still looks up the first optimal leaf, and the start grid is the witness
     only when a budget cuts that pass. An incomplete result reports no upper end above the ceiling."""
     start = time.monotonic()
-    problem = _compile([w], n, d, cfg, DEFAULT_CELL_CAP)
+    problem = _Problem([w], n, d, cfg.symmetry)
     seed = best_construction(w, d) if d >= 2 else None
     ceiling = upper_bound_2d(w).upper if d == 2 else upper_bound_d(w, d)
     return _solve_rows(problem, [w], cfg, start, seed, ceiling)
@@ -566,7 +555,7 @@ def solve_set(words: Sequence[Word], n: int, d: int,
     word_list = list(words)
     if not word_list:
         raise ValueError("word set must be nonempty")
-    problem = _compile(word_list, n, d, cfg, SET_CELL_CAP)
+    problem = _Problem(word_list, n, d, cfg.symmetry, SET_CELL_CAP)
     return _solve_rows(problem, word_list, cfg, start)
 
 
@@ -579,8 +568,8 @@ def solve_oracle(w: Word, n: int, d: int) -> int:
     """
     if w.n != n:
         raise ValueError("word length must equal the grid side n")
-    alphabet, (row,) = _search_letters([w])
-    A = len(alphabet)
+    own = Word.from_string(w.text)
+    A, row = len(own.alphabet), own.symbols
     N = n**d
     if A**N > ORACLE_STATE_CAP:
         raise ValueError(f"{A}^{N} grids exceed the oracle cap {ORACLE_STATE_CAP}")

@@ -55,15 +55,23 @@ def test_lines_weight_outside_dimension_exits_1(capsys, extra):
 
 @pytest.mark.parametrize("argv", [["lines", "-n", "2", "-d", "9000"],
                                   ["segments", "-n", "3", "-d", "9000", "-k", "2"],
-                                  ["bounds", "--word", "AMM", "-d", "9000"]])
+                                  ["bounds", "--word", "AMM", "-d", "9000"],
+                                  ["construct", "--word", "AMM", "--method", "counterpoint",
+                                   "-d", "10000"]])
 def test_tally_too_long_to_print_exits_1_before_any_output(capsys, argv):
-    # the lines tallies run past 4,300 digits from weight 1273 on
+    # each refusal names what is too long: the lines tallies run past 4,300
+    # digits from weight 1273 on, and the layered grid's cell count is printed
+    # as a power, not in decimal
+    messages = {
+        "lines": "weight 1273 has too many digits to print",
+        "segments": "total has too many digits to print",
+        "bounds": "rule non-palindrome-d has too many digits to print",
+        "construct": "grid has 3^10000 cells, above the dense cap 65536",
+    }
     code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ")
-    if argv[0] == "lines":
-        assert err == "error: weight 1273 has too many digits to print\n"
+    assert err == f"error: {messages[argv[0]]}\n"
 
 
 def test_segments_total(capsys):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -198,6 +199,10 @@ def test_parity_stratified_count_scales_to_huge_grids():
     r = parity_grid(W("AM"), 19)
     assert r.achieved == (4**19 - 0) // 4
     assert r.grid.cells is None
+    # at d = 3000 C(d, r) is carried from weight to weight, not recomputed for each
+    for word in ("AM", "AMAM"):
+        n = len(word)
+        assert parity_grid(W(word), 3000).achieved == ((n + 2) ** 3000 - (n - 2) ** 3000) // 4
 
 
 def _reference_parity_achieved(w: Word, d: int) -> int:
@@ -280,6 +285,12 @@ def test_product_grid_stacks_optimal_rows():
     g = product_grid(W("ABCD"), 7)
     assert grid_rows(g) == ["ABCDCBA"] * 7
     assert count_segments_word(W("ABCD"), g) >= 2 * (3 * 7 - 4 * 4)
+
+
+def test_product_grid_refuses_a_word_longer_than_the_side():
+    # f1_exact refuses k > n, so product_grid has no check of its own
+    with pytest.raises(ValueError, match="^need 2 <= 5 <= 4$"):
+        product_grid(W("ABCDE"), 4)
 
 
 # ---------------------------------------------------------------- layered grid
@@ -416,6 +427,19 @@ def test_sampled_counter_points_are_pinned():
 def test_sampling_fails_when_no_boundary_count_fits():
     with pytest.raises(ValueError, match=r"\(39/50, 429/500\) at d=1"):
         sample_counter_point(3, 1, random.Random(0))
+
+
+def test_sampling_fails_at_once_when_no_interior_profile_fits():
+    # tau1 is 27 or 28 at (7, 60), and no five integers within 1% of their
+    # mean sum to 33 or 32, so no counter-point exists; the 100,000 tries took
+    # seconds before raising RuntimeError
+    rng = random.Random(0)
+    state = rng.getstate()
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=r"^no integer boundary count in \(26, 143/5\) at d=60 "):
+        sample_counter_point(7, 60, rng)
+    assert time.monotonic() - start < 1.0
+    assert rng.getstate() == state  # refused before any draw
 
 
 def test_flip_lines_from_counter_points_read_the_word():

@@ -75,12 +75,23 @@ def test_canonicalize_orientation_invariant():
 
 
 def test_canonicalize_errors():
-    with pytest.raises(ValueError):
-        canonicalize((1, 1), (0, 0), 3)
-    with pytest.raises(ValueError):
-        canonicalize((2, 1), (1, 1), 3)  # leaves the grid at step 3
-    with pytest.raises(ValueError):
-        canonicalize((1,), (1,), 1)
+    # the pair checks are CanonicalLine's and the in-grid check line_points'
+    for p, v, n, message in [
+        ((1, 1), (0, 0), 3, "direction must have a nonzero coordinate"),
+        ((1, 1, 1), (1, 0), 3, "p and v must have the same dimension"),
+        # a leading -1 flips the pair, and p keeps its length through the flip
+        ((3, 1, 1), (-1, 0), 3, "p and v must have the same dimension"),
+        ((1, 1), (-1, 0, 0), 3, "p and v must have the same dimension"),
+        ((1, 1), (2, 0), 5, r"first nonzero direction coordinate must be \+1"),
+        ((1, 1), (1, 2), 5, r"direction coordinates must be in \{-1, 0, \+1\}"),
+        ((2, 1), (1, 1), 3,  # leaves the grid at step 3
+         r"line CanonicalLine\(p=\(2, 1\), v=\(1, 1\), weight=2\) leaves \[1, 3\]\^2"),
+        ((3, 3), (-1, -1), 2,  # walked from the other end
+         r"line CanonicalLine\(p=\(2, 2\), v=\(1, 1\), weight=2\) leaves \[1, 2\]\^2"),
+        ((1,), (1,), 1, "lines need n >= 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            canonicalize(p, v, n)
 
 
 def test_line_points_examples():

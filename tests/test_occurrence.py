@@ -65,8 +65,16 @@ def test_line_contains_examples():
 
 
 def test_line_contains_length_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^word length 2 != grid side 3$"):
         line_contains(Word.from_string("AM"), MANY_GRID, CanonicalLine((1, 1), (0, 1), 1))
+
+
+def test_count_word_length_mismatch():
+    # count_word is count_word_set of one word, whose per-word check names the length
+    with pytest.raises(ValueError, match="^word length 4 != grid side 3$"):
+        count_word(Word.from_string("AMMA"), MANY_GRID)
+    with pytest.raises(ValueError, match="^word length 2 != grid side 3$"):
+        count_word_set([Word.from_string("AMM"), Word.from_string("AM")], MANY_GRID)
 
 
 def test_word_outside_grid_alphabet_rejected():
@@ -342,8 +350,11 @@ def test_count_segments_word_degenerates_to_lines():
 def test_count_segments_word_small():
     g = Grid.from_rows(["AB", "AB"])
     assert count_segments_word(Word.from_string("AB"), g) == 4
-    with pytest.raises(ValueError):
+    # k > n is refused by the segment table's count
+    with pytest.raises(ValueError, match=r"^segment length k=3 out of \[2, n=2\]$"):
         count_segments_word(Word.from_string("ABC"), g)
+    with pytest.raises(ValueError, match=r"^segment length k=4 out of \[2, n=3\]$"):
+        count_segments_word(Word.from_string("AMMA"), MANY_GRID)
 
 
 def test_segments_in_stacked_rows():

@@ -13,13 +13,13 @@ import pytest
 import wordgrid.solver as solver_mod
 from wordgrid.bounds import bracket
 from wordgrid.constructions import ConstructionResult, best_construction
-from wordgrid.core import (Alphabet, Grid, Word, all_points, all_symmetries, point_index,
-                           symmetry_cell_tables)
+from wordgrid.core import (Alphabet, Grid, Word, all_points, all_symmetries, infer_alphabet,
+                           point_index, symmetry_cell_tables)
 from wordgrid.lines import segment_table
 from wordgrid.occurrence import _probes, count_word, count_word_set
 from wordgrid.solver import (BEAM_WIDTH, CLOCK_CHECK_MASK, SYMMETRY_DEPTH, SolveConfig,
-                             _beam_seed, _canonical_cells, _dfs, _Problem, _Search,
-                             _search_letters, solve, solve_oracle, solve_set)
+                             _beam_seed, _canonical_cells, _dfs, _Problem, _Search, solve,
+                             solve_oracle, solve_set)
 
 BINARY = Alphabet(("A", "M"))
 
@@ -119,8 +119,7 @@ def _recount_live(texts, n, d, assigned):
 def test_packed_live_count_matches_recount(texts, n, d):
     # the packed state's bound against a recount from the line table, at every
     # depth of seeded random assignments along the branch order
-    alphabet, rows = _search_letters([Word.from_string(t) for t in texts])
-    problem = _Problem(rows, alphabet, n, d, symmetry=False)
+    problem = _Problem([Word.from_string(t) for t in texts], n, d, symmetry=False)
     rng = random.Random(f"{texts} {n} {d}")
     for _ in range(12):
         bads, live, assigned = 0, problem.L, {}
@@ -128,7 +127,7 @@ def test_packed_live_count_matches_recount(texts, n, d):
         for depth, cell in enumerate(problem.order):
             a = rng.randrange(problem.A)
             bads, live = _step(problem, bads, problem.masks[depth][a])
-            assigned[cell] = alphabet.letters[a]
+            assigned[cell] = problem.alphabet.letters[a]
             assert live == _recount_live(texts, n, d, assigned), (depth, assigned)
 
 
@@ -201,8 +200,7 @@ def test_witness_is_first_optimal_leaf_in_branch_order():
     for text, n, d in _small_words():
         w = Word.from_string(text)
         r = solve(w, n, d)
-        alphabet, rows = _search_letters([w])
-        problem = _Problem(rows, alphabet, n, d, symmetry=False)
+        problem = _Problem([w], n, d, symmetry=False)
         want = _canonical_cells(_first_leaf_reaching(problem, r.lower), problem)
         assert r.complete and r.witnesses[0].cells == want, (text, n, d)
 
@@ -210,8 +208,7 @@ def test_witness_is_first_optimal_leaf_in_branch_order():
 @pytest.mark.parametrize("text, n, d", [("AMM", 3, 3), ("AM", 2, 5)])
 def test_canonical_cells_is_least_image(text, n, d):
     # the least image over the group, each element's cell map built point by point
-    alphabet, rows = _search_letters([Word.from_string(text)])
-    problem = _Problem(rows, alphabet, n, d, symmetry=True)
+    problem = _Problem([Word.from_string(text)], n, d, symmetry=True)
     tables = [[point_index(g.apply_point(p, n), n, d) for p in all_points(n, d)]
               for g in all_symmetries(d)]
     rng = random.Random(n * 10 + d)
@@ -229,8 +226,7 @@ def test_canonical_cells_is_least_image(text, n, d):
 def test_canonical_cells_matches_bytes_minimum(text, n, d):
     # the column-by-column minimum against the minimum over one bytes object
     # per image; blobs over fewer letters tie many images through many cells
-    alphabet, rows = _search_letters([Word.from_string(text)])
-    problem = _Problem(rows, alphabet, n, d, symmetry=True)
+    problem = _Problem([Word.from_string(text)], n, d, symmetry=True)
     rng = random.Random(n * 10 + d)
     blobs = [bytes(problem.N), bytes([problem.A - 1]) * problem.N]
     for used in range(2, problem.A + 1):
@@ -334,13 +330,13 @@ def test_solve_and_solve_set_recount_every_witness_on_their_words(monkeypatch):
 
 def test_elapsed_covers_compile(monkeypatch):
     # the solve clock starts on entry, so compilation is part of `elapsed`
-    compile_ = solver_mod._compile
+    problem_ = solver_mod._Problem
 
-    def slow_compile(*args):
+    def slow_problem(*args):
         time.sleep(0.3)
-        return compile_(*args)
+        return problem_(*args)
 
-    monkeypatch.setattr(solver_mod, "_compile", slow_compile)
+    monkeypatch.setattr(solver_mod, "_Problem", slow_problem)
     r = solve(Word.from_string("AMM"), 3, 2)
     assert r.optimum == 5
     assert r.stats.elapsed >= 0.3
@@ -385,8 +381,10 @@ def test_integer_like_budget_and_worker_count_are_accepted():
 
 
 def test_cell_cap():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^3\^5 cells exceed the search cap 64$"):
         solve(Word.from_string("AMM"), 3, 5)  # 243 cells
+    with pytest.raises(ValueError, match="^word length must equal the grid side n$"):
+        solve(Word.from_string("AMM"), 4, 2)
 
 
 # ---------------------------------------------------------------- construction seed
@@ -466,8 +464,10 @@ def test_solve_set_two_constant_words():
 def test_solve_set_guards():
     with pytest.raises(ValueError):
         solve_set([], 3, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^3\^3 cells exceed the search cap 25$"):
         solve_set([Word.from_string("AMM")], 3, 3)  # 27 cells over the set cap
+    with pytest.raises(ValueError, match="^word length must equal the grid side n$"):
+        solve_set([Word.from_string("AMM"), Word.from_string("AM")], 3, 2)
 
 
 # ---------------------------------------------------------------- pinned search
@@ -711,7 +711,8 @@ def _reference_search(problem, symmetry, horizon=SYMMETRY_DEPTH):
 def _reference_masks(texts, n, d):
     """`_Problem`'s (masks, order, L, shifts) before its bit table: one bit
     ORed in per line, cell, probe and contradicting letter."""
-    alphabet, symbol_rows = _search_letters([Word.from_string(t) for t in texts])
+    alphabet = infer_alphabet("".join(texts))
+    symbol_rows = [Word.from_string(t, alphabet).symbols for t in texts]
     A, N = len(alphabet), n**d
     line_cells = segment_table(n, d, n)[0].tolist()
     L = len(line_cells)
@@ -777,8 +778,7 @@ DIFF_LIMITS = [(1, None), (2, None), (3, None), (50, None), (4096, None), (4097,
 
 
 def _diff_problem(texts, n, d, symmetry):
-    alphabet, rows = _search_letters([Word.from_string(t) for t in texts])
-    return _Problem(rows, alphabet, n, d, symmetry=symmetry)
+    return _Problem([Word.from_string(t) for t in texts], n, d, symmetry=symmetry)
 
 
 def _assert_dfs_matches(problem, reference):
