@@ -188,6 +188,11 @@ def sandwich_2d(w: Word, n: int) -> tuple[int, int]:
 def bracket(w: Word, d: int = 2) -> BoundReport:
     """Certified lower, closed-form upper, and exact value when a rule pins it.
 
+    The lower end is `best_construction`'s achieved count. At d >= 3 that is
+    the parity or constant closed form or the layered grid's count by line
+    class, so no grid is materialized, and the layered count stays exact
+    past `constructions.DENSE_CAP` up to the class table cap
+    `lines.DEFAULT_LINE_CAP`.
     A crossing (lower > upper, or exact outside) raises instead of clamping:
     it would mean a verified count exceeded a proven ceiling.
     """

@@ -292,7 +292,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the WG1 grid here instead of stdout")
     p.set_defaults(fn=cmd_construct)
 
-    p = sub.add_parser("bounds", help="lower/upper/exact bounds with rule table")
+    p = sub.add_parser(
+        "bounds", help="lower/upper/exact bounds with rule table; lower end counted by line class")
     p.add_argument("--word", required=True, type=_letters)
     p.add_argument("-d", type=int, default=2)
     p.set_defaults(fn=cmd_bounds)

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .core import Alphabet, BatchRule, Grid, Point, Word, word_stats
-from .lines import CanonicalLine, count_lines, line_points
+from .lines import CanonicalLine, _class_table_fits, count_lines, line_points
 from .occurrence import count_word
 
 DENSE_CAP = 65536
@@ -28,9 +28,17 @@ COUNTER_POINT_TRIES = 100_000
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A built grid with its certificate: achieved is the measured count."""
+    """A built grid with its certificate: achieved is the measured count.
 
-    grid: Grid
+    `built` is the grid as its builder made it: dense from the 2-D builders,
+    symmetric from the parity, constant and counterpoint constructions, whose
+    certificates are counted without materializing it. `grid` reads it dense
+    when it has at most DENSE_CAP cells and as it is above the cap; a
+    symmetric grid is materialized on the first read of `grid`, once, and
+    never when only the certificate is read.
+    """
+
+    built: Grid
     guaranteed: int
     achieved: int
     provenance: str
@@ -41,6 +49,11 @@ class ConstructionResult:
                 f"{self.provenance} built a grid achieving {self.achieved}, "
                 f"below its certificate {self.guaranteed}"
             )
+
+    @cached_property
+    def grid(self) -> Grid:
+        built = self.built
+        return built.to_dense() if built.n**built.d <= DENSE_CAP else built
 
 
 @dataclass(frozen=True)
@@ -388,7 +401,7 @@ def parity_grid(w: Word, d: int) -> ConstructionResult:
         raise ValueError(f"{w.text!r} is not binary antisymmetric")
     n = w.n
     letters = _parity_letters(w)
-    grid = _symmetric_grid(w, d, _parity_rule(letters), _parity_batch(letters))
+    grid = Grid.symmetric(n, d, w.alphabet, _parity_rule(letters), _parity_batch(letters))
     guaranteed = ((n + 2) ** d - (n - 2) ** d) // 4
     achieved = _parity_achieved(n, d, letters[2])
     return ConstructionResult(grid, guaranteed=guaranteed, achieved=achieved,
@@ -421,13 +434,6 @@ def _parity_batch(letters: tuple[int, int, frozenset[int]]) -> BatchRule:
     return lambda counts: np.where(counts[:, columns].sum(axis=1) % 2 == 0, first, other)
 
 
-def _symmetric_grid(w: Word, d: int, rule: Callable[[Point], int], batch: BatchRule) -> Grid:
-    """The symmetric grid of a profile rule and its batch form, materialized up
-    to DENSE_CAP cells."""
-    grid = Grid.symmetric(w.n, d, w.alphabet, rule, batch)
-    return grid.to_dense() if w.n**d <= DENSE_CAP else grid
-
-
 # ---------------------------------------------------------------- other builders
 
 def few_letter_word(k: int) -> Word:
@@ -443,7 +449,8 @@ def few_letter_word(k: int) -> Word:
 
 def _constant_result(w: Word, d: int) -> ConstructionResult:
     sym = w.symbols[0]
-    grid = _symmetric_grid(w, d, lambda p: sym, lambda counts: np.full(len(counts), sym))
+    grid = Grid.symmetric(w.n, d, w.alphabet, lambda p: sym,
+                          lambda counts: np.full(len(counts), sym))
     total = count_lines(w.n, d)[1]
     return ConstructionResult(grid, guaranteed=total, achieved=total, provenance="constant")
 
@@ -468,8 +475,8 @@ def _candidates(w: Word, d: int) -> list[ConstructionResult]:
     elif st.binary and st.antisymmetric:
         results.append(parity_grid(w, d))
     if w.n >= 3:
-        grid = _symmetric_grid(w, d, *_counterpoint_rules(w, d))
-        achieved = count_word(w, grid).total if grid.dense else 0
+        grid = counterpoint_grid(w, d)
+        achieved = count_word(w, grid).total if _class_table_fits(w.n, d) else 0
         results.append(ConstructionResult(grid, guaranteed=0, achieved=achieved,
                                           provenance="counterpoint"))
     return results
@@ -482,7 +489,10 @@ def best_construction(w: Word, d: int = 2) -> ConstructionResult:
     cross, quad, stripe, parity, rows; above it parity or constant, then
     counterpoint; letters in code-point order, quad pairs in lexicographic
     order. Every word is covered: length 2 by constant or parity, longer
-    words by counterpoint.
+    words by counterpoint. Above d = 2 no candidate is materialized to be
+    counted: the counterpoint grid's achieved is its count by line class
+    wherever its class table fits `lines.DEFAULT_LINE_CAP`, and 0 beyond
+    that, so only the winner's `.grid`, when read, is built.
     """
     if d < 2:
         raise ValueError("needs d >= 2")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -181,7 +182,8 @@ def word_stats(w: Word) -> WordStats:
 def _cached_table(build: Callable) -> Callable:
     """Cache `build`'s numpy table (an array or a tuple of arrays) by its positional
     arguments, read-only and shared. All cached tables share one budget: past
-    TABLE_CACHE_BYTES the least recently used go; the table just returned stays."""
+    TABLE_CACHE_BYTES the least recently used go; the table just returned stays.
+    An object array's Python ints count at their own sizes too."""
     @wraps(build)
     def cached(*args):
         key = (build.__name__, *args)
@@ -193,8 +195,11 @@ def _cached_table(build: Callable) -> Callable:
         arrays = table if isinstance(table, tuple) else (table,)
         for a in arrays:
             a.flags.writeable = False
+        # an object array holds Python ints, each counted at its own size
+        size = sum(a.nbytes + (sum(map(sys.getsizeof, a.flat)) if a.dtype == object else 0)
+                   for a in arrays)
         with _tables_lock:
-            _tables[key] = table, sum(a.nbytes for a in arrays)
+            _tables[key] = table, size
             held = sum(size for _, size in _tables.values())
             while held > TABLE_CACHE_BYTES and len(_tables) > 1:
                 held -= _tables.popitem(last=False)[1][1]

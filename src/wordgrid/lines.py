@@ -11,7 +11,9 @@ so one enumerator and one index table serve both. The symbols are the
 is d values in {0..n+1}, each the index of its row in `_segment_symbols(n, n)`.
 The enumerator builds only the canonical codes, in lexicographic order, by
 joining each prefix to a prebuilt tail block of at most TAIL_BLOCK codes
-(or of one coordinate's symbols, when those alone are more).
+(or of one coordinate's symbols, when those alone are more). A line's
+class, the multiset of its symbols, is what a symmetric grid reads;
+`line_class_table` ranks each class's profiles without listing its lines.
 
 The `CanonicalLine` and `Segment` constructors check every pair (`_check_pair`);
 the enumerator checks each tail code and prefix once instead and builds its
@@ -21,6 +23,7 @@ lines and segments from those checked parts without a per-object check.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -422,6 +425,112 @@ def segment_table(n: int, d: int, k: int) -> tuple[np.ndarray, np.ndarray]:
             lead.append(np.concatenate(leads))
     assert out.shape[1] == total
     return out.T, np.cumsum(sizes)
+
+
+def _class_table_fits(n: int, d: int) -> bool:
+    """Whether `line_class_table(n, d)` is within DEFAULT_LINE_CAP: its rows,
+    C(n+d+1, d) - C(n+d-1, d), and its profile classes, C(n+d-1, d), are each
+    at most the cap. Both are checked with `math.comb` before anything is built."""
+    classes = math.comb(n + d - 1, d)
+    return max(math.comb(n + d + 1, d) - classes, classes) <= DEFAULT_LINE_CAP
+
+
+@_cached_table
+def line_class_table(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                                              np.ndarray]:
+    """The line classes of [n]^d: (counts, codes, idx, starts, reps).
+
+    A line's code is d symbols over {1..n, +, -}. On a symmetric grid its
+    reading depends only on the multiset of those symbols, the line's class,
+    as at step i a '+' coordinate takes the value i and a '-' one n+1-i. Row c
+    of `counts` is a class with at least one sign: its numeral counts for the
+    values 1..n, then its '+' and '-' counts. It holds codes[c] =
+    d!/prod(counts[c]!) codes, two per line, as swapping '+' and '-' reverses
+    a line; `codes` is int64 while (n+2)^d, which bounds every sum of them,
+    fits it, else Python ints. Rows are grouped by weight, the sign count, as
+    in `segment_table`: rows starts[r-1]:starts[r] have weight r, each weight
+    '+'-count-major over the numeral multisets of size d - r.
+
+    idx[c, i-1] is the rank of class c's profile at step i (its numeral
+    counts, plus its '+' count at value i and its '-' count at n+1-i) among
+    the profile classes of [n]^d, with the rank `core._profile_classes`
+    gives. So a grid's letter per profile class and idx are the (cells, idx)
+    pair `occurrence._match` reads, idx column-major as in `segment_table`.
+    reps[k] is one position c + len(counts)·(i-1) of idx holding rank k;
+    every profile is some class's at some step.
+
+    Rows are ranked, never sorted. With S_x the coordinates at most x, the
+    rank of a sorted 0-based a_0 <= .. <= a_(d-1), sum_j C(a_j + j, j + 1),
+    telescopes to C(n+d-1, d) - 1 - sum_{x=1..n-1} C(x - 1 + S_x, x). At
+    step i, S_x is the class's numerals up to x, plus its '+' count once
+    x >= i and its '-' count once x >= n+1-i, so one pass over x keeps the
+    running sums of that term at the four shifts (none, '+', '-', both) and
+    settles steps i and n+1-i as it passes the lower and the upper of their
+    two sign values: O(rows · n), never a (rows, n, d) array.
+
+    Refused, naming the cap, beyond `_class_table_fits`; every partial rank
+    then stays well inside int32.
+    """
+    if not _class_table_fits(n, d):
+        raise ValueError(
+            f"{math.comb(n + d + 1, d) - math.comb(n + d - 1, d)} line classes and "
+            f"{math.comb(n + d - 1, d)} profile classes at (n={n}, d={d}) exceed the "
+            f"table cap {DEFAULT_LINE_CAP}; use estimate_fraction")
+    dtype = np.min_scalar_type(d)
+    # the numeral multisets of each size below d as count rows: size m + 1
+    # from size m by one more value at least the largest present (top)
+    numerals, top = [np.zeros((1, n), dtype=dtype)], np.zeros(1, dtype=np.int64)
+    for _ in range(d - 1):
+        more = n - top
+        grown = np.repeat(numerals[-1], more, axis=0)
+        top = np.arange(len(grown)) - np.repeat(np.cumsum(more) - more - top, more)
+        grown[np.arange(len(grown)), top] += 1
+        numerals.append(grown)
+    blocks = []
+    for r in range(1, d + 1):
+        part = numerals[d - r]
+        plus = np.repeat(np.arange(r + 1, dtype=dtype), len(part))
+        blocks.append(np.column_stack((np.tile(part, (r + 1, 1)), plus, r - plus)))
+    counts = np.concatenate(blocks)
+    starts = np.cumsum([0] + [len(b) for b in blocks])
+    # a multinomial is the product of C(placed, c) over its counts c, placed
+    # the running total of the counts up to c
+    exact = np.int64 if (n + 2)**d < 2**63 else object
+    pascal = np.array([[math.comb(a, b) for b in range(d + 1)] for a in range(d + 1)],
+                      dtype=exact)
+    codes, placed = np.ones(len(counts), dtype=exact), np.zeros(len(counts), dtype=np.int64)
+    for column in counts.T:
+        placed += column
+        codes *= pascal[placed, column]
+    rows, classes = len(counts), math.comb(n + d - 1, d)
+    # term[x, s] = C(x - 1 + s, x), the rank term of value x with s coordinates at most x
+    term = np.array([[math.comb(x - 1 + s, x) if x else 0 for s in range(d + 1)]
+                     for x in range(n)], dtype=np.int64)
+    plus, minus = counts[:, n].astype(np.int64), counts[:, n + 1].astype(np.int64)
+    shifts = np.stack((np.zeros(rows, dtype=np.int64), plus, minus, plus + minus))
+    below = np.zeros(rows, dtype=np.int64)  # numerals up to x
+    run = np.zeros((4, rows), dtype=np.int64)  # the terms up to x at each shift
+    idx = np.empty((rows, n), dtype=np.int32, order="F")
+    for x in range(n):
+        if x:
+            below += counts[:, x - 1]
+            run += term[x][below + shifts]
+        none, up, down, both = run
+        y = n - 1 - x  # 0-based: step x has '+' at x and '-' at y, step y the reverse
+        if x < y:
+            idx[:, x] = none - up
+            idx[:, y] = none - down
+        elif x == y:
+            idx[:, x] = none - both
+        else:
+            idx[:, y] += up - both
+            idx[:, x] += down - both
+    idx += both[:, None]
+    np.subtract(classes - 1, idx, out=idx)
+    reps = np.empty(classes, dtype=np.int64)
+    for i in range(n):
+        reps[idx[:, i]] = np.arange(i * rows, (i + 1) * rows)
+    return counts, codes, idx, starts, reps
 
 
 def _table_lines(rows: np.ndarray, n: int, d: int) -> tuple[CanonicalLine, ...]:

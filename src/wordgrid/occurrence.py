@@ -4,10 +4,14 @@ A line contains a word when the forward or the reversed reading equals it; a
 line matching both ways still counts once. `_probes` builds those readings,
 and one kernel, `_match`, finds the rows reading one: of the cached table
 `lines.segment_table` for `count_word`, `count_word_set` and
-`count_segments_word`, and of the lines `estimate_fraction` draws on dense
-and symmetric grids. The table's rows are grouped by weight, so each weight
-is tallied over one slice; `lines._table_lines` decodes the matched rows for
-`collect_matches`. Other procedural grids are read point by point.
+`count_segments_word` on dense grids, of the cached `lines.line_class_table`
+for the same counts on symmetric grids, and of the lines `estimate_fraction`
+draws on dense and symmetric grids. Both tables group their rows by weight,
+so each weight is tallied over one slice; `lines._table_lines` decodes the
+matched rows of a line table for `collect_matches`. A symmetric grid is
+counted by line class, never materialized, so its count is exact wherever
+its class table fits, far past the dense cap. Other procedural grids are
+read point by point.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from .core import BATCH_VALUES, Grid, Word, _batch_letters
 from .lines import (CanonicalLine, _draw_line_codes, _line_profiles, _symbol_coords,
-                    _table_lines, line_points, sample_line, segment_table)
+                    _table_lines, line_class_table, line_points, sample_line, segment_table)
 
 HOEFFDING_CONFIDENCE = 0.99
 
@@ -102,20 +106,24 @@ def _match(cells: bytes | np.ndarray, idx: np.ndarray,
 
 def count_word(w: Word, grid: Grid, lines: Iterable[CanonicalLine] | None = None,
                collect_matches: bool = False) -> OccurrenceReport:
-    """f(w, G): the number of lines of the grid containing w.
-
-    Dense grids are counted over all lines via the line table; an explicit
-    `lines` stream restricts the count to those lines (and works on procedural
-    grids). Counting a partition of the stream and summing gives the full
-    count. A dense grid with more lines than `lines.DEFAULT_LINE_CAP` is refused.
-    """
+    """f(w, G): the number of lines of the grid containing w; see `count_word_set`."""
     return count_word_set([w], grid, lines, collect_matches)
 
 
 def count_word_set(words: Iterable[Word], grid: Grid,
                    lines: Iterable[CanonicalLine] | None = None,
                    collect_matches: bool = False) -> OccurrenceReport:
-    """f(W, G): lines containing any word of W; a line counts once."""
+    """f(W, G): lines containing any word of W; a line counts once.
+
+    Dense grids are counted over all lines via the line table, and symmetric
+    grids by line class (`_count_classes`), without materializing them; an
+    explicit `lines` stream restricts the count to those lines (and works on
+    any procedural grid). Counting a partition of the stream and summing
+    gives the full count. A dense grid with more lines than
+    `lines.DEFAULT_LINE_CAP`, or a symmetric one whose class table is over
+    that cap, is refused with a ValueError naming the cap; matched lines are
+    listed from a dense grid or a stream only.
+    """
     word_list = list(words)
     if not word_list:
         raise ValueError("word set must be nonempty")
@@ -125,6 +133,11 @@ def count_word_set(words: Iterable[Word], grid: Grid,
     probes = _probes([_word_symbols(w, grid) for w in word_list])
     if lines is not None:
         return _count_stream(probes, grid, lines, collect_matches)
+    if grid.permutation_invariant:
+        if collect_matches:
+            raise ValueError("matched lines are listed from a dense grid or a line stream, "
+                             "not from a symmetric grid's line classes")
+        return _count_classes(probes, grid)
     if not grid.dense:
         raise ValueError(
             "procedural grid needs an explicit line stream; use estimate_fraction "
@@ -139,6 +152,33 @@ def count_word_set(words: Iterable[Word], grid: Grid,
     matches = _table_lines(idx[matched], n, d) if collect_matches else None
     return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight,
                             matches=matches)
+
+
+def _count_classes(probes: Sequence[tuple[int, ...]], grid: Grid) -> OccurrenceReport:
+    """Lines of a symmetric grid reading a probe, counted by line class.
+
+    The letters of the profile classes come from the grid's batch rule, a
+    block of at most BATCH_VALUES count values per call, each built from the
+    class and step `reps` names and checked against the alphabet. With
+    `line_class_table`'s ranks they are a (cells, idx) pair, so `_match`
+    finds the classes whose reading is a probe. Their codes, two per line,
+    are summed exactly per weight and halved.
+    """
+    n, d, batch_rule = grid.n, grid.d, grid.batch_rule
+    counts, codes, idx, starts, reps = line_class_table(n, d)
+    letters = np.empty(len(reps), dtype=np.uint8)
+    block = max(1, BATCH_VALUES // n)
+    for begin in range(0, len(reps), block):
+        step, row = np.divmod(reps[begin:begin + block], len(counts))
+        profiles = counts[row, :n].astype(np.int64)
+        at = np.arange(len(row))
+        profiles[at, step] += counts[row, n]
+        profiles[at, n - 1 - step] += counts[row, n + 1]
+        letters[begin:begin + len(row)] = _batch_letters(
+            batch_rule, profiles, grid.alphabet)  # type: ignore[arg-type]
+    matched = np.where(_match(letters, idx, probes), codes, 0)
+    per_weight = {r: int(matched[starts[r - 1]:starts[r]].sum()) // 2 for r in range(1, d + 1)}
+    return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight)
 
 
 def is_diagonal_latin(grid: Grid) -> bool:

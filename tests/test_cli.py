@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -176,6 +177,24 @@ def test_bounds_table(capsys):
     assert "lower 5" in out
     assert "upper 6" in out
     assert "exact 5 (two-block)" in out
+
+
+def test_bounds_past_the_dense_cap_counts_the_layered_grid(capsys):
+    # the transcript CI diffs: each lower end is the layered grid's count by
+    # line class, where it was 0 while only a dense grid could be counted
+    want = (Path(__file__).resolve().parent / "bounds_high_d.txt").read_text().split("== ")[1:]
+    for chunk in want:
+        command, shown = chunk.split("\n", 1)
+        assert run(capsys, *shlex.split(command)) == (0, shown, "")
+    assert [line for chunk in want for line in chunk.split("\n") if line.startswith("lower")] \
+        == ["lower 33998848", "lower 33918976", "lower 3063040"]
+
+
+def test_bounds_over_the_class_table_cap_refuses_at_once(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "bounds", "--word", "AMM", "-d", "9000")
+    assert (code, out) == (1, "")
+    assert time.perf_counter() - start < 1
 
 
 def test_bounds_unknown_exact(capsys):

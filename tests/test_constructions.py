@@ -539,9 +539,10 @@ def test_best_construction_counts_and_returns_one_counterpoint_grid():
         assert r.grid.dense and r.grid.n**d <= DENSE_CAP
         assert r.grid.cells == counterpoint_grid(w, d).to_dense().cells
         assert r.achieved == count_word(w, r.grid).total
-    # above the cap the grid stays procedural and uncounted
+    # above the cap the grid stays procedural and is counted by line class
     r = best_construction(W("AMM"), 11)
-    assert r.provenance == "counterpoint" and r.achieved == 0
+    assert r.provenance == "counterpoint" and r.achieved == 7_502_848
+    assert r.achieved == count_word(W("AMM"), r.grid).total
     assert not r.grid.dense and r.grid.permutation_invariant
 
 
