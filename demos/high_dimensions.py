@@ -5,13 +5,11 @@ import random
 from wordgrid import (
     Word,
     classify_point,
+    count_flip_lines,
     counterpoint_grid,
     estimate_fraction,
-    flip_line_points,
     parity_grid,
-    sample_counter_point,
     sample_line,
-    sample_odd_flip_set,
     sigma_parity_check,
     upper_bound_d,
 )
@@ -46,16 +44,11 @@ for _ in range(2000):
 print("parity side checks passed:", checks)
 
 # Anchor points with the right boundary statistics spray lines that read the
-# word: flip any odd subset of their boundary coordinates.
+# word: flip any odd subset of at least 0.49 of their boundary coordinates.
+# Every such line is counted exactly, by line class.
 
-grid40 = counterpoint_grid(w, 40)
-hits = 0
-for _ in range(200):
-    p = sample_counter_point(3, 40, rng)
-    flips = sample_odd_flip_set(p, 3, rng)
-    reading = tuple(grid40.at(q) for q in flip_line_points(p, flips, 3))
-    hits += reading in (w.symbols, w.symbols[::-1])
-print("flip lines reading AMM:", hits, "/ 200")
+total, reading = count_flip_lines(w, 40)
+print(f"flip lines reading AMM at d=40: {reading} / {total}")
 
 # At 3^12 cells the full line census is still feasible to sample: the grid
 # reads AMM along a sizable fraction of all lines, measured with a

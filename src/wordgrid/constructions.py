@@ -19,12 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .core import Alphabet, BatchRule, Grid, Point, Word, word_stats
-from .lines import CanonicalLine, _class_table_fits, count_lines, line_points
-from .occurrence import count_word
+from .lines import CanonicalLine, _class_table_fits, count_lines, line_class_table, line_points
+from .occurrence import _class_letters, _match, _probes, count_word
 
 DENSE_CAP = 65536
-
-COUNTER_POINT_TRIES = 100_000
 
 @dataclass(frozen=True)
 class ConstructionResult:
@@ -115,10 +113,6 @@ class CounterpointParams:
         return floor(self.c), ceil(self.c * Fraction(11, 10)), ceil(self.k)
 
 
-def is_counter_point(p: Point, n: int, d: int) -> bool:
-    return classify_point(p, n, d) == "counter-point"
-
-
 def classify_point(p: Point, n: int, d: int) -> str:
     """Which of the three assignment branches the point falls into."""
     params = CounterpointParams.for_grid(n, d)
@@ -142,6 +136,17 @@ def _classify(prof: PointProfile, params: CounterpointParams) -> tuple[str, int 
         if len(cands) == 1:
             return "band-index", cands[0]
     return "arbitrary", None
+
+
+def _counter_points(profiles: np.ndarray, params: CounterpointParams) -> np.ndarray:
+    """`_classify`'s counter-point test on (m, n) int64 profile count rows."""
+    n, d = params.n, params.d
+    tau1_max, cap, _ = params.bounds
+    tau1 = profiles[:, 0] + profiles[:, n - 1]
+    scaled = profiles[:, 1 : n - 1] * (100 * (n - 2))
+    rest = (d - tau1)[:, None]
+    banded = ((99 * rest <= scaled) & (scaled <= 101 * rest)).all(axis=1)
+    return (tau1_max < tau1) & (tau1 < cap) & banded
 
 
 def counterpoint_grid(w: Word, d: int) -> Grid:
@@ -205,50 +210,30 @@ def sigma_parity_check(line: CanonicalLine, n: int) -> bool:
     return True
 
 
-def sample_counter_point(n: int, d: int, rng) -> Point:
-    """One uniform-ish counter-point, built boundary-first then band-checked."""
-    params = CounterpointParams.for_grid(n, d)
-    tau1_max, cap, _ = params.bounds
-    rs = range(tau1_max + 1, cap)  # the integers in (c, 1.1c)
-    # r admits a counter-point when m = n - 2 interior counts within 1% of (d - r)/m
-    # sum to d - r; the draws still take r from all of rs, so no seeded draw moves
-    m = n - 2
-    if not any(m * -(-99 * (d - r) // (100 * m)) <= d - r <= m * (101 * (d - r) // (100 * m))
-               for r in rs):
-        raise ValueError(f"no integer boundary count in ({params.c}, "
-                         f"{params.c * Fraction(11, 10)}) at d={d} admits interior counts "
-                         f"in the 1% band")
-    for _ in range(COUNTER_POINT_TRIES):
-        r = rng.choice(rs)
-        p = [rng.randrange(2, n) for _ in range(d)]
-        for j in rng.sample(range(d), r):
-            p[j] = rng.choice((1, n))
-        q = tuple(p)
-        if is_counter_point(q, n, d):
-            return q
-    raise RuntimeError(f"no counter-point found in {COUNTER_POINT_TRIES} tries at (n={n}, d={d})")
+def count_flip_lines(w: Word, d: int) -> tuple[int, int]:
+    """The layered grid's flip lines at d, and how many of them read w.
 
-
-def sample_odd_flip_set(p: Point, n: int, rng) -> frozenset[int]:
-    """Random odd-size set of boundary coordinates covering at least 0.49 of them."""
-    boundary = [j for j, x in enumerate(p) if x in (1, n)]
-    r = len(boundary)
-    s_min = -(-49 * r // 100) | 1  # the least odd s >= 0.49 r: ceil, then up to odd
-    if s_min > r:
-        raise ValueError("point has no odd flip-set size above the threshold")
-    s = rng.choice(range(s_min, r + 1, 2))
-    return frozenset(rng.sample(boundary, s))
-
-
-def flip_line_points(p: Point, flips: frozenset[int], n: int) -> list[Point]:
-    """The n points obtained by sweeping the flipped boundary coordinates."""
-    for j in flips:
-        if p[j] not in (1, n):
-            raise ValueError(f"coordinate {j} of {p} is not on the boundary")
-    v = [0] * len(p)
-    for j in flips:
-        v[j] = 1 if p[j] == 1 else -1
-    return [tuple(p[j] + i * v[j] for j in range(len(p))) for i in range(n)]
+    A flip line starts at a counter-point p and sweeps an odd set of its
+    tau1 boundary coordinates, at least 0.49 tau1 of them; the paper's lemma
+    is that each reads w. They are counted by line class: row c of
+    `line_class_table(n, d)` read from step 1 starts at the point whose
+    profile is its numerals, plus its '+' count at value 1 and its '-' count
+    at value n, and sweeps its s signs. The far end has the same tau1 and
+    interior counts, so the rows selected are closed under swapping the
+    signs, and their code totals, two per line, are halved as in `count_word`.
+    Refused, as `line_class_table` is, where the class table is over its cap.
+    """
+    n, grid = w.n, counterpoint_grid(w, d)
+    counts, codes, idx, _, _ = line_class_table(n, d)
+    profiles = counts[:, :n].astype(np.int64)
+    profiles[:, 0] += counts[:, n]
+    profiles[:, n - 1] += counts[:, n + 1]
+    s = counts[:, n:].sum(axis=1, dtype=np.int64)
+    tau1 = profiles[:, 0] + profiles[:, n - 1]
+    counter = _counter_points(profiles, CounterpointParams.for_grid(n, d))
+    rows = np.flatnonzero(counter & (s % 2 == 1) & (100 * s >= 49 * tau1))
+    matched = _match(_class_letters(grid), idx[rows], _probes([w.symbols]))
+    return int(codes[rows].sum()) // 2, int(codes[rows][matched].sum()) // 2
 
 
 # ---------------------------------------------------------------- d=2 builders

@@ -43,13 +43,14 @@ _UNIT_STEPS = frozenset((-1, 0, 1))
 
 
 def _check_sign(v: Direction) -> None:
-    """The sign rule: v has a nonzero coordinate and the first one is +1."""
+    """The sign rule: v has a nonzero coordinate and the first one is not -1;
+    a first step outside {-1, 0, +1} is left to the step check to name."""
     for x in v:  # x ends as the first nonzero coordinate
         if x != 0:
             break
     else:
         raise ValueError("direction must have a nonzero coordinate")
-    if x != 1:
+    if x == -1:
         raise ValueError("first nonzero direction coordinate must be +1")
 
 

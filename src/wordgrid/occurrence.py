@@ -157,15 +157,25 @@ def count_word_set(words: Iterable[Word], grid: Grid,
 def _count_classes(probes: Sequence[tuple[int, ...]], grid: Grid) -> OccurrenceReport:
     """Lines of a symmetric grid reading a probe, counted by line class.
 
-    The letters of the profile classes come from the grid's batch rule, a
-    block of at most BATCH_VALUES count values per call, each built from the
-    class and step `reps` names and checked against the alphabet. With
-    `line_class_table`'s ranks they are a (cells, idx) pair, so `_match`
-    finds the classes whose reading is a probe. Their codes, two per line,
-    are summed exactly per weight and halved.
+    The letters of the profile classes (`_class_letters`) and
+    `line_class_table`'s ranks are a (cells, idx) pair, so `_match` finds the
+    classes whose reading is a probe. Their codes, two per line, are summed
+    exactly per weight and halved.
     """
-    n, d, batch_rule = grid.n, grid.d, grid.batch_rule
-    counts, codes, idx, starts, reps = line_class_table(n, d)
+    d = grid.d
+    _, codes, idx, starts, _ = line_class_table(grid.n, d)
+    matched = np.where(_match(_class_letters(grid), idx, probes), codes, 0)
+    per_weight = {r: int(matched[starts[r - 1]:starts[r]].sum()) // 2 for r in range(1, d + 1)}
+    return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight)
+
+
+def _class_letters(grid: Grid) -> np.ndarray:
+    """The letter of each profile class of a symmetric grid, by its rank in
+    `line_class_table`: from the grid's batch rule, a block of at most
+    BATCH_VALUES count values per call, each built from the class and step
+    `reps` names and checked against the alphabet."""
+    n, batch_rule = grid.n, grid.batch_rule
+    counts, _, _, _, reps = line_class_table(n, grid.d)
     letters = np.empty(len(reps), dtype=np.uint8)
     block = max(1, BATCH_VALUES // n)
     for begin in range(0, len(reps), block):
@@ -176,9 +186,7 @@ def _count_classes(probes: Sequence[tuple[int, ...]], grid: Grid) -> OccurrenceR
         profiles[at, n - 1 - step] += counts[row, n + 1]
         letters[begin:begin + len(row)] = _batch_letters(
             batch_rule, profiles, grid.alphabet)  # type: ignore[arg-type]
-    matched = np.where(_match(letters, idx, probes), codes, 0)
-    per_weight = {r: int(matched[starts[r - 1]:starts[r]].sum()) // 2 for r in range(1, d + 1)}
-    return OccurrenceReport(total=sum(per_weight.values()), per_weight=per_weight)
+    return letters
 
 
 def is_diagonal_latin(grid: Grid) -> bool:

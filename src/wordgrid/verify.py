@@ -17,13 +17,11 @@ from .bounds import (exact_formula_d, f1_exact, f1_subadditivity_check, product_
                      upper_bound_d)
 from .constructions import (
     _candidates,
+    count_flip_lines,
     counterpoint_grid,
     cross_grid,
-    flip_line_points,
     parity_grid,
     quad_grid,
-    sample_counter_point,
-    sample_odd_flip_set,
     sigma_parity_check,
     stripe_grid,
 )
@@ -271,14 +269,10 @@ def check_high_dim_properties() -> CheckResult:
             checked += 1
     w = W("AMM")
     for d in (40, 80):
-        g = counterpoint_grid(w, d)
-        for _ in range(500):
-            p = sample_counter_point(3, d, rng)
-            flips = sample_odd_flip_set(p, 3, rng)
-            reading = tuple(g.at(q) for q in flip_line_points(p, flips, 3))
-            if reading not in (w.symbols, w.symbols[::-1]):
-                failures.append(f"flip line d={d}")
-                break
+        # every flip line, counted by line class; none at all would check nothing
+        total, reading = count_flip_lines(w, d)
+        if not 0 < total == reading:
+            failures.append(f"flip lines d={d}: {reading} of {total} read {w.text}")
     frac, radius = estimate_fraction(w, counterpoint_grid(w, 12),
                                      samples=100_000, rng=random.Random(2718))
     return _sweep("high-dim-properties", "parity sides and flip lines hold; fraction measured",

@@ -87,6 +87,12 @@ def test_criterion_11_high_dimensional_properties():
     _gate(11, 600.0, check_high_dim_properties)
 
 
+def test_criterion_11_fails_when_no_flip_line_is_counted(monkeypatch):
+    monkeypatch.setattr(verify_mod, "count_flip_lines", lambda w, d: (0, 0))
+    assert check_high_dim_properties().got == (
+        "failed: flip lines d=40: 0 of 0 read AMM; flip lines d=80: 0 of 0 read AMM")
+
+
 def test_criterion_12_worker_determinism():
     _gate(12, 300.0, check_worker_determinism)
 

@@ -2,12 +2,13 @@
 
 import itertools
 import random
-import time
 from fractions import Fraction
 from math import comb
 
+import numpy as np
 import pytest
 
+from wordgrid import constructions
 from wordgrid.bounds import product_grid
 from wordgrid.constructions import (
     DENSE_CAP,
@@ -18,24 +19,22 @@ from wordgrid.constructions import (
     _candidates,
     _classify,
     _constant_result,
+    _counter_points,
     _parity_achieved,
     _parity_letters,
     classify_point,
+    count_flip_lines,
     counterpoint_grid,
     cross_grid,
     few_letter_word,
-    flip_line_points,
-    is_counter_point,
     parity_grid,
     quad_grid,
     rows_grid,
-    sample_counter_point,
-    sample_odd_flip_set,
     sigma_parity_check,
     stripe_grid,
 )
 from wordgrid.core import Grid, Word, word_stats
-from wordgrid.lines import count_lines, enumerate_lines
+from wordgrid.lines import count_lines, enumerate_lines, line_points
 from wordgrid.occurrence import count_segments_word, count_word
 
 W = Word.from_string
@@ -386,18 +385,10 @@ def test_point_profile_invariants():
             assert prof.tau(i) == prof.tau(n - i + 1)
 
 
-def test_sampled_counter_points_classify_as_such():
-    rng = random.Random(1306)
-    for d in (12, 40):
-        for _ in range(20):
-            p = sample_counter_point(3, d, rng)
-            assert is_counter_point(p, 3, d)
-            assert classify_point(p, 3, d) == "counter-point"
-
-
 def test_boundary_counts_match_the_fraction_filtered_list():
-    # sample_counter_point draws from range(floor(c) + 1, ceil(1.1c)); the
-    # reference keeps the integers strictly between c and 1.1c as Fractions
+    # CounterpointParams.bounds gives a counter-point's boundary counts as
+    # range(floor(c) + 1, ceil(1.1c)); the reference keeps the integers
+    # strictly between c and 1.1c as Fractions
     for n in range(3, 13):
         for d in range(1, 401):
             params = CounterpointParams.for_grid(n, d)
@@ -407,89 +398,76 @@ def test_boundary_counts_match_the_fraction_filtered_list():
             assert list(range(tau1_max + 1, cap)) == want, (n, d)
 
 
-def test_sampled_counter_points_are_pinned():
-    # the points a seeded run returned before the thresholds became integer
-    # bounds, and the rng state it left
-    rng = random.Random(3303)
-    pinned = {
-        (3, 12): ["111131322111", "221113113131"],
-        (3, 40): ["3233311223311212311133313133313131123121",
-                  "1211233121113121331313121111312313311333"],
-        (5, 30): ["431521355141114253134151212155", "115552213553413141253412551541"],
-        (4, 20): ["14311414432142112311", "41411241344232443144"],
-    }
-    for (n, d), want in pinned.items():
-        got = ["".join(map(str, sample_counter_point(n, d, rng))) for _ in want]
-        assert got == want, (n, d)
-    assert rng.random() == 0.373152650407815
+def test_counter_point_rows_match_classify_point_on_every_profile():
+    for n in range(3, 7):
+        for d in range(1, 10):
+            profs = list(_profiles(n, d))
+            want = [classify_point(tuple(v for v, c in enumerate(prof.pi, 1) for _ in range(c)),
+                                   n, d) == "counter-point" for prof in profs]
+            rows = np.array([prof.pi for prof in profs], dtype=np.int64)
+            got = _counter_points(rows, CounterpointParams.for_grid(n, d))
+            assert got.tolist() == want, (n, d)
 
 
-def test_sampling_fails_when_no_boundary_count_fits():
-    with pytest.raises(ValueError, match=r"\(39/50, 429/500\) at d=1"):
-        sample_counter_point(3, 1, random.Random(0))
+def _walk_flip_lines(w, d):
+    """(flip lines, flip lines reading w) by walking every line: a line is a
+    flip line when, from either end, it starts at a counter-point and sweeps
+    an odd number s of its tau1 boundary coordinates with 100 s >= 49 tau1."""
+    n, grid = w.n, counterpoint_grid(w, d)
+    total = reading = 0
+    for line in enumerate_lines(n, d):
+        pts = line_points(line, n)
+        s = line.weight
+        for p in (pts[0], pts[-1]):
+            tau1 = sum(x in (1, n) for x in p)
+            if (classify_point(p, n, d) == "counter-point" and s % 2 == 1
+                    and 100 * s >= 49 * tau1):
+                total += 1
+                reading += tuple(grid.at(q) for q in pts) in (w.symbols, w.symbols[::-1])
+                break
+    return total, reading
 
 
-def test_sampling_fails_at_once_when_no_interior_profile_fits():
-    # tau1 is 27 or 28 at (7, 60), and no five integers within 1% of their
-    # mean sum to 33 or 32, so no counter-point exists; the 100,000 tries took
-    # seconds before raising RuntimeError
-    rng = random.Random(0)
-    state = rng.getstate()
-    start = time.monotonic()
-    with pytest.raises(ValueError, match=r"^no integer boundary count in \(26, 143/5\) at d=60 "):
-        sample_counter_point(7, 60, rng)
-    assert time.monotonic() - start < 1.0
-    assert rng.getstate() == state  # refused before any draw
+@pytest.mark.parametrize("word, d, want", [
+    ("AMM", 5, 160), ("AMM", 7, 5824), ("ABC", 7, 5824), ("AMMA", 6, 960), ("ABCA", 6, 960)])
+def test_flip_line_count_equals_the_walk_over_every_line(word, d, want):
+    assert count_flip_lines(W(word), d) == _walk_flip_lines(W(word), d) == (want, want)
 
 
-def test_flip_lines_from_counter_points_read_the_word():
-    rng = random.Random(1307)
-    for word in ("AMM", "AMA", "ABC"):
-        w = W(word)
-        g = counterpoint_grid(w, 12)
-        for _ in range(25):
-            p = sample_counter_point(3, 12, rng)
-            flips = sample_odd_flip_set(p, 3, rng)
-            assert len(flips) % 2 == 1
-            pts = flip_line_points(p, flips, 3)
-            reading = tuple(g.at(q) for q in pts)
-            assert reading in (w.symbols, w.symbols[::-1])
+def _flip_classes(monkeypatch):
+    """The rows count_flip_lines hands `_match`, one entry per call."""
+    seen = []
+
+    def spy(cells, idx, probes):
+        seen.append(len(idx))
+        return real_match(cells, idx, probes)
+
+    real_match = constructions._match
+    monkeypatch.setattr(constructions, "_match", spy)
+    return seen
 
 
-def _reference_odd_flip_set(p, n, rng):
-    """The Fraction scan `sample_odd_flip_set` replaced with integer arithmetic."""
-    boundary = [j for j, x in enumerate(p) if x in (1, n)]
-    r = len(boundary)
-    s_min = None
-    for s in range(1, r + 1):
-        if s % 2 == 1 and Fraction(s) >= Fraction(49, 100) * r:
-            s_min = s
-            break
-    if s_min is None:
-        raise ValueError("point has no odd flip-set size above the threshold")
-    s = rng.choice(list(range(s_min, r + 1, 2)))
-    return frozenset(rng.sample(boundary, s))
+@pytest.mark.parametrize("word, d, want, classes", [
+    ("AMM", 12, 12_908_544, 88),
+    ("ABC", 40, 553_434_317_455_861_976_987_074_560, 5_598),
+    ("AMMA", 30, 1_040_597_565_499_936_604_160, 440),
+    ("ABCDE", 20, 0, 0),
+])
+def test_flip_lines_read_the_word(monkeypatch, word, d, want, classes):
+    seen = _flip_classes(monkeypatch)
+    assert count_flip_lines(W(word), d) == (want, want)
+    assert seen == [classes]
 
 
-def test_odd_flip_set_matches_the_fraction_scan():
-    # r boundary coordinates, alternately 1 and n, then 3 interior ones, for every r up to 300
-    for r in range(301):
-        p = tuple(1 + 2 * (j % 2) if j < r else 2 for j in range(r + 3))
-        rng, ref_rng = random.Random(r), random.Random(r)
-        try:
-            want = _reference_odd_flip_set(p, 3, ref_rng)
-        except ValueError as exc:
-            assert r == 0
-            with pytest.raises(ValueError, match=str(exc)):
-                sample_odd_flip_set(p, 3, rng)
-        else:
-            assert sample_odd_flip_set(p, 3, rng) == want, r
-        assert rng.getstate() == ref_rng.getstate(), r
+def test_flip_lines_under_a_swapped_rule_do_not_read_the_word(monkeypatch):
+    # the layered grid of AMM with A and M exchanged in its batch rule
+    def swapped(w, d):
+        rule, batch = constructions._counterpoint_rules(w, d)
+        return Grid.symmetric(w.n, d, w.alphabet, lambda p: 1 - rule(p),
+                              lambda counts: 1 - batch(counts))
 
-
-def test_flip_line_rejects_interior_coordinates():
-    with pytest.raises(ValueError):
-        flip_line_points((2, 1, 3), frozenset({0, 1}), 3)
+    monkeypatch.setattr(constructions, "counterpoint_grid", swapped)
+    assert count_flip_lines(W("AMM"), 40) == (553_434_317_455_861_976_987_074_560, 0)
 
 
 def test_sigma_parity_splits_line_sides():

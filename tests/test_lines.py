@@ -82,7 +82,7 @@ def test_canonicalize_errors():
         # a leading -1 flips the pair, and p keeps its length through the flip
         ((3, 1, 1), (-1, 0), 3, "p and v must have the same dimension"),
         ((1, 1), (-1, 0, 0), 3, "p and v must have the same dimension"),
-        ((1, 1), (2, 0), 5, r"first nonzero direction coordinate must be \+1"),
+        ((1, 1), (2, 0), 5, r"direction coordinates must be in \{-1, 0, \+1\}"),
         ((1, 1), (1, 2), 5, r"direction coordinates must be in \{-1, 0, \+1\}"),
         ((2, 1), (1, 1), 3,  # leaves the grid at step 3
          r"line CanonicalLine\(p=\(2, 1\), v=\(1, 1\), weight=2\) leaves \[1, 3\]\^2"),
@@ -109,7 +109,7 @@ def _reference_line_check(p, v, weight):
     nz = [x for x in v if x != 0]
     if not nz:
         raise ValueError("direction must have a nonzero coordinate")
-    if nz[0] != 1:
+    if nz[0] == -1:
         raise ValueError("first nonzero direction coordinate must be +1")
     if any(x not in (-1, 0, 1) for x in v):
         raise ValueError("direction coordinates must be in {-1, 0, +1}")
